@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import os
 
-from .errors import TooLarge
+from .errors import TooLarge, UltratreeError
 
 ENV_VAR = "ULTRATREE_MAX_N"
 
 ENUMERATION_FENCE = 10     # weak-similarity class enumeration
 SUBSET_SCAN_FENCE = 20     # scans over all 2^n subsets
 ALL_SUBSETS_SPHERES_FENCE = 8   # per-class all-subset sphere campaigns
-TREE_SEARCH_FENCE = 6      # exhaustive labeled-tree realizability search
 
 
 def fence_limit(default: int) -> int:
@@ -26,7 +25,9 @@ def fence_limit(default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        return default
+        value = 0  # rejected below, naming the raw text
+    if value < 1:
+        raise UltratreeError(f"{ENV_VAR} must be an integer >= 1, got {raw!r}")
     return min(default, value)
 
 

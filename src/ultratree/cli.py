@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dplus", help="distinct-max distance matrix of a sample")
     p.add_argument("--sample", required=True)
 
-    p = sub.add_parser("is-ut", help="search for a realizing labeled tree")
+    p = sub.add_parser("is-ut", help="realizing labeled tree, or none")
     p.add_argument("matrix")
 
     p = sub.add_parser("random-tree", help="seeded random labeled tree, as JSON")

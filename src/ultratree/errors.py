@@ -81,6 +81,12 @@ class NotSymmetric(MetricValidationError):
         super().__init__(f"matrix is not symmetric at pair {self.pair!r}")
 
 
+class DuplicatePoint(MetricValidationError):
+    def __init__(self, point):
+        self.point = point
+        super().__init__(f"point {point!r} listed more than once")
+
+
 class NonzeroDiagonal(MetricValidationError):
     def __init__(self, point):
         self.point = point

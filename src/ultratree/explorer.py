@@ -18,19 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .capacity import (
-    ALL_SUBSETS_SPHERES_FENCE,
-    ENUMERATION_FENCE,
-    TREE_SEARCH_FENCE,
-    fence_limit,
-    require_within,
-)
+from .capacity import ALL_SUBSETS_SPHERES_FENCE, ENUMERATION_FENCE, require_within
 from .errors import (
     EmptyPool,
     FewerThanTwoBlocks,
     NegativeInput,
     NotCompleteMultipartite,
-    TooLarge,
     TooSmall,
 )
 from .formats import matrix_csv_string
@@ -272,27 +265,33 @@ def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     def build(idxs: list[int]) -> Dendrogram:
         if len(idxs) == 1:
             return Dendrogram(0)
-        diam = max(space.matrix[i][j] for i in idxs for j in idxs)
-        remaining = set(idxs)
-        groups: list[list[int]] = []
-        while remaining:
-            seed = min(remaining)
-            group = {seed}
-            frontier = [seed]
-            while frontier:
-                u = frontier.pop()
-                for v in list(remaining):
-                    if v not in group and space.matrix[u][v] < diam:
-                        group.add(v)
-                        frontier.append(v)
-            remaining -= group
-            groups.append(sorted(group))
+        diam, groups = _diameter_split(space, idxs)
         children = tuple(
             sorted((build(g) for g in groups), key=Dendrogram.key)
         )
         return Dendrogram(rank[diam], children)
 
     return build(list(range(space.n)))
+
+
+def _diameter_split(
+    space: FiniteUltrametricSpace, idxs: list[int]
+) -> tuple[Fraction, list[list[int]]]:
+    """Split a ball (ascending indices, two or more points) at its diameter.
+
+    Returns the diameter and the blocks of points closer than it, each
+    block ascending, in order of their smallest index. In an ultrametric
+    ball the row of any one point attains the diameter, and the block of
+    a point is the set of points closer to it than the diameter.
+    """
+    diam = max(space.matrix[idxs[0]][j] for j in idxs)
+    groups: list[list[int]] = []
+    remaining = idxs
+    while remaining:
+        row = space.matrix[remaining[0]]
+        groups.append([v for v in remaining if row[v] < diam])
+        remaining = [v for v in remaining if row[v] >= diam]
+    return diam, groups
 
 
 def weakly_similar(
@@ -489,7 +488,6 @@ def check_closed_balls(
     if source == "enumerated":
         if n is None:
             raise ValueError("source='enumerated' needs n")
-        require_within("enumerated closed-ball campaign", n, TREE_SEARCH_FENCE)
         for pos, dendro in enumerate(enumerate_dendrograms(n)):
             space = dendrogram_to_space(dendro)
             if is_ut(space) is not None:
@@ -663,8 +661,7 @@ def check_theorem_suite(
 
 def _suite_row(dendro: Dendrogram) -> tuple[str, bool, Optional[str]]:
     space = dendrogram_to_space(dendro)
-    hint = space.n <= fence_limit(TREE_SEARCH_FENCE) and is_ut(space) is not None
-    report = check_theorem_suite(space, is_ut_hint=hint)
+    report = check_theorem_suite(space, is_ut_hint=is_ut(space) is not None)
     first_fail = None
     if report.verdict != "PASS":
         first_fail = next(
@@ -705,137 +702,41 @@ def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
 
 # --- labeled-tree realizability -----------------------------------------------------
 
-def _prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Decode a Prüfer sequence over 0..n-1 into a sorted edge list."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return sorted(edges)
-
-
-def is_ut(
-    space: FiniteUltrametricSpace, limit: int = TREE_SEARCH_FENCE
-) -> Optional[LabeledTree]:
+def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
     """Find a labeled tree on exactly the space's points realizing it.
 
-    Exhausts all tree shapes (Prüfer sequences) with vertex labels drawn
-    from the distance values plus 0, pruned by the two necessary
-    conditions: a vertex label never exceeds its smallest distance, and
-    each edge must realize its endpoints' distance as the larger label.
-    Rejects immediately when the center of distances is not {0, diam},
-    which no tree-generated space can violate. Returns the first
-    certificate found (its matrix is re-checked against the input), or
-    None after an exhaustive search.
+    Such a tree exists exactly when every internal node of the space's
+    canonical dendrogram has at least one leaf child: when every ball of
+    two or more points, split at its diameter, has a single-point block.
+    The tree is built along the same splits. The lowest-index singleton
+    block of each ball is its hub and takes the ball's diameter as its
+    label; every other block hangs its own hub off it, and a singleton
+    block is its own hub with label 0. Every path between two blocks of
+    a ball then peaks at that ball's hub. Returns None when some ball has
+    no singleton block. Runs in polynomial time, with no fence.
     """
-    n = space.n
-    effective = min(limit, fence_limit(TREE_SEARCH_FENCE))
-    if n > effective:
-        raise TooLarge("labeled-tree search", n, effective)
-    if n == 1:
-        return validate_tree(space.points, [], {space.points[0]: 0})
-
-    diam = diameter(space)
-    if center_of_distances(space).values != (ZERO, diam):
-        return None
-
-    values = list(distance_set(space).values)  # 0 included
-    min_dist = [
-        min(space.matrix[i][j] for j in range(n) if j != i) for i in range(n)
-    ]
-    candidates = [[v for v in values if v <= min_dist[i]] for i in range(n)]
-    candidate_sets = [set(c) for c in candidates]
-
-    for seq in itertools.product(range(n), repeat=n - 2):
-        edges = _prufer_to_edges(seq, n)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        # visit order: each new vertex hangs off an already-labeled one
-        order = [(0, -1)]
-        seen = [False] * n
-        seen[0] = True
-        pos = 0
-        while pos < len(order):
-            u, _ = order[pos]
-            pos += 1
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append((w, u))
-
-        labels: list[Optional[Fraction]] = [None] * n
-
-        def assign(step: int) -> bool:
-            if step == len(order):
-                return _tree_labels_match(space, edges, labels, adj)
-            v, parent = order[step]
-            if parent < 0:
-                for c in candidates[v]:
-                    labels[v] = c
-                    if assign(step + 1):
-                        return True
-                labels[v] = None
-                return False
-            need = space.matrix[v][parent]
-            lp = labels[parent]
-            if lp > need:
-                return False
-            if lp == need:
-                options = [c for c in candidates[v] if c <= need]
-            else:
-                options = [need] if need in candidate_sets[v] else []
-            for c in options:
-                labels[v] = c
-                if assign(step + 1):
-                    return True
-            labels[v] = None
-            return False
-
-        if assign(0):
-            tree = validate_tree(
-                space.points,
-                [(space.points[i], space.points[j]) for i, j in edges],
-                {space.points[i]: labels[i] for i in range(n)},
-            )
-            return tree
-    return None
-
-
-def _tree_labels_match(
-    space: FiniteUltrametricSpace,
-    edges: list[tuple[int, int]],
-    labels: list,
-    adj: list[list[int]],
-) -> bool:
-    """Full check that the labeled tree's path maxima reproduce the matrix."""
-    n = space.n
-    for root in range(n):
-        best: list = [None] * n
-        best[root] = labels[root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if best[w] is None:
-                    best[w] = best[u] if best[u] >= labels[w] else labels[w]
-                    stack.append(w)
-        for j in range(n):
-            if j != root and best[j] != space.matrix[root][j]:
-                return False
-    return True
+    labels = [ZERO] * space.n
+    edges: list[tuple[int, int]] = []
+    stack: list[tuple[list[int], Optional[int]]] = [(list(range(space.n)), None)]
+    while stack:
+        idxs, parent = stack.pop()
+        hub = idxs[0]
+        if len(idxs) > 1:
+            diam, groups = _diameter_split(space, idxs)
+            singles = [g[0] for g in groups if len(g) == 1]
+            if not singles:
+                return None
+            hub = singles[0]
+            labels[hub] = diam
+            stack.extend((g, hub) for g in groups if g != [hub])
+        if parent is not None:
+            edges.append((parent, hub))
+    names = space.points
+    return validate_tree(
+        names,
+        [(names[i], names[j]) for i, j in edges],
+        dict(zip(names, labels)),
+    )
 
 
 # --- partition merging ---------------------------------------------------------------
@@ -868,6 +769,26 @@ def merge_parts(parts: Sequence[Iterable]) -> tuple[tuple, tuple]:
 
 
 # --- random labeled trees ---------------------------------------------------------------
+
+def _prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Decode a Prüfer sequence over 0..n-1 into a sorted edge list."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return sorted(edges)
+
 
 def random_labeled_tree(n: int, label_pool: Sequence, seed: int) -> LabeledTree:
     """Uniformly random tree shape with labels drawn from the pool.

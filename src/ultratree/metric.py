@@ -15,6 +15,7 @@ from typing import Iterable, Literal, Optional, Sequence
 
 from .capacity import SUBSET_SCAN_FENCE, require_within
 from .errors import (
+    DuplicatePoint,
     EmptySubset,
     NonpositiveOffDiagonal,
     NonpositiveRadius,
@@ -71,13 +72,19 @@ def validate_ultrametric(
 ) -> FiniteUltrametricSpace:
     """Fully check a square matrix and freeze it into a space.
 
-    Checks symmetry, a zero diagonal, positive off-diagonal entries, and
-    the strong triangle inequality on every triple (every triangle must
-    attain its maximum side at least twice). The raised error names the
-    violating pair or triple.
+    Checks that point names are distinct, symmetry, a zero diagonal,
+    positive off-diagonal entries, and the strong triangle inequality on
+    every triple (every triangle must attain its maximum side at least
+    twice). The raised error names the repeated point, or the violating
+    pair or triple.
     """
     names = tuple(str(p) for p in points)
     n = len(names)
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DuplicatePoint(name)
+        seen.add(name)
     rows = [tuple(Fraction(v) for v in row) for row in matrix]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise NotSymmetric(("<shape>", "<shape>"))

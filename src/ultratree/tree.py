@@ -87,9 +87,9 @@ def validate_tree(
     """Check a raw vertex/edge/label description and freeze it into a tree.
 
     Raises NotConnected, HasCycle, MissingLabel, NegativeLabel,
-    DuplicateVertex or UnknownVertex, each naming the offending
-    vertex or edge. Label values may be Fractions, ints, or exact
-    rational strings ("3", "5/2").
+    DuplicateVertex or UnknownVertex (for an edge endpoint or a label
+    key), each naming the offending vertex or edge. Label values may be
+    Fractions, ints, or exact rational strings ("3", "5/2").
     """
     names = [str(v) for v in vertices]
     if not names:
@@ -119,6 +119,9 @@ def validate_tree(
         edge_set.add((i, j))
         edge_list.append((i, j))
 
+    for key in labels:
+        if key not in index:
+            raise UnknownVertex(key)
     parsed: list[Fraction] = []
     for name in names:
         if name not in labels:

@@ -88,6 +88,21 @@ class TestBasicVerbs:
         assert code == 0
         assert "PASS ut-center-dichotomy" in out
 
+    def test_duplicate_point_names_rejected(self, capsys, tmp_path):
+        csv_path = tmp_path / "m.csv"
+        csv_path.write_text("a,a,b\n0,1,2\n1,0,2\n2,2,0\n")
+        code, _, err = run(capsys, "center", str(csv_path))
+        assert code == 1 and "'a'" in err
+
+    def test_label_key_naming_no_vertex_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"vertices": ["a","b"], "labels": {"a":"1","b":"1","zz":"-3"},'
+            ' "edges": [["a","b"]]}'
+        )
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 1 and "'zz'" in err
+
     def test_check_matrix_without_ut_flag(self, capsys, tmp_path):
         csv_path = tmp_path / "m.csv"
         csv_path.write_text("a,b\n0,1\n1,0\n")
@@ -124,6 +139,13 @@ class TestCampaignVerbs:
         code, _, _ = run(capsys, "enumerate", "--n", "3", "--check", "con3")
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["banana", "-5"])
+    def test_env_var_must_be_a_positive_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ULTRATREE_MAX_N", value)
+        code, _, err = run(capsys, "enumerate", "--n", "1", "--check", "con3")
+        assert code == 1
+        assert "ULTRATREE_MAX_N" in err and repr(value) in err
+
     def test_jobs_flag_changes_nothing(self, capsys):
         code1, out1, _ = run(capsys, "enumerate", "--n", "4", "--check", "con3")
         code2, out2, _ = run(capsys, "enumerate", "--n", "4", "--check", "con3", "--jobs", "2")
@@ -139,6 +161,11 @@ class TestCampaignVerbs:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["closed-balls-are-spheres"]["verdict"] == "CONSISTENT"
+
+    def test_enumerate_closed_balls_beyond_six_points(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "7", "--check", "closed-balls")
+        assert code == 0
+        assert json.loads(out)["classes_checked"] == 94
 
 
 class TestSamplerVerbs:
@@ -170,15 +197,12 @@ class TestSamplerVerbs:
         code, out, _ = run(capsys, "is-ut", str(csv_path))
         assert code == 0 and out.strip() == "none"
 
-    def test_is_ut_fence_exit_code(self, capsys, tmp_path):
+    def test_is_ut_seven_points_has_no_fence(self, capsys, tmp_path):
         csv_path = tmp_path / "m.csv"
-        run(capsys, "dplus", "--sample", "1,2,3,4,5,6,7")
-        out = capsys.readouterr()
-        csv_path.write_text("")  # rebuild via -o free path
         code, _, _ = run(capsys, "padic", "--p", "2", "--sample", "1,2,3,4,5,6,7", "-o", str(csv_path))
         assert code == 0
-        code, _, err = run(capsys, "is-ut", str(csv_path))
-        assert code == 3 and "fence" in err
+        code, out, _ = run(capsys, "is-ut", str(csv_path))
+        assert code == 0 and out.strip() == "none"
 
     def test_random_tree_deterministic(self, capsys):
         args = ("random-tree", "--n", "8", "--seed", "3", "--pool", "0,1,2,3")

@@ -20,6 +20,7 @@ from ultratree import (
     random_labeled_tree,
     sample_space,
     space_to_dendrogram,
+    validate_tree,
     validate_ultrametric,
     weak_similarity,
 )
@@ -95,6 +96,89 @@ def oracle_is_realizable(space):
             if good:
                 return True
     return False
+
+
+def oracle_is_ut_search(space):
+    """Pruned tree search: every shape (Prüfer) with vertex labels drawn
+    from the distance values plus 0, pruned by two necessary conditions
+    (a vertex label never exceeds its smallest distance; each edge must
+    realize its endpoints' distance as the larger label) and by the
+    center-dichotomy necessary condition. Returns a certificate or None."""
+    from ultratree import center_of_distances, diameter, distance_set, validate_tree
+    from ultratree.explorer import _prufer_to_edges
+
+    n = space.n
+    if n == 1:
+        return validate_tree(space.points, [], {space.points[0]: 0})
+    diam = diameter(space)
+    if center_of_distances(space).values != (0, diam):
+        return None
+
+    values = list(distance_set(space).values)  # 0 included
+    min_dist = [min(space.matrix[i][j] for j in range(n) if j != i) for i in range(n)]
+    candidates = [[v for v in values if v <= min_dist[i]] for i in range(n)]
+    candidate_sets = [set(c) for c in candidates]
+
+    def labels_match(adj, labels):
+        for root in range(n):
+            best = [None] * n
+            best[root] = labels[root]
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if best[w] is None:
+                        best[w] = max(best[u], labels[w])
+                        stack.append(w)
+            if any(j != root and best[j] != space.matrix[root][j] for j in range(n)):
+                return False
+        return True
+
+    for seq in itertools.product(range(n), repeat=n - 2):
+        edges = _prufer_to_edges(seq, n)
+        adj = [[] for _ in range(n)]
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        # visit order: each new vertex hangs off an already-labeled one
+        order = [(0, -1)]
+        seen = [False] * n
+        seen[0] = True
+        for u, _ in order:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, u))
+        labels = [None] * n
+
+        def assign(step):
+            if step == len(order):
+                return labels_match(adj, labels)
+            v, parent = order[step]
+            if parent < 0:
+                options = candidates[v]
+            else:
+                need = space.matrix[v][parent]
+                if labels[parent] > need:
+                    return False
+                if labels[parent] == need:
+                    options = [c for c in candidates[v] if c <= need]
+                else:
+                    options = [need] if need in candidate_sets[v] else []
+            for c in options:
+                labels[v] = c
+                if assign(step + 1):
+                    return True
+            labels[v] = None
+            return False
+
+        if assign(0):
+            return validate_tree(
+                space.points,
+                [(space.points[i], space.points[j]) for i, j in edges],
+                dict(zip(space.points, labels)),
+            )
+    return None
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -401,14 +485,53 @@ class TestIsUt:
         assert len(center_of_distances(inner)) == 3
         assert is_ut(space) is None
 
-    def test_fence(self):
+    def test_seven_point_equidistant_has_no_fence(self):
         space = dendrogram_to_space(
             Dendrogram(1, tuple(Dendrogram(0) for _ in range(7)))
         )
-        with pytest.raises(TooLarge):
-            is_ut(space)
-        with pytest.raises(TooLarge):
-            is_ut(dendrogram_to_space(Dendrogram(1, (Dendrogram(0),) * 5)), limit=4)
+        cert = is_ut(space)
+        assert cert is not None
+        assert distance_matrix(cert).matrix == space.matrix
+
+    def test_matches_search_oracle_up_to_six_points(self):
+        for n in range(1, 7):
+            for dendro in enumerate_dendrograms(n):
+                space = dendrogram_to_space(dendro)
+                expected = oracle_is_ut_search(space) is not None
+                assert (is_ut(space) is not None) == expected, dendro.key()
+
+    def test_certificates_and_counts_up_to_eight_points(self):
+        realizable = {}
+        for n in range(1, 9):
+            realizable[n] = 0
+            for dendro in enumerate_dendrograms(n):
+                space = dendrogram_to_space(dendro)
+                cert = is_ut(space)
+                if cert is None:
+                    continue
+                realizable[n] += 1
+                again = validate_tree(
+                    cert.vertices,
+                    cert.edge_names(),
+                    dict(zip(cert.vertices, cert.labels)),
+                )
+                assert again.vertices == space.points
+                assert distance_matrix(again).matrix == space.matrix
+        assert realizable == {1: 1, 2: 1, 3: 2, 4: 4, 5: 10, 6: 28, 7: 94, 8: 350}
+
+    @given(
+        st.integers(1, 12),
+        st.sets(st.integers(1, 6), min_size=1),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reproduces_every_random_tree_metric(self, n, positive, with_zero, seed):
+        pool = sorted(positive) + ([0] if with_zero else [])
+        space = distance_matrix(random_labeled_tree(n, pool, seed=seed))
+        cert = is_ut(space)
+        assert cert is not None
+        assert distance_matrix(cert).matrix == space.matrix
 
 
 class TestMergeParts:

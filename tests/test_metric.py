@@ -24,6 +24,7 @@ from ultratree import (
     weak_similarity,
 )
 from ultratree.errors import (
+    DuplicatePoint,
     EmptySubset,
     NonpositiveOffDiagonal,
     NonpositiveRadius,
@@ -76,6 +77,11 @@ class TestValidation:
     def test_nonzero_diagonal(self):
         with pytest.raises(NonzeroDiagonal):
             validate_ultrametric(["a", "b"], [[1, 1], [1, 0]])
+
+    def test_duplicate_point_names(self):
+        with pytest.raises(DuplicatePoint) as err:
+            validate_ultrametric(["a", "a", "b"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        assert err.value.point == "a"
 
     def test_nonpositive_off_diagonal(self):
         with pytest.raises(NonpositiveOffDiagonal):

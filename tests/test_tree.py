@@ -99,6 +99,11 @@ class TestValidateTree:
         with pytest.raises(UnknownVertex):
             validate_tree(["a", "b"], [("a", "z")], {"a": 1, "b": 1})
 
+    def test_label_key_naming_no_vertex(self):
+        with pytest.raises(UnknownVertex) as err:
+            validate_tree(["a", "b"], [("a", "b")], {"a": 1, "b": 1, "zz": "-3"})
+        assert err.value.vertex == "zz"
+
     def test_label_strings_parse_exactly(self):
         t = validate_tree(["a", "b"], [("a", "b")], {"a": "5/2", "b": "3"})
         assert t.labels == (Fraction(5, 2), Fraction(3))
