@@ -140,7 +140,7 @@ def _run(args: argparse.Namespace) -> int:
             f"edges ({len(graph.edges)}): "
             + ", ".join(f"{u}-{v}" for u, v in graph.edges)
         )
-        star = None
+        parts = star = None
         if space.n >= 2:
             parts = metric.multipartite_parts(graph)
             print(
@@ -149,9 +149,8 @@ def _run(args: argparse.Namespace) -> int:
             star = metric.spanning_star(graph)
         print(f"star center: {star.center if star else 'none'}")
         if args.dot:
-            parts_arg = metric.multipartite_parts(graph) if space.n >= 2 else None
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(formats.diametrical_dot_string(graph, parts_arg, star))
+                fh.write(formats.diametrical_dot_string(graph, parts, star))
         return 0
 
     if args.verb == "spheres":

@@ -12,7 +12,6 @@ questions (center-size bound, all-subsets-spheres, closed balls).
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .errors import (
     EmptyPool,
     FewerThanTwoBlocks,
     NegativeInput,
+    NonpositiveOffDiagonal,
     NotCompleteMultipartite,
     TooSmall,
 )
@@ -76,9 +76,15 @@ class Dendrogram:
         return self.level == 0
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(child.leaf_count() for child in self.children)
+        count = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                count += 1
+            else:
+                stack.extend(node.children)
+        return count
 
     def levels_used(self) -> frozenset[int]:
         levels: set[int] = set()
@@ -91,10 +97,28 @@ class Dendrogram:
         return frozenset(levels)
 
     def key(self) -> str:
-        """Canonical string encoding; equal keys mean the same class."""
-        if self.is_leaf:
-            return "L"
-        return "(%d:%s)" % (self.level, ",".join(c.key() for c in self.children))
+        """Canonical string encoding; equal keys mean the same class.
+
+        Computed without recursion, so chains of any depth work, and
+        cached on every node it visits (outside the dataclass fields, so
+        equality and hashing are unaffected).
+        """
+        stack = [(self, False)]
+        while stack:
+            node, children_done = stack.pop()
+            if "_key" in node.__dict__:
+                continue
+            if node.is_leaf:
+                node.__dict__["_key"] = "L"
+            elif children_done:
+                node.__dict__["_key"] = "(%d:%s)" % (
+                    node.level,
+                    ",".join(c.__dict__["_key"] for c in node.children),
+                )
+            else:
+                stack.append((node, True))
+                stack.extend((c, False) for c in node.children)
+        return self.__dict__["_key"]
 
     def is_canonical(self) -> bool:
         """Levels used are exactly 1..root level and children are sorted."""
@@ -230,27 +254,48 @@ def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
 
 
 def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
-    """Realize the dendrogram: leaves x1..xn, distances = ancestor levels."""
-    n = dendro.leaf_count()
+    """Realize the dendrogram: leaves x1..xn, distances = ancestor levels.
+
+    Leaves are numbered in depth-first order, so every node's leaves form
+    a contiguous run and a node fills its cross-child pairs by slices.
+    """
+    if dendro.is_leaf:
+        return FiniteUltrametricSpace(("x1",), ((0,),), (ZERO,))
+    nodes = []  # (level, first leaf, end, child runs) per internal node
+    next_leaf = 0
+    # frames: [internal node, next child to visit, first leaf, child runs]
+    stack: list[list] = [[dendro, 0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        node, child, start, runs = frame
+        if child < len(node.children):
+            frame[1] += 1
+            nxt = node.children[child]
+            if nxt.is_leaf:
+                runs.append((next_leaf, next_leaf + 1))
+                next_leaf += 1
+            else:
+                stack.append([nxt, 0, next_leaf, []])
+            continue
+        stack.pop()
+        nodes.append((node.level, start, next_leaf, runs))
+        if stack:
+            stack[-1][3].append((start, next_leaf))
+    n = next_leaf
+    levels = sorted({level for level, _, _, _ in nodes})
+    level_rank = {level: r for r, level in enumerate(levels, 1)}
+    ranks = [[0] * n for _ in range(n)]
+    for level, start, end, runs in nodes:
+        r = level_rank[level]
+        for a, b in runs:
+            before = [r] * (a - start)
+            beyond = [r] * (end - b)
+            for x in range(a, b):
+                ranks[x][start:a] = before
+                ranks[x][b:end] = beyond
     names = tuple(f"x{i + 1}" for i in range(n))
-    matrix = [[ZERO] * n for _ in range(n)]
-    counter = itertools.count()
-
-    def fill(node: Dendrogram) -> list[int]:
-        if node.is_leaf:
-            return [next(counter)]
-        groups = [fill(child) for child in node.children]
-        dist = Fraction(node.level)
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        matrix[a][b] = dist
-                        matrix[b][a] = dist
-        return [i for g in groups for i in g]
-
-    fill(dendro)
-    return FiniteUltrametricSpace.from_trusted_matrix(names, matrix)
+    values = (ZERO,) + tuple(Fraction(level) for level in levels)
+    return FiniteUltrametricSpace(names, tuple(map(tuple, ranks)), values)
 
 
 def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
@@ -258,37 +303,51 @@ def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
 
     Node levels are the global ranks of the sub-diameters, so two spaces
     are weakly similar exactly when their canonical dendrograms are equal.
+    The splits are walked without recursion, so chains of any depth work.
     """
-    positive = [v for v in distance_set(space).values if v > 0]
-    rank = {v: r + 1 for r, v in enumerate(positive)}
-
-    def build(idxs: list[int]) -> Dendrogram:
+    balls: list[list[int]] = [list(range(space.n))]
+    levels: list[int] = []
+    children: list[range] = []
+    for idxs in balls:  # grows while it is walked: each split appends its blocks
         if len(idxs) == 1:
-            return Dendrogram(0)
+            levels.append(0)
+            children.append(range(0))
+            continue
         diam, groups = _diameter_split(space, idxs)
-        children = tuple(
-            sorted((build(g) for g in groups), key=Dendrogram.key)
-        )
-        return Dendrogram(rank[diam], children)
-
-    return build(list(range(space.n)))
+        levels.append(diam)
+        children.append(range(len(balls), len(balls) + len(groups)))
+        balls.extend(groups)
+    leaf = Dendrogram(0)
+    built: list[Optional[Dendrogram]] = [None] * len(levels)
+    for pos in reversed(range(len(levels))):  # children come after parents
+        if levels[pos] == 0:
+            built[pos] = leaf
+        else:
+            kids = sorted((built[c] for c in children[pos]), key=Dendrogram.key)
+            built[pos] = Dendrogram(levels[pos], tuple(kids))
+    return built[0]
 
 
 def _diameter_split(
     space: FiniteUltrametricSpace, idxs: list[int]
-) -> tuple[Fraction, list[list[int]]]:
+) -> tuple[int, list[list[int]]]:
     """Split a ball (ascending indices, two or more points) at its diameter.
 
-    Returns the diameter and the blocks of points closer than it, each
-    block ascending, in order of their smallest index. In an ultrametric
-    ball the row of any one point attains the diameter, and the block of
-    a point is the set of points closer to it than the diameter.
+    Returns the diameter's rank and the blocks of points closer than it,
+    each block ascending, in order of their smallest index. In an
+    ultrametric ball the row of any one point attains the diameter, and
+    the block of a point is the set of points closer to it than the
+    diameter. A zero diameter can only come from an unvalidated matrix
+    and raises NonpositiveOffDiagonal for the pair.
     """
-    diam = max(space.matrix[idxs[0]][j] for j in idxs)
+    row = space.ranks[idxs[0]]
+    diam = max(map(row.__getitem__, idxs))
+    if diam == 0:
+        raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
     groups: list[list[int]] = []
     remaining = idxs
     while remaining:
-        row = space.matrix[remaining[0]]
+        row = space.ranks[remaining[0]]
         groups.append([v for v in remaining if row[v] < diam])
         remaining = [v for v in remaining if row[v] >= diam]
     return diam, groups
@@ -549,7 +608,8 @@ def check_theorem_suite(
     diam = diameter(space)
     center = center_of_distances(space)
     spheres = _sphere_family(space)
-    open_balls = _ball_family(space, "open")
+    open_list = enumerate_balls(space, "open")
+    open_balls = {b.members for b in open_list}
     closed_balls = _ball_family(space, "closed")
     results: dict = {}
     failures: list = []
@@ -563,20 +623,23 @@ def check_theorem_suite(
 
     record(
         "diameter-row-max",
-        all(max(row) == diam for row in space.matrix) if n > 1 else diam == 0,
+        all(max(row) == len(space.values) - 1 for row in space.ranks)
+        if n > 1
+        else diam == 0,
     )
     record("center-contains-zero", ZERO in center)
     if n >= 2:
         record("center-contains-diameter", diam in center)
         b_center = center.values == (ZERO, diam)
+        graph = diametrical_graph(space)
         try:
-            parts = multipartite_parts(diametrical_graph(space)).parts
+            parts = multipartite_parts(graph).parts
             b_singleton = any(len(p) == 1 for p in parts)
             record("complete-multipartite", True)
         except NotCompleteMultipartite as exc:  # would refute the input space
             record("complete-multipartite", False, str(exc))
             b_singleton = False
-        b_star = spanning_star(diametrical_graph(space)) is not None
+        b_star = spanning_star(graph) is not None
         # A spanning star forces the center to be exactly {0, diam} on any
         # finite space, and a star is the same thing as a singleton part;
         # the full three-way equivalence needs a tree-generated space (the
@@ -590,13 +653,13 @@ def check_theorem_suite(
             equi == (spheres == open_balls) == (spheres <= open_balls),
         )
     ok_irrelevance = True
-    for b in enumerate_balls(space, "open"):
+    for b in open_list:
         for a in b.members:
             if ball(space, a, b.radius, "open").members != b.members:
                 ok_irrelevance = False
     record("ball-center-irrelevance", ok_irrelevance)
     ok_relative = True
-    for b in enumerate_balls(space, "open"):
+    for b in open_list:
         outer = is_centered_sphere(space, b.members) is not None
         inner = is_centered_sphere(restrict(space, b.members), b.members) is not None
         if outer != inner:
@@ -633,10 +696,7 @@ def check_theorem_suite(
                 "ut-whole-space-sphere",
                 whole is not None and whole.radius == diam,
             )
-            record(
-                "ut-spanning-star",
-                spanning_star(diametrical_graph(space)) is not None,
-            )
+            record("ut-spanning-star", b_star)
         record("ut-open-balls-are-spheres", open_balls <= spheres)
         closed_ok = closed_balls <= spheres
         results["ut-closed-balls-are-spheres"] = {
@@ -727,7 +787,7 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
             if not singles:
                 return None
             hub = singles[0]
-            labels[hub] = diam
+            labels[hub] = space.values[diam]
             stack.extend((g, hub) for g in groups if g != [hub])
         if parent is not None:
             edges.append((parent, hub))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 from typing import Optional
 
 from .errors import FormatError
@@ -29,7 +30,7 @@ def parse_tree_json(text: str) -> LabeledTree:
     """Parse {"vertices": [...], "labels": {...}, "edges": [[a,b], ...]}."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError("tree file must hold a JSON object")
@@ -43,7 +44,7 @@ def parse_tree_json(text: str) -> LabeledTree:
         raise FormatError("'vertices' must be an array of strings")
     if not isinstance(labels_raw, dict):
         raise FormatError("'labels' must be an object mapping vertex to rational string")
-    if not isinstance(edges, list):
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise FormatError("'edges' must be an array of 2-element vertex arrays")
     labels = {}
     for vertex, value in labels_raw.items():
@@ -84,27 +85,36 @@ def write_tree_file(path: str, tree: LabeledTree) -> None:
 
 def parse_matrix_csv(text: str) -> FiniteUltrametricSpace:
     """Parse a matrix CSV: header of point names, then rows of rationals."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise FormatError(f"invalid CSV: {exc}") from None
     if not rows:
         raise FormatError("matrix CSV is empty")
     points = [cell.strip() for cell in rows[0]]
     n = len(points)
     if len(rows) != n + 1:
         raise FormatError(f"expected {n} matrix rows after the header, got {len(rows) - 1}")
+    parsed: dict[str, Fraction] = {}  # each distinct cell text is parsed once
     matrix = []
     for row in rows[1:]:
         if len(row) != n:
             raise FormatError(f"row has {len(row)} entries, expected {n}")
-        matrix.append([parse_rational(cell) for cell in row])
+        for cell in row:
+            if cell not in parsed:
+                parsed[cell] = parse_rational(cell)
+        matrix.append(list(map(parsed.__getitem__, row)))
     return validate_ultrametric(points, matrix)
 
 
 def matrix_csv_string(space: FiniteUltrametricSpace) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(space.points)
-    for row in space.matrix:
-        writer.writerow([format_rational(v) for v in row])
+    csv.writer(out, lineterminator="\n").writerow(space.points)
+    # each distinct value is formatted once; rationals never need CSV quoting
+    texts = [format_rational(v) for v in space.values]
+    for row in space.ranks:
+        out.write(",".join(map(texts.__getitem__, row)))
+        out.write("\n")
     return out.getvalue()
 
 
@@ -139,7 +149,8 @@ def diametrical_dot_string(
             attrs.append("shape=doublecircle")
             attrs.append('xlabel="star center"')
         lines.append(f"  {json.dumps(p)} [{' '.join(attrs)}];")
+    quoted = {p: json.dumps(p) for p in graph.points}
     for u, v in graph.edges:
-        lines.append(f"  {json.dumps(u)} -- {json.dumps(v)};")
+        lines.append(f"  {quoted[u]} -- {quoted[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

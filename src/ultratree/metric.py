@@ -1,16 +1,21 @@
-"""Finite ultrametric spaces as exact distance matrices.
+"""Finite ultrametric spaces as integer rank matrices.
 
-Everything here is exact: entries are Fractions, all comparisons are
-integer arithmetic, and every analysis result (ball, sphere, graph part,
-similarity witness) carries enough data to be re-checked independently.
+Every question asked of a finite ultrametric space compares distances, so
+a space stores the rank of each distance among its distinct values (0 on
+the diagonal) next to those values as exact Fractions. All analyses
+compare small ints; Fractions appear only where a result reports a
+distance. Every analysis result (ball, sphere, graph part, similarity
+witness) carries enough data to be re-checked independently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, repeat
 from typing import Iterable, Literal, Optional, Sequence
 
 from .capacity import SUBSET_SCAN_FENCE, require_within
@@ -30,28 +35,61 @@ from .errors import (
 ZERO = Fraction(0)
 
 
+def _rank_entries(
+    rows: Sequence[Sequence],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+    """Rank every entry among the distinct values of the matrix (0 included).
+
+    Entries are grouped by object identity first: the readers and builders
+    here share one object per distinct value, so each value is converted
+    and hashed once instead of once per cell. ``rows`` keeps every entry
+    alive for the duration, so identities cannot be reused meanwhile.
+    """
+    by_id: dict[int, object] = {}
+    for row in rows:
+        by_id.update(zip(map(id, row), row))
+    exact = {key: Fraction(v) for key, v in by_id.items()}
+    values = sorted(set(exact.values()) | {ZERO})
+    pos = {v: r for r, v in enumerate(values)}
+    rank_of = {key: pos[v] for key, v in exact.items()}
+    ranks = tuple(tuple(map(rank_of.__getitem__, map(id, row))) for row in rows)
+    return ranks, tuple(values)
+
+
 @dataclass(frozen=True)
 class FiniteUltrametricSpace:
-    """An ordered point list plus a symmetric exact distance matrix.
+    """An ordered point list plus an integer rank matrix over exact values.
 
-    Instances are produced either by :func:`validate_ultrametric` (full
-    check of the strong triangle inequality) or by construction-backed
-    builders (tree metrics, restrictions) via ``from_trusted_matrix``.
+    ``ranks[i][j]`` indexes ``values``, the distance set in ascending
+    order: ``values[0] == 0`` is the diagonal and every value is realized
+    by some pair. Instances are produced by :func:`validate_ultrametric`
+    (full check of the strong triangle inequality) or by
+    construction-backed builders (tree metrics, dendrograms, restrictions),
+    either through ``from_trusted_matrix`` or directly from ranks.
     """
 
     points: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    ranks: tuple[tuple[int, ...], ...]
+    values: tuple[Fraction, ...]
 
     @classmethod
     def from_trusted_matrix(
         cls, points: Sequence[str], matrix: Sequence[Sequence[Fraction]]
     ) -> "FiniteUltrametricSpace":
         """Wrap a matrix whose validity the caller guarantees by construction."""
-        return cls(tuple(points), tuple(tuple(row) for row in matrix))
+        ranks, values = _rank_entries([tuple(row) for row in matrix])
+        return cls(tuple(points), ranks, values)
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as Fractions: a view derived from the ranks on
+        first use. The library's own analyses never build it."""
+        values = self.values
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.ranks)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -64,7 +102,7 @@ class FiniteUltrametricSpace:
             raise UnknownPoint(point) from None
 
     def distance(self, p: str, q: str) -> Fraction:
-        return self.matrix[self.index_of(p)][self.index_of(q)]
+        return self.values[self.ranks[self.index_of(p)][self.index_of(q)]]
 
 
 def validate_ultrametric(
@@ -73,10 +111,11 @@ def validate_ultrametric(
     """Fully check a square matrix and freeze it into a space.
 
     Checks that point names are distinct, symmetry, a zero diagonal,
-    positive off-diagonal entries, and the strong triangle inequality on
-    every triple (every triangle must attain its maximum side at least
-    twice). The raised error names the repeated point, or the violating
-    pair or triple.
+    positive off-diagonal entries, and the strong triangle inequality
+    (every triangle must attain its maximum side at least twice). The
+    raised error names the repeated point, or the violating pair or
+    triple. Runs in O(n²): the strong triangle inequality is checked
+    against a minimum spanning tree (see :func:`_check_strong_triangle`).
     """
     names = tuple(str(p) for p in points)
     n = len(names)
@@ -85,33 +124,66 @@ def validate_ultrametric(
         if name in seen:
             raise DuplicatePoint(name)
         seen.add(name)
-    rows = [tuple(Fraction(v) for v in row) for row in matrix]
-    if len(rows) != n or any(len(row) != n for row in rows):
+    ranks, values = _rank_entries([tuple(row) for row in matrix])
+    if len(ranks) != n or any(len(row) != n for row in ranks):
         raise NotSymmetric(("<shape>", "<shape>"))
+    positive = bisect_right(values, ZERO)  # ranks >= this are positive values
     for i in range(n):
-        if rows[i][i] != 0:
+        row_i = ranks[i]
+        if values[row_i[i]] != 0:
             raise NonzeroDiagonal(names[i])
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            r = row_i[j]
+            if r != ranks[j][i]:
                 raise NotSymmetric((names[i], names[j]))
-            if rows[i][j] <= 0:
+            if r < positive:
                 raise NonpositiveOffDiagonal((names[i], names[j]))
-    for i in range(n):
-        row_i = rows[i]
-        for j in range(i + 1, n):
-            d_ij = row_i[j]
-            row_j = rows[j]
-            for k in range(j + 1, n):
-                a, b, c = d_ij, row_i[k], row_j[k]
-                top = max(a, b, c)
-                if (a == top) + (b == top) + (c == top) < 2:
-                    # the unique longest side is the violating pair
-                    if a == top:
-                        raise StrongTriangleViolation((names[i], names[j], names[k]))
-                    if b == top:
-                        raise StrongTriangleViolation((names[i], names[k], names[j]))
-                    raise StrongTriangleViolation((names[j], names[k], names[i]))
-    return FiniteUltrametricSpace(names, tuple(rows))
+    _check_strong_triangle(names, ranks)
+    return FiniteUltrametricSpace(names, ranks, values)
+
+
+def _check_strong_triangle(names: tuple[str, ...], ranks) -> None:
+    """Raise StrongTriangleViolation unless the symmetric rank matrix is
+    ultrametric.
+
+    A metric is ultrametric exactly when it equals its subdominant
+    ultrametric, the largest edge on the minimum-spanning-tree path
+    (Gower & Ross 1969). Prim's algorithm adds each vertex v by its
+    shortest edge (p, v) to the tree so far, and the tree path from v to
+    any earlier vertex x runs through p. So, in order of addition, every
+    d(v, x) must equal max(d(p, x), d(p, v)), d(p, x) being checked
+    already. A mismatch makes {p, v, x} a violating triangle: either
+    d(v, x) is above both other sides, or d(p, x) is above both, because
+    d(v, x) >= d(p, v) by the choice of v. The triple is reported with its
+    unique longest side first.
+    """
+    n = len(ranks)
+    if n < 3:
+        return
+    best = list(ranks[0])  # shortest edge from the tree to each vertex
+    parent = [0] * n
+    inside = [0]
+    outside = list(range(1, n))
+    while outside:
+        v = min(outside, key=best.__getitem__)
+        outside.remove(v)
+        p = parent[v]
+        w = best[v]
+        row_v = ranks[v]
+        row_p = ranks[p]
+        for x in inside:
+            through_p = row_p[x] if row_p[x] > w else w
+            if row_v[x] != through_p:
+                if row_v[x] > through_p:
+                    a, b, c = min(v, x), max(v, x), p
+                else:
+                    a, b, c = min(p, x), max(p, x), v
+                raise StrongTriangleViolation((names[a], names[b], names[c]))
+        inside.append(v)
+        for x in outside:
+            if row_v[x] < best[x]:
+                best[x] = row_v[x]
+                parent[x] = v
 
 
 @dataclass(frozen=True)
@@ -155,34 +227,36 @@ class DistanceSet:
         return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
 
 
+def _distances(space: FiniteUltrametricSpace, ranks: Iterable[int]) -> DistanceSet:
+    values = space.values
+    return DistanceSet(tuple(values[r] for r in sorted(ranks)))
+
+
 def distance_set(space: FiniteUltrametricSpace) -> DistanceSet:
     """All pairwise distances of the space, 0 included."""
-    seen = {ZERO}
-    for i in range(space.n):
-        seen.update(space.matrix[i][i + 1 :])
-    return DistanceSet(tuple(sorted(seen)))
+    return DistanceSet(space.values)
 
 
 def pointwise_distance_set(space: FiniteUltrametricSpace, point: str) -> DistanceSet:
     """Distances from one fixed point to every point, 0 included."""
-    row = space.matrix[space.index_of(point)]
-    return DistanceSet(tuple(sorted(set(row))))
+    return _distances(space, set(space.ranks[space.index_of(point)]))
 
 
 def diameter(space: FiniteUltrametricSpace) -> Fraction:
     """Largest pairwise distance (0 for a singleton)."""
-    return max((v for row in space.matrix for v in row), default=ZERO)
+    return space.values[-1]
 
 
 def center_of_distances(space: FiniteUltrametricSpace) -> DistanceSet:
     """Distances realizable from *every* point: the intersection of all rows."""
-    common = set(space.matrix[0])
-    for row in space.matrix[1:]:
-        common &= set(row)
-        if common == {ZERO}:
+    rows = space.ranks
+    common = set(rows[0])
+    for row in rows[1:]:
+        common.intersection_update(row)
+        if len(common) == 1:
             break
-    common.add(ZERO)
-    return DistanceSet(tuple(sorted(common)))
+    common.add(0)
+    return _distances(space, common)
 
 
 BallKind = Literal["open", "closed"]
@@ -205,23 +279,23 @@ def ball(
     if kind == "open":
         if radius <= 0:
             raise NonpositiveRadius(radius, "open")
-        members = frozenset(
-            space.points[i] for i, d in enumerate(space.matrix[ci]) if d < radius
-        )
+        cut = bisect_left(space.values, radius)
     elif kind == "closed":
         if radius < 0:
             raise NonpositiveRadius(radius, "closed")
-        members = frozenset(
-            space.points[i] for i, d in enumerate(space.matrix[ci]) if d <= radius
-        )
+        cut = bisect_right(space.values, radius)
     else:
         raise ValueError(f"kind must be 'open' or 'closed', got {kind!r}")
+    # rank < cut is exactly d < r (open) or d <= r (closed)
+    members = frozenset(
+        space.points[i] for i, r in enumerate(space.ranks[ci]) if r < cut
+    )
     return Ball(kind, center, radius, members)
 
 
-def _member_sort_key(space: FiniteUltrametricSpace, members: frozenset[str]):
-    idx = tuple(sorted(space.index_of(p) for p in members))
-    return (len(idx), idx)
+def _index_sets_sorted(found: dict) -> list:
+    """Distinct index sets, smallest first, then by their sorted indices."""
+    return sorted(found, key=lambda idx: (len(idx), sorted(idx)))
 
 
 def enumerate_balls(
@@ -235,29 +309,37 @@ def enumerate_balls(
     (center, radius) is the least certificate in the sweep, by point index
     then radius.
     """
-    values = distance_set(space).values
+    values = space.values
+    k = len(values)
+    # (cut, radius): the ball is every point whose rank is below the cut
     if kind == "open":
-        radii = [v for v in values if v > 0] + [values[-1] + 1]
+        cuts = [(c, values[c]) for c in range(1, k)] + [(k, values[-1] + 1)]
     else:
-        radii = list(values)
-    found: dict[frozenset[str], Ball] = {}
-    for ci, center in enumerate(space.points):
-        row = space.matrix[ci]
-        for r in radii:
-            if kind == "open":
-                members = frozenset(
-                    space.points[i] for i, d in enumerate(row) if d < r
-                )
-            else:
-                members = frozenset(
-                    space.points[i] for i, d in enumerate(row) if d <= r
-                )
-            prev = found.get(members)
-            if prev is None or (space.index_of(prev.center), prev.radius) > (ci, r):
-                found[members] = Ball(kind, center, r, members)
-    return tuple(
-        sorted(found.values(), key=lambda b: _member_sort_key(space, b.members))
-    )
+        cuts = [(c + 1, values[c]) for c in range(k)]
+    n = space.n
+    found: dict[frozenset[int], tuple[int, Fraction]] = {}
+    for ci, row in enumerate(space.ranks):
+        by_rank = sorted(range(n), key=row.__getitem__)
+        below = [0] * (k + 1)  # below[c]: how many points have rank < c
+        for r in row:
+            below[r + 1] += 1
+        for c in range(1, k + 1):
+            below[c] += below[c - 1]
+        last = 0
+        for cut, radius in cuts:
+            size = below[cut]
+            if size == last:
+                continue  # the same ball as at the previous radius
+            last = size
+            members = frozenset(by_rank[:size])
+            if members not in found:
+                found[members] = (ci, radius)
+    points = space.points
+    balls = []
+    for members in _index_sets_sorted(found):
+        ci, radius = found[members]
+        balls.append(Ball(kind, points[ci], radius, frozenset(points[i] for i in members)))
+    return tuple(balls)
 
 
 @dataclass(frozen=True)
@@ -278,18 +360,21 @@ def is_centered_sphere(
     idxs = sorted({space.index_of(p) for p in subset})
     if not idxs:
         raise EmptySubset()
-    member_set = frozenset(space.points[i] for i in idxs)
+    wanted = set(idxs)
     for ci in idxs:
-        row = space.matrix[ci]
+        row = space.ranks[ci]
         rest = {row[j] for j in idxs if j != ci}
         if len(rest) > 1:
             continue
-        radius = rest.pop() if rest else ZERO
-        realized = frozenset(
-            space.points[i] for i, d in enumerate(row) if d == radius
-        ) | {space.points[ci]}
-        if realized == member_set:
-            return SphereCertificate(space.points[ci], radius, member_set)
+        radius = rest.pop() if rest else 0
+        realized = {i for i, r in enumerate(row) if r == radius}
+        realized.add(ci)
+        if realized == wanted:
+            return SphereCertificate(
+                space.points[ci],
+                space.values[radius],
+                frozenset(space.points[i] for i in idxs),
+            )
     return None
 
 
@@ -301,19 +386,23 @@ def enumerate_centered_spheres(
     For a center c only radii in c's pointwise distance set produce
     anything beyond the singleton {c}, so that sweep is exhaustive.
     """
-    found: dict[frozenset[str], SphereCertificate] = {}
-    for ci, center in enumerate(space.points):
-        row = space.matrix[ci]
-        for r in sorted(set(row)):
-            subset = frozenset(
-                space.points[i] for i, d in enumerate(row) if d == r
-            ) | {center}
-            prev = found.get(subset)
-            if prev is None or (space.index_of(prev.center), prev.radius) > (ci, r):
-                found[subset] = SphereCertificate(center, r, subset)
-    return tuple(
-        sorted(found.values(), key=lambda s: _member_sort_key(space, s.subset))
-    )
+    found: dict[frozenset[int], tuple[int, int]] = {}
+    for ci, row in enumerate(space.ranks):
+        spheres: dict[int, list[int]] = {}
+        for i, r in enumerate(row):
+            spheres.setdefault(r, []).append(i)
+        for r in sorted(spheres):
+            subset = frozenset(spheres[r]) | {ci}
+            if subset not in found:
+                found[subset] = (ci, r)
+    points = space.points
+    certs = []
+    for subset in _index_sets_sorted(found):
+        ci, r = found[subset]
+        certs.append(
+            SphereCertificate(points[ci], space.values[r], frozenset(points[i] for i in subset))
+        )
+    return tuple(certs)
 
 
 def all_subsets_centered_spheres(space: FiniteUltrametricSpace) -> bool:
@@ -344,15 +433,16 @@ class DiametricalGraph:
 
 def diametrical_graph(space: FiniteUltrametricSpace) -> DiametricalGraph:
     """Edges = point pairs realizing the diameter; empty iff a singleton."""
-    diam = diameter(space)
-    edges = []
+    points = space.points
+    edges: list[tuple[str, str]] = []
     if space.n >= 2:
-        for i in range(space.n):
-            row = space.matrix[i]
-            for j in range(i + 1, space.n):
-                if row[j] == diam:
-                    edges.append((space.points[i], space.points[j]))
-    return DiametricalGraph(space.points, tuple(edges))
+        top = len(space.values) - 1
+        for i, row in enumerate(space.ranks):
+            later = i + 1
+            edges.extend(
+                zip(repeat(points[i]), compress(points[later:], map(top.__eq__, row[later:])))
+            )
+    return DiametricalGraph(points, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -366,43 +456,48 @@ def multipartite_parts(graph: DiametricalGraph) -> MultipartiteDecomposition:
     """Split the vertex set into the complement graph's components.
 
     For the diametrical graph of an ultrametric space this is always a
-    complete multipartite decomposition; the function re-verifies both
-    halves (no edge inside a part, every edge across parts) and raises
-    NotCompleteMultipartite otherwise, which signals corrupted input.
+    complete multipartite decomposition. The search only separates
+    vertices that are adjacent, so the function verifies the other half (no
+    edge inside a part) and raises NotCompleteMultipartite otherwise,
+    which signals corrupted input. Runs in O(n + edges).
     """
-    order = {p: i for i, p in enumerate(graph.points)}
-    adj = graph.neighbors()
-    unassigned = set(graph.points)
-    parts: list[tuple[str, ...]] = []
+    names = graph.points
+    n = len(names)
+    order = {p: i for i, p in enumerate(names)}
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in graph.edges:
+        a, b = order[u], order[v]
+        adj[a].add(b)
+        adj[b].add(a)
+    # complement-graph search: a vertex not adjacent to a part member joins it
+    unassigned = set(range(n))
+    parts: list[list[int]] = []
     while unassigned:
-        seed = min(unassigned, key=order.__getitem__)
-        component = {seed}
+        seed = min(unassigned)
+        unassigned.discard(seed)
+        part = [seed]
         frontier = [seed]
-        while frontier:
-            u = frontier.pop()
-            for v in list(unassigned):
-                if v not in component and v not in adj[u]:
-                    component.add(v)
-                    frontier.append(v)
-        unassigned -= component
-        parts.append(tuple(sorted(component, key=order.__getitem__)))
-    parts.sort(key=lambda part: order[part[0]])
+        while frontier and unassigned:
+            joined = unassigned - adj[frontier.pop()]
+            unassigned -= joined
+            part.extend(joined)
+            frontier.extend(joined)
+        parts.append(sorted(part))
 
-    edge_set = {frozenset(e) for e in graph.edges}
+    # no edge inside a part: each degree counts the points outside its part
+    size_of = [0] * n
     for part in parts:
         for a in part:
-            for b in part:
-                if a != b and frozenset((a, b)) in edge_set:
-                    raise NotCompleteMultipartite(f"edge {a!r}-{b!r} inside a part")
-    for pi in range(len(parts)):
-        for pj in range(pi + 1, len(parts)):
-            for a in parts[pi]:
-                for b in parts[pj]:
-                    if frozenset((a, b)) not in edge_set:
+            size_of[a] = len(part)
+    if any(len(adj[a]) != n - size_of[a] for a in range(n)):
+        for part in parts:
+            for a in part:
+                for b in part:
+                    if a != b and b in adj[a]:
                         raise NotCompleteMultipartite(
-                            f"missing edge {a!r}-{b!r} across parts"
+                            f"edge {names[a]!r}-{names[b]!r} inside a part"
                         )
-    return MultipartiteDecomposition(tuple(parts))
+    return MultipartiteDecomposition(tuple(tuple(names[a] for a in part) for part in parts))
 
 
 @dataclass(frozen=True)
@@ -418,10 +513,10 @@ def spanning_star(graph: DiametricalGraph) -> Optional[StarCertificate]:
     Equivalent to some part of the multipartite decomposition being a
     singleton. A one-vertex graph certifies vacuously.
     """
-    adj = graph.neighbors()
-    total = len(graph.points)
+    degree = Counter(chain.from_iterable(graph.edges))
+    others = len(graph.points) - 1
     for p in graph.points:
-        if len(adj[p]) == total - 1:
+        if degree[p] == others:
             return StarCertificate(p)
     return None
 
@@ -430,11 +525,9 @@ def is_equidistant(space: FiniteUltrametricSpace) -> Optional[Fraction]:
     """The single off-diagonal value if all pairs agree, else None."""
     if space.n < 2:
         raise TooSmall("equidistance needs at least 2 points")
-    values = {
-        space.matrix[i][j] for i in range(space.n) for j in range(i + 1, space.n)
-    }
-    if len(values) == 1:
-        return values.pop()
+    # every value but 0 is realized off the diagonal
+    if len(space.values) == 2:
+        return space.values[1]
     return None
 
 
@@ -458,13 +551,6 @@ class WeakSimilarityWitness:
         return dict(self.scale_map)
 
 
-def _rank_matrix(space: FiniteUltrametricSpace) -> tuple[list[list[int]], tuple[Fraction, ...]]:
-    values = distance_set(space).values
-    pos = {v: r for r, v in enumerate(values)}
-    ranks = [[pos[d] for d in row] for row in space.matrix]
-    return ranks, values
-
-
 def weak_similarity(
     first: FiniteUltrametricSpace, second: FiniteUltrametricSpace
 ) -> Optional[WeakSimilarityWitness]:
@@ -477,8 +563,8 @@ def weak_similarity(
     """
     if first.n != second.n:
         return None
-    ranks_a, values_a = _rank_matrix(first)
-    ranks_b, values_b = _rank_matrix(second)
+    ranks_a, values_a = first.ranks, first.values
+    ranks_b, values_b = second.ranks, second.values
     if len(values_a) != len(values_b):
         return None
     n = first.n
@@ -529,10 +615,18 @@ def weak_similarity(
 def restrict(
     space: FiniteUltrametricSpace, subset: Iterable[str]
 ) -> FiniteUltrametricSpace:
-    """Subspace on the given points, keeping the ambient point order."""
+    """Subspace on the given points, keeping the ambient point order.
+
+    Ranks are compressed again onto the distances the subspace realizes.
+    """
     idxs = sorted({space.index_of(p) for p in subset})
     if not idxs:
         raise EmptySubset()
-    points = tuple(space.points[i] for i in idxs)
-    matrix = tuple(tuple(space.matrix[i][j] for j in idxs) for i in idxs)
-    return FiniteUltrametricSpace.from_trusted_matrix(points, matrix)
+    rows = [[space.ranks[i][j] for j in idxs] for i in idxs]
+    used = sorted(set(chain.from_iterable(rows)))
+    remap = {r: k for k, r in enumerate(used)}
+    return FiniteUltrametricSpace(
+        tuple(space.points[i] for i in idxs),
+        tuple(tuple(map(remap.__getitem__, row)) for row in rows),
+        tuple(space.values[r] for r in used),
+    )

@@ -25,7 +25,10 @@ def parse_rational(text: str) -> Fraction:
         raise FormatError(
             f"not an exact rational: {text!r} (expected 'p/q' or an integer string)"
         )
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # more digits than the interpreter converts to an int
+        raise FormatError(f"rational with {len(s)} characters is too long") from None
 
 
 def format_rational(value: Fraction) -> str:

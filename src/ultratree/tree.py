@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -184,9 +185,7 @@ class PathMaxIndex:
     def __init__(self, tree: LabeledTree):
         self.tree = tree
         n = tree.n
-        values = sorted(set(tree.labels))
-        pos = {v: r for r, v in enumerate(values)}
-        rank = [pos[lab] for lab in tree.labels]
+        values, rank = _label_ranks(tree)
 
         adj = tree.adjacency()
         parent = [0] * n
@@ -293,30 +292,94 @@ def label_distance(index: PathMaxIndex, u: str, v: str) -> Fraction:
     return index.distance(u, v)
 
 
+def _label_ranks(tree: LabeledTree) -> tuple[list[Fraction], list[int]]:
+    """The distinct labels in ascending order and each vertex's rank among them."""
+    values = sorted(set(tree.labels))
+    pos = {v: r for r, v in enumerate(values)}
+    return values, [pos[lab] for lab in tree.labels]
+
+
 def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
-    """Build the full exact distance matrix of the tree's ultrametric.
+    """Build the exact distance matrix of the tree's ultrametric.
 
     Raises DegenerateLabeling (with the violating edge) when some edge has
     both labels zero; validity of the result is then guaranteed by
-    construction.
+    construction. Vertices are activated in ascending label order and
+    union-found with their active neighbours, which is Kruskal's order
+    on edges weighted by their larger endpoint label: when a vertex
+    joins two components, every pair across them has it as the path
+    maximum. Runs in O(n²), the size of the output.
     """
     bad = degenerate_edge(tree)
     if bad is not None:
         raise DegenerateLabeling(bad)
-    n = tree.n
-    index = PathMaxIndex(tree)
-    values = index._values
-    zero = Fraction(0)
-    matrix = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        row = matrix[i]
-        for j in range(i + 1, n):
-            d = values[index._path_max_rank(i, j)]
-            row[j] = d
-            matrix[j][i] = d
-    return FiniteUltrametricSpace.from_trusted_matrix(
-        tree.vertices, tuple(tuple(r) for r in matrix)
-    )
+    labels, rank = _label_ranks(tree)
+    weights = [max(rank[i], rank[j]) for i, j in tree.edges]
+    realized = sorted(set(weights))  # the later endpoint's label is a distance
+    level = {r: k for k, r in enumerate(realized, 1)}
+    ranks = _kruskal_fill(tree.n, tree.edges, [level[w] for w in weights])
+    values = (Fraction(0),) + tuple(labels[r] for r in realized)
+    return FiniteUltrametricSpace(tree.vertices, ranks, values)
+
+
+def _kruskal_fill(
+    n: int, edges: Sequence[tuple[int, int]], levels: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rank matrix of the path maximum over a tree with ranked edges.
+
+    Edges are merged in ascending rank (ties by position); merging
+    components A and B gives every pair across them that edge's rank.
+    Each component is kept as a linked block, the smaller block placed
+    first, so every component ever formed is a contiguous run of the
+    final vertex order. A merge then writes one slice per vertex of the
+    smaller block, O(n log n) slice writes in all, and the lower triangle
+    comes from a transpose.
+    """
+    if n == 1:
+        return ((0,),)
+    parent = list(range(n))
+    size = [1] * n
+    head = list(range(n))
+    tail = list(range(n))
+    after = [-1] * n  # next vertex in the block's linked order
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = []  # (first vertex of the merged block, first size, second size, rank)
+    for e in sorted(range(len(edges)), key=levels.__getitem__):
+        a, b = (find(v) for v in edges[e])
+        if size[a] > size[b]:
+            a, b = b, a
+        merges.append((head[a], size[a], size[b], levels[e]))
+        after[tail[a]] = head[b]
+        head[b] = head[a]
+        parent[a] = b
+        size[b] += size[a]
+
+    order = []
+    v = head[find(0)]
+    while v != -1:
+        order.append(v)
+        v = after[v]
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+
+    upper = [[0] * n for _ in range(n)]  # in block order, above the diagonal
+    for first, size_a, size_b, r in merges:
+        start = pos[first]
+        cut = start + size_a
+        run = [r] * size_b
+        for x in range(start, cut):
+            upper[x][cut : cut + size_b] = run
+    columns = list(zip(*upper))
+    full = [columns[k][:k] + tuple(upper[k][k:]) for k in range(n)]
+    take = itemgetter(*pos)
+    return tuple(take(full[k]) for k in pos)
 
 
 def canonical_labeling(tree: LabeledTree) -> LabeledTree:
@@ -324,14 +387,16 @@ def canonical_labeling(tree: LabeledTree) -> LabeledTree:
 
     The result generates the identical distance matrix, is again
     non-degenerate, and its labels together with 0 are exactly the
-    distance set together with 0. Idempotent.
+    distance set together with 0. Idempotent. The distances are exactly
+    the larger endpoint labels of the edges, so no matrix is built.
     """
-    space = distance_matrix(tree)
-    realized = set()
-    for row in space.matrix:
-        realized.update(row)
+    bad = degenerate_edge(tree)
+    if bad is not None:
+        raise DegenerateLabeling(bad)
+    labels = tree.labels
+    realized = {max(labels[i], labels[j]) for i, j in tree.edges}
     zero = Fraction(0)
-    new_labels = tuple(lab if lab in realized else zero for lab in tree.labels)
+    new_labels = tuple(lab if lab in realized else zero for lab in labels)
     return LabeledTree(tree.vertices, tree.edges, new_labels)
 
 

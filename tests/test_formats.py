@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultratree import diametrical_graph, multipartite_parts, spanning_star
-from ultratree.errors import FormatError, NotSymmetric
+from ultratree.errors import FormatError, NonpositiveOffDiagonal, NotSymmetric, UltratreeError
 from ultratree.formats import (
     diametrical_dot_string,
     matrix_csv_string,
@@ -88,6 +90,15 @@ class TestMatrixCsv:
         with pytest.raises(FormatError):
             parse_matrix_csv("a,b\n0,1\n")
 
+    def test_negative_entry_rejected(self):
+        with pytest.raises(NonpositiveOffDiagonal):
+            parse_matrix_csv("a,b\n0,-1\n-1,0\n")
+
+    def test_spellings_of_one_value_share_a_rank(self):
+        space = parse_matrix_csv("a,b,c\n0,1/2,1\n2/4,0,1\n1,+1,0\n")
+        assert space.values == (0, F(1, 2), 1)
+        assert matrix_csv_string(space) == "a,b,c\n0,1/2,1\n1/2,0,1\n1,1,0\n"
+
 
 class TestDotExport:
     def test_contents(self, path_space):
@@ -109,3 +120,106 @@ class TestDotExport:
         assert diametrical_dot_string(graph, parts, star) == diametrical_dot_string(
             graph, parts, star
         )
+
+
+# --- parser fuzzing ---------------------------------------------------------------
+
+VALID_CSV = "a,b,c,d\n0,2,2,2\n2,0,2,2\n2,2,0,1/2\n2,2,1/2,0\n"
+VALID_JSON = (
+    '{"vertices": ["x1", "x2", "x3", "x4"], '
+    '"labels": {"x1": "2", "x2": "2", "x3": "1", "x4": "5/2"}, '
+    '"edges": [["x1", "x2"], ["x2", "x3"], ["x3", "x4"]]}'
+)
+CSV_ALPHABET = st.sampled_from(list("abx01239/-+,. \n\r\"'") + ["\x00", "é", "٣"])
+JSON_ALPHABET = st.sampled_from(list('{}[]":,. \n0123/-abx') + ["vertices", "labels", "edges"])
+
+
+def roundtrips_or_rejects(parse, write, text):
+    """Either an UltratreeError, or the writer's text parses back to the same value."""
+    try:
+        value = parse(text)
+    except UltratreeError:
+        return
+    written = write(value)
+    assert parse(written) == value
+    assert write(parse(written)) == written
+
+
+@st.composite
+def mutated(draw, base, alphabet):
+    """A valid file with a few spans deleted, replaced or inserted."""
+    text = base
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        insert = "".join(draw(st.lists(alphabet, max_size=4)))
+        text = text[:pos] + insert + text[pos + cut:]
+    return text
+
+
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestParserFuzz:
+    @given(st.text(max_size=120))
+    @FUZZ
+    def test_matrix_csv_arbitrary_text(self, text):
+        roundtrips_or_rejects(parse_matrix_csv, matrix_csv_string, text)
+
+    @given(st.text(CSV_ALPHABET, max_size=60))
+    @FUZZ
+    def test_matrix_csv_csv_like_text(self, text):
+        roundtrips_or_rejects(parse_matrix_csv, matrix_csv_string, text)
+
+    @given(mutated(VALID_CSV, CSV_ALPHABET))
+    @FUZZ
+    def test_matrix_csv_mutated(self, text):
+        roundtrips_or_rejects(parse_matrix_csv, matrix_csv_string, text)
+
+    @given(st.text(max_size=120))
+    @FUZZ
+    def test_tree_json_arbitrary_text(self, text):
+        roundtrips_or_rejects(parse_tree_json, tree_json_string, text)
+
+    @given(mutated(VALID_JSON, JSON_ALPHABET))
+    @FUZZ
+    def test_tree_json_mutated(self, text):
+        roundtrips_or_rejects(parse_tree_json, tree_json_string, text)
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=8,
+        ),
+        st.sampled_from(["vertices", "labels", "edges"]),
+    )
+    @FUZZ
+    def test_tree_json_field_of_any_shape(self, value, field):
+        data = json.loads(VALID_JSON)
+        data[field] = value
+        roundtrips_or_rejects(parse_tree_json, tree_json_string, json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n0," + "9" * 5000 + "\n" + "9" * 5000 + ",0\n",  # beyond int() digit limit
+            "a,b\r0,1\r1,0\r",  # bare carriage returns
+        ],
+    )
+    def test_matrix_csv_defects_found_by_fuzzing(self, text):
+        with pytest.raises(FormatError):
+            parse_matrix_csv(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,  # nesting deeper than the decoder recurses
+            '{"vertices": ["a"], "labels": {"a": ' + "9" * 5000 + '}, "edges": []}',
+            '{"vertices": ["a"], "labels": {"a": "1"}, "edges": [1]}',
+        ],
+    )
+    def test_tree_json_defects_found_by_fuzzing(self, text):
+        with pytest.raises(FormatError):
+            parse_tree_json(text)

@@ -185,7 +185,7 @@ class TestDistanceMatrix:
             for j in range(50):
                 expected = 0 if i == j else oracle[j]
                 assert space.matrix[i][j] == expected
-        validate_ultrametric(space.points, space.matrix)  # O(n^3) scan
+        validate_ultrametric(space.points, space.matrix)  # full check
 
     def test_degenerate_labeling_carries_edge(self):
         t = validate_tree(["a", "b"], [("a", "b")], {"a": 0, "b": 0})
