@@ -6,7 +6,6 @@ of weak-similarity classes."""
 from .errors import UltratreeError
 from .explorer import (
     CampaignReport,
-    Dendrogram,
     check_closed_balls,
     check_con3,
     check_hol,
@@ -16,10 +15,10 @@ from .explorer import (
     is_ut,
     merge_parts,
     random_labeled_tree,
-    space_to_dendrogram,
 )
 from .metric import (
     Ball,
+    Dendrogram,
     DiametricalGraph,
     DistanceSet,
     FiniteUltrametricSpace,
@@ -39,6 +38,7 @@ from .metric import (
     multipartite_parts,
     pointwise_distance_set,
     restrict,
+    space_to_dendrogram,
     spanning_star,
     validate_ultrametric,
     weak_similarity,

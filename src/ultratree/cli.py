@@ -155,6 +155,8 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.verb == "spheres":
         space, _ = _load_space(args.input)
+        # decided first, so that a fenced run refuses before printing anything
+        every = metric.all_subsets_centered_spheres(space) if args.subsets else None
         for cert in metric.enumerate_centered_spheres(space):
             members = ",".join(
                 sorted(cert.subset, key=space.index_of)
@@ -164,7 +166,6 @@ def _run(args: argparse.Namespace) -> int:
                 % (members, cert.center, format_rational(cert.radius))
             )
         if args.subsets:
-            every = metric.all_subsets_centered_spheres(space)
             print(f"all non-empty subsets are centered spheres: {'yes' if every else 'no'}")
         return 0
 

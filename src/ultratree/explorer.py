@@ -22,13 +22,14 @@ from .errors import (
     EmptyPool,
     FewerThanTwoBlocks,
     NegativeInput,
-    NonpositiveOffDiagonal,
     NotCompleteMultipartite,
     TooSmall,
 )
 from .formats import matrix_csv_string
 from .metric import (
+    Dendrogram,
     FiniteUltrametricSpace,
+    _diameter_split,
     ball,
     center_of_distances,
     diameter,
@@ -41,6 +42,7 @@ from .metric import (
     multipartite_parts,
     pointwise_distance_set,
     restrict,
+    space_to_dendrogram,
     spanning_star,
     weak_similarity,
 )
@@ -50,93 +52,6 @@ ZERO = Fraction(0)
 
 
 # --- dendrograms ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Dendrogram:
-    """A rooted leveled hierarchy: leaves at level 0, internal nodes at
-    strictly decreasing positive levels, every internal node with at
-    least two children. Children are kept sorted by canonical key."""
-
-    level: int
-    children: tuple["Dendrogram", ...] = ()
-
-    def __post_init__(self):
-        if self.level == 0:
-            if self.children:
-                raise ValueError("a leaf cannot have children")
-        else:
-            if len(self.children) < 2:
-                raise ValueError("an internal node needs at least 2 children")
-            for child in self.children:
-                if child.level >= self.level:
-                    raise ValueError("levels must strictly decrease downward")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.level == 0
-
-    def leaf_count(self) -> int:
-        count = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                count += 1
-            else:
-                stack.extend(node.children)
-        return count
-
-    def levels_used(self) -> frozenset[int]:
-        levels: set[int] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                levels.add(node.level)
-                stack.extend(node.children)
-        return frozenset(levels)
-
-    def key(self) -> str:
-        """Canonical string encoding; equal keys mean the same class.
-
-        Computed without recursion, so chains of any depth work, and
-        cached on every node it visits (outside the dataclass fields, so
-        equality and hashing are unaffected).
-        """
-        stack = [(self, False)]
-        while stack:
-            node, children_done = stack.pop()
-            if "_key" in node.__dict__:
-                continue
-            if node.is_leaf:
-                node.__dict__["_key"] = "L"
-            elif children_done:
-                node.__dict__["_key"] = "(%d:%s)" % (
-                    node.level,
-                    ",".join(c.__dict__["_key"] for c in node.children),
-                )
-            else:
-                stack.append((node, True))
-                stack.extend((c, False) for c in node.children)
-        return self.__dict__["_key"]
-
-    def is_canonical(self) -> bool:
-        """Levels used are exactly 1..root level and children are sorted."""
-        if self.is_leaf:
-            return True
-        if self.levels_used() != frozenset(range(1, self.level + 1)):
-            return False
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            keys = [c.key() for c in node.children]
-            if keys != sorted(keys):
-                return False
-            stack.extend(node.children)
-        return True
-
 
 # Internal enumeration works on plain nested tuples (leaf = 0, internal =
 # (level, child, ...)) and wraps them into Dendrogram objects on emission.
@@ -296,68 +211,6 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     names = tuple(f"x{i + 1}" for i in range(n))
     values = (ZERO,) + tuple(Fraction(level) for level in levels)
     return FiniteUltrametricSpace(names, tuple(map(tuple, ranks)), values)
-
-
-def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
-    """Canonical dendrogram of a space: split recursively at the diameter.
-
-    Node levels are the global ranks of the sub-diameters, so two spaces
-    are weakly similar exactly when their canonical dendrograms are equal.
-    The splits are walked without recursion, so chains of any depth work.
-    """
-    balls: list[list[int]] = [list(range(space.n))]
-    levels: list[int] = []
-    children: list[range] = []
-    for idxs in balls:  # grows while it is walked: each split appends its blocks
-        if len(idxs) == 1:
-            levels.append(0)
-            children.append(range(0))
-            continue
-        diam, groups = _diameter_split(space, idxs)
-        levels.append(diam)
-        children.append(range(len(balls), len(balls) + len(groups)))
-        balls.extend(groups)
-    leaf = Dendrogram(0)
-    built: list[Optional[Dendrogram]] = [None] * len(levels)
-    for pos in reversed(range(len(levels))):  # children come after parents
-        if levels[pos] == 0:
-            built[pos] = leaf
-        else:
-            kids = sorted((built[c] for c in children[pos]), key=Dendrogram.key)
-            built[pos] = Dendrogram(levels[pos], tuple(kids))
-    return built[0]
-
-
-def _diameter_split(
-    space: FiniteUltrametricSpace, idxs: list[int]
-) -> tuple[int, list[list[int]]]:
-    """Split a ball (ascending indices, two or more points) at its diameter.
-
-    Returns the diameter's rank and the blocks of points closer than it,
-    each block ascending, in order of their smallest index. In an
-    ultrametric ball the row of any one point attains the diameter, and
-    the block of a point is the set of points closer to it than the
-    diameter. A zero diameter can only come from an unvalidated matrix
-    and raises NonpositiveOffDiagonal for the pair.
-    """
-    row = space.ranks[idxs[0]]
-    diam = max(map(row.__getitem__, idxs))
-    if diam == 0:
-        raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
-    groups: list[list[int]] = []
-    remaining = idxs
-    while remaining:
-        row = space.ranks[remaining[0]]
-        groups.append([v for v in remaining if row[v] < diam])
-        remaining = [v for v in remaining if row[v] >= diam]
-    return diam, groups
-
-
-def weakly_similar(
-    first: FiniteUltrametricSpace, second: FiniteUltrametricSpace
-) -> bool:
-    """Class equality via canonical dendrograms (fast path for campaigns)."""
-    return space_to_dendrogram(first).key() == space_to_dendrogram(second).key()
 
 
 # --- campaign reports -------------------------------------------------------------
@@ -735,16 +588,13 @@ def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
     require_within("class enumeration", n, ENUMERATION_FENCE)
     classes = list(enumerate_dendrograms(n))
     rows = _parallel_map(_suite_row, classes, jobs)
-    failures = [(key, fail) for key, ok, fail in rows if not ok]
+    failures = [
+        (dendro, key, fail) for dendro, (key, ok, fail) in zip(classes, rows) if not ok
+    ]
     witnesses = []
     if failures:
-        key, fail = failures[0]
-        for dendro in classes:
-            if dendro.key() == key:
-                witnesses.append(
-                    _witness(key, dendrogram_to_space(dendro), f"failed {fail}")
-                )
-                break
+        dendro, key, fail = failures[0]
+        witnesses.append(_witness(key, dendrogram_to_space(dendro), f"failed {fail}"))
     return CampaignReport(
         check="suite",
         n=n,

@@ -46,6 +46,9 @@ def parse_tree_json(text: str) -> LabeledTree:
         raise FormatError("'labels' must be an object mapping vertex to rational string")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise FormatError("'edges' must be an array of 2-element vertex arrays")
+    for edge in edges:
+        if not all(isinstance(v, str) for v in edge):
+            raise FormatError(f"edge {edge!r} must name its endpoints by vertex strings")
     labels = {}
     for vertex, value in labels_raw.items():
         if isinstance(value, bool) or isinstance(value, float):

@@ -5,7 +5,9 @@ a space stores the rank of each distance among its distinct values (0 on
 the diagonal) next to those values as exact Fractions. All analyses
 compare small ints; Fractions appear only where a result reports a
 distance. Every analysis result (ball, sphere, graph part, similarity
-witness) carries enough data to be re-checked independently.
+witness) carries enough data to be re-checked independently. The
+canonical dendrogram (the diameter splits, children sorted by key) is the
+form of a space up to weak similarity.
 """
 
 from __future__ import annotations
@@ -531,6 +533,168 @@ def is_equidistant(space: FiniteUltrametricSpace) -> Optional[Fraction]:
     return None
 
 
+# --- canonical dendrograms ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Dendrogram:
+    """A rooted leveled hierarchy: leaves at level 0, internal nodes at
+    strictly decreasing positive levels, every internal node with at
+    least two children. Children are kept sorted by canonical key."""
+
+    level: int
+    children: tuple["Dendrogram", ...] = ()
+
+    def __post_init__(self):
+        if self.level == 0:
+            if self.children:
+                raise ValueError("a leaf cannot have children")
+        else:
+            if len(self.children) < 2:
+                raise ValueError("an internal node needs at least 2 children")
+            for child in self.children:
+                if child.level >= self.level:
+                    raise ValueError("levels must strictly decrease downward")
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.level == 0
+
+    def leaf_count(self) -> int:
+        count = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                count += 1
+            else:
+                stack.extend(node.children)
+        return count
+
+    def levels_used(self) -> frozenset[int]:
+        levels: set[int] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                levels.add(node.level)
+                stack.extend(node.children)
+        return frozenset(levels)
+
+    def key(self) -> str:
+        """Canonical string encoding; equal keys mean the same class.
+
+        Computed without recursion, so chains of any depth work, and
+        cached on every node it visits (outside the dataclass fields, so
+        equality and hashing are unaffected).
+        """
+        stack = [(self, False)]
+        while stack:
+            node, children_done = stack.pop()
+            if "_key" in node.__dict__:
+                continue
+            if node.is_leaf:
+                node.__dict__["_key"] = "L"
+            elif children_done:
+                node.__dict__["_key"] = "(%d:%s)" % (
+                    node.level,
+                    ",".join(c.__dict__["_key"] for c in node.children),
+                )
+            else:
+                stack.append((node, True))
+                stack.extend((c, False) for c in node.children)
+        return self.__dict__["_key"]
+
+    def is_canonical(self) -> bool:
+        """Levels used are exactly 1..root level and children are sorted."""
+        if self.is_leaf:
+            return True
+        if self.levels_used() != frozenset(range(1, self.level + 1)):
+            return False
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                continue
+            keys = [c.key() for c in node.children]
+            if keys != sorted(keys):
+                return False
+            stack.extend(node.children)
+        return True
+
+
+def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
+    """Canonical dendrogram of a space: split recursively at the diameter.
+
+    Node levels are the global ranks of the sub-diameters, so two spaces
+    are weakly similar exactly when their canonical dendrograms are equal.
+    """
+    return _canonical_form(space)[0]
+
+
+def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int]]:
+    """The canonical dendrogram plus the point indices in canonical leaf order.
+
+    Each node sorts its children by canonical key (AHU canonization), and
+    the leaf order lists the children's leaves in that same order, so the
+    i-th leaves of two weakly similar spaces correspond. The splits are
+    walked without recursion, so chains of any depth work.
+    """
+    balls: list[list[int]] = [list(range(space.n))]
+    levels: list[int] = []
+    children: list[list[int]] = []
+    for idxs in balls:  # grows while it is walked: each split appends its blocks
+        if len(idxs) == 1:
+            levels.append(0)
+            children.append([])
+            continue
+        diam, groups = _diameter_split(space, idxs)
+        levels.append(diam)
+        children.append(list(range(len(balls), len(balls) + len(groups))))
+        balls.extend(groups)
+    leaf = Dendrogram(0)
+    built: list[Optional[Dendrogram]] = [None] * len(levels)
+    for pos in reversed(range(len(levels))):  # children come after parents
+        if levels[pos] == 0:
+            built[pos] = leaf
+        else:
+            children[pos].sort(key=lambda c: built[c].key())
+            built[pos] = Dendrogram(levels[pos], tuple(built[c] for c in children[pos]))
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        pos = stack.pop()
+        if levels[pos] == 0:
+            order.append(balls[pos][0])
+        else:
+            stack.extend(reversed(children[pos]))
+    return built[0], order
+
+
+def _diameter_split(
+    space: FiniteUltrametricSpace, idxs: list[int]
+) -> tuple[int, list[list[int]]]:
+    """Split a ball (ascending indices, two or more points) at its diameter.
+
+    Returns the diameter's rank and the blocks of points closer than it,
+    each block ascending, in order of their smallest index. In an
+    ultrametric ball the row of any one point attains the diameter, and
+    the block of a point is the set of points closer to it than the
+    diameter. A zero diameter can only come from an unvalidated matrix
+    and raises NonpositiveOffDiagonal for the pair.
+    """
+    row = space.ranks[idxs[0]]
+    diam = max(map(row.__getitem__, idxs))
+    if diam == 0:
+        raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
+    groups: list[list[int]] = []
+    remaining = idxs
+    while remaining:
+        row = space.ranks[remaining[0]]
+        groups.append([v for v in remaining if row[v] < diam])
+        remaining = [v for v in remaining if row[v] >= diam]
+    return diam, groups
+
+
 @dataclass(frozen=True)
 class WeakSimilarityWitness:
     """A point bijection plus the order-preserving pairing of distance sets.
@@ -554,61 +718,28 @@ class WeakSimilarityWitness:
 def weak_similarity(
     first: FiniteUltrametricSpace, second: FiniteUltrametricSpace
 ) -> Optional[WeakSimilarityWitness]:
-    """Search for a bijection matching distances rank-for-rank.
+    """A witness that the spaces are weakly similar, or None.
 
     On finite distance sets a strictly increasing bijection between them
-    is forced to pair equal ranks, so the search reduces to matching the
-    integer rank matrices. Backtracking orders points by the rarity of
-    their rank-multiset signature.
+    is forced to pair equal ranks, so the spaces are weakly similar exactly
+    when their canonical dendrograms are equal. The witness then pairs the
+    i-th canonical leaf of ``first`` with the i-th canonical leaf of
+    ``second``: both leaves sit at the same place in the same dendrogram.
     """
-    if first.n != second.n:
+    if first.n != second.n or len(first.values) != len(second.values):
         return None
-    ranks_a, values_a = first.ranks, first.values
-    ranks_b, values_b = second.ranks, second.values
-    if len(values_a) != len(values_b):
-        return None
-    n = first.n
-
-    def signature(ranks, i):
-        return tuple(sorted(ranks[i][j] for j in range(n) if j != i))
-
-    sig_a = [signature(ranks_a, i) for i in range(n)]
-    sig_b = [signature(ranks_b, i) for i in range(n)]
-    if Counter(sig_a) != Counter(sig_b):
-        return None
-    freq = Counter(sig_a)
-    order = sorted(range(n), key=lambda i: (freq[sig_a[i]], i))
-
-    assignment: list[int] = [-1] * n  # a-index -> b-index
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in range(n):
-            if used[j] or sig_b[j] != sig_a[i]:
-                continue
-            ok = True
-            for prev in order[:pos]:
-                if ranks_a[i][prev] != ranks_b[j][assignment[prev]]:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = j
-                used[j] = True
-                if extend(pos + 1):
-                    return True
-                assignment[i] = -1
-                used[j] = False
-        return False
-
-    if not extend(0):
-        return None
+    order_a: list[int] = []
+    order_b: list[int] = []
+    if first.n:  # the empty space has no dendrogram, and is similar to itself
+        dendro_a, order_a = _canonical_form(first)
+        dendro_b, order_b = _canonical_form(second)
+        if dendro_a.key() != dendro_b.key():
+            return None
+    image = dict(zip(order_a, order_b))
     bijection = tuple(
-        (first.points[i], second.points[assignment[i]]) for i in range(n)
+        (first.points[i], second.points[image[i]]) for i in range(first.n)
     )
-    scale = tuple((values_b[r], values_a[r]) for r in range(len(values_a)))
+    scale = tuple(zip(second.values, first.values))
     return WeakSimilarityWitness(bijection, scale)
 
 

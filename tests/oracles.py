@@ -4,13 +4,17 @@ These are the straightforward versions the integer-rank core replaced:
 the O(n³) triple scan for the strong triangle inequality, analyses that
 compare Fractions entry by entry, and the tree metric by one binary-lifting
 query per pair. They read only ``space.points`` and the derived
-``space.matrix`` view, never the ranks.
+``space.matrix`` view, never the ranks. The one exception is
+``weak_similarity_search``, the backtracking search over point bijections
+that the canonical-dendrogram test replaced: it matches rank matrices, as
+it did in the library, and shares no code with the canonical form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 from ultratree.errors import (
     DuplicatePoint,
@@ -23,6 +27,7 @@ from ultratree.errors import (
     StrongTriangleViolation,
     TooSmall,
 )
+from ultratree.metric import FiniteUltrametricSpace, WeakSimilarityWitness
 from ultratree.tree import PathMaxIndex, degenerate_edge
 from ultratree.errors import DegenerateLabeling
 
@@ -245,6 +250,67 @@ def weakly_similar(first, second) -> bool:
         all(ra[i][j] == rb[perm[i]][perm[j]] for i in range(n) for j in range(n))
         for perm in permutations(range(n))
     )
+
+
+def weak_similarity_search(
+    first: FiniteUltrametricSpace, second: FiniteUltrametricSpace
+) -> Optional[WeakSimilarityWitness]:
+    """Search for a bijection matching distances rank-for-rank.
+
+    On finite distance sets a strictly increasing bijection between them
+    is forced to pair equal ranks, so the search reduces to matching the
+    integer rank matrices. Backtracking orders points by the rarity of
+    their rank-multiset signature.
+    """
+    if first.n != second.n:
+        return None
+    ranks_a, values_a = first.ranks, first.values
+    ranks_b, values_b = second.ranks, second.values
+    if len(values_a) != len(values_b):
+        return None
+    n = first.n
+
+    def signature(ranks, i):
+        return tuple(sorted(ranks[i][j] for j in range(n) if j != i))
+
+    sig_a = [signature(ranks_a, i) for i in range(n)]
+    sig_b = [signature(ranks_b, i) for i in range(n)]
+    if Counter(sig_a) != Counter(sig_b):
+        return None
+    freq = Counter(sig_a)
+    order = sorted(range(n), key=lambda i: (freq[sig_a[i]], i))
+
+    assignment: list[int] = [-1] * n  # a-index -> b-index
+    used = [False] * n
+
+    def extend(pos: int) -> bool:
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in range(n):
+            if used[j] or sig_b[j] != sig_a[i]:
+                continue
+            ok = True
+            for prev in order[:pos]:
+                if ranks_a[i][prev] != ranks_b[j][assignment[prev]]:
+                    ok = False
+                    break
+            if ok:
+                assignment[i] = j
+                used[j] = True
+                if extend(pos + 1):
+                    return True
+                assignment[i] = -1
+                used[j] = False
+        return False
+
+    if not extend(0):
+        return None
+    bijection = tuple(
+        (first.points[i], second.points[assignment[i]]) for i in range(n)
+    )
+    scale = tuple((values_b[r], values_a[r]) for r in range(len(values_a)))
+    return WeakSimilarityWitness(bijection, scale)
 
 
 def restrict(space, subset):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,14 @@ class TestBasicVerbs:
         assert "{x3,x4}  center=x3 radius=1" in out
         assert "all non-empty subsets are centered spheres: no" in out
 
+    def test_spheres_subsets_fence_refuses_before_printing(self, capsys):
+        # the 30-point golden sample is past the 20-point all-subsets fence
+        padic = str(Path(__file__).resolve().parent / "golden" / "padic3.csv")
+        code, out, err = run(capsys, "spheres", padic, "--subsets")
+        assert code == 3
+        assert out == ""
+        assert "all-subsets sphere scan" in err and "fence 20" in err
+
     def test_check_tree_passes(self, capsys, tree_file):
         code, out, _ = run(capsys, "check", tree_file)
         assert code == 0
@@ -102,6 +111,15 @@ class TestBasicVerbs:
         )
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 1 and "'zz'" in err
+
+    def test_non_string_edge_endpoint_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"vertices": ["1","2"], "labels": {"1":"1","2":"1"}, "edges": [[1, 2]]}'
+        )
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1 and out == ""
+        assert "[1, 2]" in err
 
     def test_check_matrix_without_ut_flag(self, capsys, tmp_path):
         csv_path = tmp_path / "m.csv"

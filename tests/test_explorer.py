@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ultratree import (
     Dendrogram,
     check_closed_balls,
@@ -34,7 +35,9 @@ F = Fraction
 
 def oracle_classes_by_matrix_enumeration(n):
     """Enumerate every ultrametric matrix with distance ranks {1..m} used
-    surjectively and deduplicate by the backtracking similarity search."""
+    surjectively and deduplicate by the backtracking similarity search
+    (``oracles.weak_similarity_search``), which shares no code with the
+    canonical dendrogram the enumerator relies on."""
     pairs = list(itertools.combinations(range(n), 2))
     reps = []
     for m in range(1, n):
@@ -53,7 +56,7 @@ def oracle_classes_by_matrix_enumeration(n):
             if not ok:
                 continue
             space = validate_ultrametric([f"q{i}" for i in range(n)], matrix)
-            if not any(weak_similarity(space, rep) is not None for rep in reps):
+            if all(oracles.weak_similarity_search(space, rep) is None for rep in reps):
                 reps.append(space)
     return reps
 
@@ -428,6 +431,30 @@ class TestTheoremSuite:
         report = check_suite_enumerated(4)
         assert report.verdict == "PASS"
         assert report.instances == 6
+
+    def test_suite_witness_is_the_first_failing_class(self, monkeypatch):
+        from ultratree import explorer
+        from ultratree.formats import matrix_csv_string
+
+        classes = list(enumerate_dendrograms(5))
+        failing = [dendrogram_to_space(classes[pos]) for pos in (7, 3)]
+        real_suite = explorer.check_theorem_suite
+
+        def suite_failing_two_classes(space, is_ut_hint=False):
+            report = real_suite(space, is_ut_hint)
+            if space in failing:
+                report.verdict = "FAIL"
+                report.results["planted"] = {"verdict": "FAIL"}
+            return report
+
+        monkeypatch.setattr(explorer, "check_theorem_suite", suite_failing_two_classes)
+        report = check_suite_enumerated(5, jobs=1)
+        assert report.verdict == "FAIL"
+        assert report.results["theorem-suite"]["failing_classes"] == 2
+        [witness] = report.witnesses
+        assert witness["label"] == classes[3].key()
+        assert witness["matrix_csv"] == matrix_csv_string(failing[1])
+        assert witness["note"] == "failed planted"
 
 
 class TestIsUt:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ultratree import diametrical_graph, multipartite_parts, spanning_star
+from ultratree import diametrical_graph, multipartite_parts, spanning_star, validate_tree
 from ultratree.errors import FormatError, NonpositiveOffDiagonal, NotSymmetric, UltratreeError
 from ultratree.formats import (
     diametrical_dot_string,
@@ -64,6 +64,22 @@ class TestTreeJson:
     def test_malformed_json(self):
         with pytest.raises(FormatError):
             parse_tree_json("{nope")
+
+    @pytest.mark.parametrize("edge", ["[1, 2]", '["1", 2]', '[null, "2"]', '[["1"], "2"]'])
+    def test_non_string_edge_endpoint_rejected(self, edge):
+        # str() would turn 1 and 2 into the vertex names "1" and "2"
+        text = (
+            '{"vertices": ["1", "2"], "labels": {"1": "1", "2": "1"}, '
+            '"edges": [' + edge + "]}"
+        )
+        with pytest.raises(FormatError) as err:
+            parse_tree_json(text)
+        assert repr(json.loads(edge)) in str(err.value)
+
+    def test_validate_tree_still_names_endpoints_by_str(self):
+        # the library entry point keeps converting endpoints with str()
+        tree = validate_tree(["1", "2"], [(1, 2)], {"1": 1, "2": 1})
+        assert tree.edges == ((0, 1),)
 
 
 class TestMatrixCsv:
@@ -130,6 +146,16 @@ VALID_JSON = (
     '"labels": {"x1": "2", "x2": "2", "x3": "1", "x4": "5/2"}, '
     '"edges": [["x1", "x2"], ["x2", "x3"], ["x3", "x4"]]}'
 )
+NUMERIC_JSON = (
+    '{"vertices": ["1", "2", "3"], "labels": {"1": "2", "2": "1", "3": "1"}, '
+    '"edges": [["1", "2"], ["2", "3"]]}'
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
 CSV_ALPHABET = st.sampled_from(list("abx01239/-+,. \n\r\"'") + ["\x00", "é", "٣"])
 JSON_ALPHABET = st.sampled_from(list('{}[]":,. \n0123/-abx') + ["vertices", "labels", "edges"])
 
@@ -186,20 +212,25 @@ class TestParserFuzz:
     def test_tree_json_mutated(self, text):
         roundtrips_or_rejects(parse_tree_json, tree_json_string, text)
 
-    @given(
-        st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-            lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-            max_leaves=8,
-        ),
-        st.sampled_from(["vertices", "labels", "edges"]),
-    )
+    @given(JSON_VALUES, st.sampled_from(["vertices", "labels", "edges"]))
     @FUZZ
     def test_tree_json_field_of_any_shape(self, value, field):
         data = json.loads(VALID_JSON)
         data[field] = value
         roundtrips_or_rejects(parse_tree_json, tree_json_string, json.dumps(data))
+
+    @given(st.integers(0, 1), st.integers(0, 1), st.integers(1, 3) | JSON_VALUES)
+    @FUZZ
+    def test_tree_json_edge_endpoint_of_any_type(self, edge, end, value):
+        # vertex names that read as numbers: an int endpoint must not pass for one
+        data = json.loads(NUMERIC_JSON)
+        data["edges"][edge][end] = value
+        text = json.dumps(data)
+        if isinstance(value, str):
+            roundtrips_or_rejects(parse_tree_json, tree_json_string, text)
+        else:
+            with pytest.raises(FormatError, match="edge"):
+                parse_tree_json(text)
 
     @pytest.mark.parametrize(
         "text",
