@@ -1,60 +1,59 @@
 """Exact-arithmetic toolkit for finite ultrametric spaces generated by
 vertex-labeled trees: distance matrices, centers of distances, centered
 spheres, diametrical graphs, p-adic samples, and exhaustive enumeration
-of weak-similarity classes."""
+of weak-similarity classes.
 
-from .errors import UltratreeError
-from .explorer import (
-    CampaignReport,
-    check_closed_balls,
-    check_con3,
-    check_hol,
-    check_theorem_suite,
-    dendrogram_to_space,
-    enumerate_dendrograms,
-    is_ut,
-    merge_parts,
-    random_labeled_tree,
-)
-from .metric import (
-    Ball,
-    Dendrogram,
-    DiametricalGraph,
-    DistanceSet,
-    FiniteUltrametricSpace,
-    MultipartiteDecomposition,
-    SphereCertificate,
-    StarCertificate,
-    WeakSimilarityWitness,
-    ball,
-    center_of_distances,
-    diameter,
-    diametrical_graph,
-    distance_set,
-    enumerate_balls,
-    enumerate_centered_spheres,
-    is_centered_sphere,
-    is_equidistant,
-    multipartite_parts,
-    pointwise_distance_set,
-    restrict,
-    space_to_dendrogram,
-    spanning_star,
-    validate_ultrametric,
-    weak_similarity,
-)
-from .padic import PadicNorm, dp_metric, dplus, padic_distance, padic_valuation, sample_space
-from .tree import (
-    LabeledTree,
-    PathMaxIndex,
-    ball_subtree,
-    canonical_labeling,
-    distance_matrix,
-    is_nondegenerate,
-    label_distance,
-    validate_tree,
-)
+Submodules are imported on first use of one of their names (PEP 562), so
+a command that needs only the tree layer never loads the campaign code.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the public names it provides
+_EXPORTS = {
+    "errors": ("UltratreeError",),
+    "explorer": (
+        "CampaignReport", "check_closed_balls", "check_con3", "check_hol",
+        "check_theorem_suite", "dendrogram_to_space", "enumerate_dendrograms",
+        "is_ut", "merge_parts", "random_labeled_tree",
+    ),
+    "metric": (
+        "Ball", "Dendrogram", "DiametricalGraph", "DistanceSet",
+        "FiniteUltrametricSpace", "MultipartiteDecomposition", "SphereCertificate",
+        "StarCertificate", "WeakSimilarityWitness", "ball", "center_of_distances",
+        "diameter", "diametrical_graph", "distance_set", "enumerate_balls",
+        "enumerate_centered_spheres", "is_centered_sphere", "is_equidistant",
+        "multipartite_parts", "pointwise_distance_set", "restrict",
+        "space_to_dendrogram", "spanning_star", "validate_ultrametric",
+        "weak_similarity",
+    ),
+    "padic": (
+        "PadicNorm", "dp_metric", "dplus", "padic_distance", "padic_valuation",
+        "sample_space",
+    ),
+    "tree": (
+        "LabeledTree", "PathMaxIndex", "ball_subtree", "canonical_labeling",
+        "distance_matrix", "is_nondegenerate", "label_distance", "validate_tree",
+    ),
+}
+_SUBMODULES = ("capacity", "errors", "explorer", "formats", "metric", "padic", "rationals", "tree")
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_SOURCE, *_SUBMODULES])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

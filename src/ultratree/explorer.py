@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .capacity import ALL_SUBSETS_SPHERES_FENCE, ENUMERATION_FENCE, require_within
@@ -53,77 +55,33 @@ ZERO = Fraction(0)
 
 # --- dendrograms ---------------------------------------------------------------
 
-# Internal enumeration works on plain nested tuples (leaf = 0, internal =
-# (level, child, ...)) and wraps them into Dendrogram objects on emission.
+def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Partitions of a multiset into parts of two or more elements.
 
-def _struct_key(t, cache: dict) -> str:
-    k = cache.get(t)
-    if k is None:
-        if t == 0:
-            k = "L"
-        else:
-            k = "(%d:%s)" % (t[0], ",".join(_struct_key(c, cache) for c in t[1:]))
-        cache[t] = k
-    return k
+    The multiset is given by its multiplicities (element i occurs
+    ``counts[i]`` times) and so is each part. Every partition is listed
+    once, as its non-increasing part sequence, where parts compare as
+    their sorted element sequences.
+    """
 
+    def elements(part: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(i for i, t in enumerate(part) for _ in range(t))
 
-def _sub_multisets(items: tuple, min_size: int = 0) -> list[tuple]:
-    """All sub-multisets of a sorted tuple, as sorted tuples."""
-    groups: list[list] = []
-    for it in items:
-        if groups and groups[-1][0] == it:
-            groups[-1][1] += 1
-        else:
-            groups.append([it, 1])
-    result: list[tuple] = []
-
-    def rec(gi: int, chosen: list, total: int) -> None:
-        if gi == len(groups):
-            if total >= min_size:
-                result.append(tuple(chosen))
-            return
-        value, count = groups[gi]
-        for take in range(count + 1):
-            rec(gi + 1, chosen + [value] * take, total + take)
-
-    rec(0, [], 0)
-    return result
-
-
-def _multiset_partitions_ge2(items: tuple, keyfn) -> Iterator[tuple]:
-    """Partitions of a sorted multiset into parts of size >= 2, each
-    partition emitted once as its non-increasing part sequence."""
-
-    def partkey(part):
-        return tuple(keyfn(x) for x in part)
-
-    def rec(remaining: tuple, bound, acc: list) -> Iterator[tuple]:
-        if not remaining:
+    def rec(remaining: tuple[int, ...], bound, acc: list) -> Iterator[tuple]:
+        if not any(remaining):
             yield tuple(acc)
             return
-        for part in _sub_multisets(remaining, min_size=2):
-            pk = partkey(part)
+        for part in product(*[range(r + 1) for r in remaining]):
+            if sum(part) < 2:
+                continue
+            pk = elements(part)
             if bound is not None and pk > bound:
                 continue
-            rest = list(remaining)
-            for x in part:
-                rest.remove(x)
             acc.append(part)
-            yield from rec(tuple(rest), pk, acc)
+            yield from rec(tuple(r - t for r, t in zip(remaining, part)), pk, acc)
             acc.pop()
 
-    yield from rec(items, None, [])
-
-
-def _struct_to_dendrogram(t, cache: dict) -> Dendrogram:
-    d = cache.get(t)
-    if d is None:
-        if t == 0:
-            d = Dendrogram(0)
-        else:
-            d = Dendrogram(t[0], tuple(_struct_to_dendrogram(c, cache) for c in t[1:]))
-        cache[t] = d
-    return d
+    return list(rec(counts, None, []))
 
 
 def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
@@ -133,6 +91,11 @@ def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
     one or more groups (of at least two current roots) into new nodes at
     the next level. Every canonical dendrogram has a unique merge
     history, so the walk needs no deduplication.
+
+    Subtrees are interned as ints with one key string each (id 0 is the
+    leaf), and a forest is a tuple of ids sorted by key, so forests hash
+    and compare ints and equal subtrees sit side by side. Each id becomes
+    a ``Dendrogram`` once, when a class that holds it is emitted.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -141,42 +104,59 @@ def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
         yield Dendrogram(0)
         return
 
-    key_cache: dict = {}
-    dendro_cache: dict = {}
+    keys = ["L"]
+    nodes: list[tuple[int, ...]] = [(0,)]  # (level, child id, ...) per id
+    ids: dict[tuple[int, ...], int] = {}
+    dendros = [Dendrogram(0)]
+    plans: dict[tuple[int, ...], list] = {}  # partitions by multiplicities
+    key_of = keys.__getitem__
 
-    def keyf(t) -> str:
-        return _struct_key(t, key_cache)
+    def intern(node: tuple[int, ...]) -> int:
+        nid = ids.get(node)
+        if nid is None:
+            nid = ids[node] = len(keys)
+            nodes.append(node)
+            keys.append("(%d:%s)" % (node[0], ",".join(map(key_of, node[1:]))))
+        return nid
 
-    def step(forest: tuple, level: int) -> Iterator:
-        for passive in _sub_multisets(forest):
-            active = list(forest)
-            for x in passive:
-                active.remove(x)
-            if len(active) < 2:
+    def step(forest: tuple[int, ...], level: int) -> Iterator[int]:
+        distinct = list(dict.fromkeys(forest))  # the forest is sorted by key
+        counts = [forest.count(x) for x in distinct]
+        for passive in product(*[range(c + 1) for c in counts]):
+            active = tuple(c - p for c, p in zip(counts, passive))
+            if sum(active) < 2:
                 continue
-            for plan in _multiset_partitions_ge2(tuple(active), keyf):
+            if active not in plans:
+                plans[active] = _partitions_ge2(active)
+            kept = [x for x, p in zip(distinct, passive) for _ in range(p)]
+            for plan in plans[active]:
                 merged = [
-                    (level,) + tuple(sorted(group, key=keyf)) for group in plan
+                    intern((level, *[x for x, t in zip(distinct, part) for _ in range(t)]))
+                    for part in plan
                 ]
-                new_forest = tuple(sorted(list(passive) + merged, key=keyf))
+                new_forest = tuple(sorted(kept + merged, key=key_of))
                 if len(new_forest) == 1:
                     yield new_forest[0]
                 else:
                     yield from step(new_forest, level + 1)
 
-    for struct in step(tuple([0] * n), 1):
-        yield _struct_to_dendrogram(struct, dendro_cache)
+    for root in step((0,) * n, 1):
+        # children are interned before their parents, so ids build in order
+        for level, *children in nodes[len(dendros):root + 1]:
+            dendros.append(Dendrogram(level, tuple(map(dendros.__getitem__, children))))
+        yield dendros[root]
 
 
-def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
-    """Realize the dendrogram: leaves x1..xn, distances = ancestor levels.
+def _leaf_runs(dendro: Dendrogram) -> tuple[int, list[tuple[int, int, int, list]]]:
+    """Number the leaves depth first; list each internal node's leaf runs.
 
-    Leaves are numbered in depth-first order, so every node's leaves form
-    a contiguous run and a node fills its cross-child pairs by slices.
+    Returns the leaf count and, per internal node, ``(level, first leaf,
+    end, child runs)``: the node holds leaves ``first..end-1`` and each
+    child's leaves are the contiguous run ``(a, b)``, in child order.
     """
     if dendro.is_leaf:
-        return FiniteUltrametricSpace(("x1",), ((0,),), (ZERO,))
-    nodes = []  # (level, first leaf, end, child runs) per internal node
+        return 1, []
+    nodes = []
     next_leaf = 0
     # frames: [internal node, next child to visit, first leaf, child runs]
     stack: list[list] = [[dendro, 0, 0, []]]
@@ -196,7 +176,16 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
         nodes.append((node.level, start, next_leaf, runs))
         if stack:
             stack[-1][3].append((start, next_leaf))
-    n = next_leaf
+    return next_leaf, nodes
+
+
+def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
+    """Realize the dendrogram: leaves x1..xn, distances = ancestor levels.
+
+    Leaves are numbered in depth-first order, so every node's leaves form
+    a contiguous run and a node fills its cross-child pairs by slices.
+    """
+    n, nodes = _leaf_runs(dendro)
     levels = sorted({level for level, _, _, _ in nodes})
     level_rank = {level: r for r, level in enumerate(levels, 1)}
     ranks = [[0] * n for _ in range(n)]
@@ -211,6 +200,21 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     names = tuple(f"x{i + 1}" for i in range(n))
     values = (ZERO,) + tuple(Fraction(level) for level in levels)
     return FiniteUltrametricSpace(names, tuple(map(tuple, ranks)), values)
+
+
+def _has_leaf_children(dendro: Dendrogram) -> bool:
+    """The ``is_ut`` criterion read off the dendrogram: the class is
+    realizable by a labeled tree on its own points exactly when every
+    internal node has a leaf child."""
+    stack = [dendro]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        if not any(child.is_leaf for child in node.children):
+            return False
+        stack.extend(node.children)
+    return True
 
 
 # --- campaign reports -------------------------------------------------------------
@@ -262,7 +266,16 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
 
 
 def _center_size(dendro: Dendrogram) -> int:
-    return len(center_of_distances(dendrogram_to_space(dendro)))
+    """|center of distances| of the class, read off the dendrogram.
+
+    A point's distances are 0 and its ancestors' levels, so a level is in
+    the center exactly when the nodes at that level hold all the leaves.
+    """
+    n, nodes = _leaf_runs(dendro)
+    covered: Counter = Counter()
+    for level, start, end, _ in nodes:
+        covered[level] += end - start
+    return 1 + list(covered.values()).count(n)
 
 
 def check_con3(n: int, jobs: int = 1) -> CampaignReport:
@@ -313,9 +326,28 @@ def _reference_three_point_space() -> FiniteUltrametricSpace:
     )
 
 
+def _sphere_masks(dendro: Dendrogram) -> tuple[int, set[int]]:
+    """The leaf count and the distinct centered spheres of the class.
+
+    Leaves are bits in depth-first order. The sphere of radius level(v)
+    around a leaf c under the child k of v is {c} ∪ (leaves(v) − leaves(k));
+    every other radius gives {c}.
+    """
+    n, nodes = _leaf_runs(dendro)
+    family = {1 << c for c in range(n)}
+    for _, start, end, runs in nodes:
+        whole = (1 << end) - (1 << start)
+        for a, b in runs:
+            rest = whole - ((1 << b) - (1 << a))
+            family.update(rest | (1 << c) for c in range(a, b))
+    return n, family
+
+
 def _all_subsets_spheres(dendro: Dendrogram) -> bool:
-    space = dendrogram_to_space(dendro)
-    return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1
+    """Whether every non-empty subset of the class is a centered sphere:
+    the distinct spheres are counted against the 2^n − 1 subsets."""
+    n, family = _sphere_masks(dendro)
+    return len(family) == (1 << n) - 1
 
 
 def check_hol(n: int, jobs: int = 1) -> CampaignReport:
@@ -401,9 +433,8 @@ def check_closed_balls(
         if n is None:
             raise ValueError("source='enumerated' needs n")
         for pos, dendro in enumerate(enumerate_dendrograms(n)):
-            space = dendrogram_to_space(dendro)
-            if is_ut(space) is not None:
-                instances.append((f"class-{pos}:{dendro.key()}", space))
+            if _has_leaf_children(dendro):
+                instances.append((f"class-{pos}:{dendro.key()}", dendrogram_to_space(dendro)))
     elif source == "random-trees":
         rng = random.Random(seed)
         for i in range(count):
@@ -574,7 +605,7 @@ def check_theorem_suite(
 
 def _suite_row(dendro: Dendrogram) -> tuple[str, bool, Optional[str]]:
     space = dendrogram_to_space(dendro)
-    report = check_theorem_suite(space, is_ut_hint=is_ut(space) is not None)
+    report = check_theorem_suite(space, is_ut_hint=_has_leaf_children(dendro))
     first_fail = None
     if report.verdict != "PASS":
         first_fail = next(
@@ -625,6 +656,8 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
     a ball then peaks at that ball's hub. Returns None when some ball has
     no singleton block. Runs in polynomial time, with no fence.
     """
+    if not space.n:
+        raise TooSmall("is_ut needs at least 1 point")
     labels = [ZERO] * space.n
     edges: list[tuple[int, int]] = []
     stack: list[tuple[list[int], Optional[int]]] = [(list(range(space.n)), None)]

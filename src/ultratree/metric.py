@@ -251,6 +251,8 @@ def diameter(space: FiniteUltrametricSpace) -> Fraction:
 
 def center_of_distances(space: FiniteUltrametricSpace) -> DistanceSet:
     """Distances realizable from *every* point: the intersection of all rows."""
+    if not space.n:
+        raise TooSmall("center_of_distances needs at least 1 point")
     rows = space.ranks
     common = set(rows[0])
     for row in rows[1:]:
@@ -414,8 +416,16 @@ def all_subsets_centered_spheres(space: FiniteUltrametricSpace) -> bool:
     compares that family's size against 2^n - 1. Fenced: the answer is
     about all subsets, so n is capped.
     """
+    return _spheres_are_all_subsets(space, enumerate_centered_spheres(space))
+
+
+def _spheres_are_all_subsets(
+    space: FiniteUltrametricSpace, spheres: Sequence[SphereCertificate]
+) -> bool:
+    """:func:`all_subsets_centered_spheres` on the space's spheres, already
+    enumerated by :func:`enumerate_centered_spheres`."""
     require_within("all-subsets sphere scan", space.n, SUBSET_SCAN_FENCE)
-    return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1
+    return len(spheres) == (1 << space.n) - 1
 
 
 @dataclass(frozen=True)
@@ -628,6 +638,8 @@ def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     Node levels are the global ranks of the sub-diameters, so two spaces
     are weakly similar exactly when their canonical dendrograms are equal.
     """
+    if not space.n:
+        raise TooSmall("space_to_dendrogram needs at least 1 point")
     return _canonical_form(space)[0]
 
 

@@ -8,13 +8,16 @@ query per pair. They read only ``space.points`` and the derived
 ``weak_similarity_search``, the backtracking search over point bijections
 that the canonical-dendrogram test replaced: it matches rank matrices, as
 it did in the library, and shares no code with the canonical form.
+The last section holds the class enumeration on nested tuples and the
+campaign checks on each class's realized space, which the fold over
+interned dendrograms replaced.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from ultratree.errors import (
     DuplicatePoint,
@@ -351,3 +354,110 @@ def dfs_path_max(tree, root):
                 best[w] = max(best[u], tree.labels[w])
                 stack.append(w)
     return best
+
+
+# --- class enumeration and campaign checks on spaces ---------------------------
+
+def _struct_key(t, cache: dict) -> str:
+    k = cache.get(t)
+    if k is None:
+        if t == 0:
+            k = "L"
+        else:
+            k = "(%d:%s)" % (t[0], ",".join(_struct_key(c, cache) for c in t[1:]))
+        cache[t] = k
+    return k
+
+
+def _sub_multisets(items: tuple, min_size: int = 0) -> list[tuple]:
+    """All sub-multisets of a sorted tuple, as sorted tuples."""
+    groups: list[list] = []
+    for it in items:
+        if groups and groups[-1][0] == it:
+            groups[-1][1] += 1
+        else:
+            groups.append([it, 1])
+    result: list[tuple] = []
+
+    def rec(gi: int, chosen: list, total: int) -> None:
+        if gi == len(groups):
+            if total >= min_size:
+                result.append(tuple(chosen))
+            return
+        value, count = groups[gi]
+        for take in range(count + 1):
+            rec(gi + 1, chosen + [value] * take, total + take)
+
+    rec(0, [], 0)
+    return result
+
+
+def _multiset_partitions_ge2(items: tuple, keyfn) -> Iterator[tuple]:
+    """Partitions of a sorted multiset into parts of size >= 2, each
+    partition emitted once as its non-increasing part sequence."""
+
+    def partkey(part):
+        return tuple(keyfn(x) for x in part)
+
+    def rec(remaining: tuple, bound, acc: list) -> Iterator[tuple]:
+        if not remaining:
+            yield tuple(acc)
+            return
+        for part in _sub_multisets(remaining, min_size=2):
+            pk = partkey(part)
+            if bound is not None and pk > bound:
+                continue
+            rest = list(remaining)
+            for x in part:
+                rest.remove(x)
+            acc.append(part)
+            yield from rec(tuple(rest), pk, acc)
+            acc.pop()
+
+    yield from rec(items, None, [])
+
+
+def dendrogram_keys(n: int) -> Iterator[str]:
+    """The canonical key of every n-point class, in enumeration order.
+
+    Forests are sorted tuples of nested tuples (leaf = 0, internal =
+    (level, child, ...)), merged bottom-up one level at a time.
+    """
+    if n == 1:
+        yield "L"
+        return
+
+    key_cache: dict = {}
+
+    def keyf(t) -> str:
+        return _struct_key(t, key_cache)
+
+    def step(forest: tuple, level: int) -> Iterator:
+        for passive in _sub_multisets(forest):
+            active = list(forest)
+            for x in passive:
+                active.remove(x)
+            if len(active) < 2:
+                continue
+            for plan in _multiset_partitions_ge2(tuple(active), keyf):
+                merged = [
+                    (level,) + tuple(sorted(group, key=keyf)) for group in plan
+                ]
+                new_forest = tuple(sorted(list(passive) + merged, key=keyf))
+                if len(new_forest) == 1:
+                    yield new_forest[0]
+                else:
+                    yield from step(new_forest, level + 1)
+
+    for struct in step(tuple([0] * n), 1):
+        yield keyf(struct)
+
+
+def center_size(space) -> int:
+    """|center of distances| of a class, from its realized space."""
+    return len(center_of_distances(space))
+
+
+def all_subsets_spheres(space) -> bool:
+    """Whether every non-empty subset of the space is a centered sphere."""
+    return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1

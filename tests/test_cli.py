@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +93,21 @@ class TestBasicVerbs:
         assert code == 3
         assert out == ""
         assert "all-subsets sphere scan" in err and "fence 20" in err
+
+    def test_spheres_subsets_enumerates_once(self, capsys, tree_file, monkeypatch):
+        from ultratree import metric
+
+        calls = []
+        real = metric.enumerate_centered_spheres
+
+        def counted(space):
+            calls.append(space.n)
+            return real(space)
+
+        monkeypatch.setattr(metric, "enumerate_centered_spheres", counted)
+        code, out, _ = run(capsys, "spheres", tree_file, "--subsets")
+        assert code == 0 and "subsets are centered spheres: no" in out
+        assert calls == [4]
 
     def test_check_tree_passes(self, capsys, tree_file):
         code, out, _ = run(capsys, "check", tree_file)
@@ -233,3 +250,26 @@ class TestSamplerVerbs:
         with pytest.raises(SystemExit) as err:
             main(["enumerate", "--n", "3", "--check", "bogus"])
         assert err.value.code == 2
+
+
+class TestImports:
+    def test_validate_loads_no_campaign_code(self, tree_file):
+        # a fresh interpreter, so that no other test's imports count
+        script = (
+            "import sys\n"
+            "from ultratree import cli\n"
+            f"assert cli.main(['validate', {tree_file!r}]) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('ultratree'))))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "ultratree.tree" in loaded
+        assert "ultratree.explorer" not in loaded

@@ -1,6 +1,8 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,13 @@ from ultratree import (
     weak_similarity,
 )
 from ultratree.errors import EmptyPool, FewerThanTwoBlocks, TooLarge, TooSmall
-from ultratree.explorer import check_suite_enumerated
+from ultratree.explorer import (
+    _all_subsets_spheres,
+    _center_size,
+    _has_leaf_children,
+    _sphere_masks,
+    check_suite_enumerated,
+)
 
 F = Fraction
 
@@ -184,6 +192,36 @@ def oracle_is_ut_search(space):
     return None
 
 
+def euler_transform(a):
+    """b[m] = number of multisets of a-counted objects of total size m."""
+    size = len(a) - 1
+    c = [0] + [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, size + 1)]
+    b = [1] + [0] * size
+    for m in range(1, size + 1):
+        b[m] = sum(c[k] * b[m - k] for k in range(1, m + 1)) // m
+    return b
+
+
+def class_counts_by_levels(n):
+    """Classes of n-point spaces with exactly k levels, counted, not enumerated.
+
+    A_l(m), the trees with m leaves and root level <= l, has A_l(1) = 1,
+    A_0(m) = 0 for m >= 2 and A_l(m) = (Euler transform of A_{l-1})(m):
+    a root at level <= l holds a multiset of two or more trees of root
+    level <= l - 1, or is one such tree itself. A tree with levels in
+    {1..k} occupies some j of them, so binomial inversion counts the
+    classes, whose levels are exactly 1..k.
+    """
+    a = [[0, 1] + [0] * (n - 1)]
+    for _ in range(1, n):
+        b = euler_transform(a[-1])
+        a.append([0, 1] + b[2:])
+    return {
+        k: sum((-1) ** (k - j) * comb(k, j) * a[j][n] for j in range(k + 1))
+        for k in range(n)
+    }
+
+
 # --- enumeration ---------------------------------------------------------------
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 90}
@@ -253,6 +291,20 @@ class TestEnumeration:
         assert "(2:(1:L,L),(1:L,L))" in keys4  # perfect binary
         assert "(3:(2:(1:L,L),L),L)" in keys4  # chain
 
+    def test_counts_against_counting_recurrence(self):
+        totals = [1, 1, 2, 6, 20, 90, 468, 2910, 20644, 165874]
+        for n in range(1, 11):
+            expected = class_counts_by_levels(n)
+            assert sum(expected.values()) == totals[n - 1]
+            if n <= 9:
+                levels = Counter(d.level for d in enumerate_dendrograms(n))
+                assert levels == +Counter(expected)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_keys_match_nested_tuple_oracle(self, n):
+        keys = [d.key() for d in enumerate_dendrograms(n)]
+        assert keys == list(oracles.dendrogram_keys(n))
+
     def test_fence(self):
         with pytest.raises(TooLarge):
             list(enumerate_dendrograms(11))
@@ -297,6 +349,26 @@ class TestDendrogramToSpace:
             Dendrogram(1, (Dendrogram(1, (Dendrogram(0), Dendrogram(0))), Dendrogram(0)))
         with pytest.raises(ValueError):
             Dendrogram(0, (Dendrogram(0), Dendrogram(0)))  # leaf with children
+
+
+class TestCampaignFold:
+    """The campaign checks read off the dendrogram agree with the same
+    checks on every class's realized space."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fold_matches_space_oracles(self, n):
+        for dendro in enumerate_dendrograms(n):
+            space = dendrogram_to_space(dendro)
+            assert _center_size(dendro) == oracles.center_size(space)
+            assert _has_leaf_children(dendro) == (is_ut(space) is not None)
+            if n <= 7:
+                assert _all_subsets_spheres(dendro) == oracles.all_subsets_spheres(space)
+                # leaf i of the depth-first numbering is the point x{i+1}
+                spheres = {
+                    sum(1 << space.index_of(p) for p in subset)
+                    for _, _, subset in oracles.enumerate_centered_spheres(space)
+                }
+                assert _sphere_masks(dendro) == (n, spheres)
 
 
 class TestCon3Campaign:
@@ -431,6 +503,22 @@ class TestTheoremSuite:
         report = check_suite_enumerated(4)
         assert report.verdict == "PASS"
         assert report.instances == 6
+
+    def test_suite_hint_is_realizability(self, monkeypatch):
+        from ultratree import explorer
+
+        hints = []
+        real_suite = explorer.check_theorem_suite
+
+        def recording_suite(space, is_ut_hint=False):
+            hints.append((space, is_ut_hint))
+            return real_suite(space, is_ut_hint)
+
+        monkeypatch.setattr(explorer, "check_theorem_suite", recording_suite)
+        assert check_suite_enumerated(6, jobs=1).verdict == "PASS"
+        assert len(hints) == 90
+        assert [hint for _, hint in hints] == [is_ut(space) is not None for space, _ in hints]
+        assert sum(hint for _, hint in hints) == 28
 
     def test_suite_witness_is_the_first_failing_class(self, monkeypatch):
         from ultratree import explorer

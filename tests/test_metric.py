@@ -143,6 +143,14 @@ class TestDiameterAndCenter:
         assert diameter(s) == 0
         assert center_of_distances(s).values == (0,)
 
+    def test_empty_space_is_too_small(self):
+        from ultratree import is_ut, space_to_dendrogram
+
+        empty = validate_ultrametric([], [])
+        for fn in (center_of_distances, space_to_dendrogram, is_ut):
+            with pytest.raises(TooSmall, match=fn.__name__):
+                fn(empty)
+
     def test_center_is_row_intersection(self, path_space):
         rows = [set(row) for row in path_space.matrix]
         expected = set.intersection(*rows)

@@ -13,6 +13,7 @@ import pytest
 
 import ultratree
 import ultratree.cli  # noqa: F401 - the harness traces cli.main too
+import ultratree.explorer  # noqa: F401 - the harness's campaign verbs import it before tracing
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
