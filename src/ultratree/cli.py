@@ -90,7 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("con3", "hol", "closed-balls", "suite"),
     )
     p.add_argument("-o", "--output")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for con3, hol and suite (at most the CPU count)",
+    )
 
     p = sub.add_parser("padic", help="p-adic distance matrix of a rational sample")
     p.add_argument("--p", type=int, required=True)
@@ -200,9 +205,7 @@ def _run(args: argparse.Namespace) -> int:
         elif args.check == "hol":
             report = explorer.check_hol(args.n, jobs=args.jobs)
         elif args.check == "closed-balls":
-            report = explorer.check_closed_balls(
-                "enumerated", n=args.n, jobs=args.jobs
-            )
+            report = explorer.check_closed_balls("enumerated", n=args.n)
         else:
             report = explorer.check_suite_enumerated(args.n, jobs=args.jobs)
         _emit(_report_json(report), args.output)
@@ -249,6 +252,8 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "enumerate" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         return _run(args)
     except TooLarge as exc:

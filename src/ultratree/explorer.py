@@ -12,6 +12,7 @@ questions (center-size bound, all-subsets-spheres, closed balls).
 from __future__ import annotations
 
 import heapq
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from .metric import (
     Dendrogram,
     FiniteUltrametricSpace,
     _diameter_split,
+    _ranks_from_gaps,
     ball,
     center_of_distances,
     diameter,
@@ -182,24 +184,20 @@ def _leaf_runs(dendro: Dendrogram) -> tuple[int, list[tuple[int, int, int, list]
 def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     """Realize the dendrogram: leaves x1..xn, distances = ancestor levels.
 
-    Leaves are numbered in depth-first order, so every node's leaves form
-    a contiguous run and a node fills its cross-child pairs by slices.
+    Leaves are numbered in depth-first order, so two neighbouring leaves
+    part at the node where one child's run ends and the next begins, and
+    the distance of any two leaves is the largest such gap between them.
     """
     n, nodes = _leaf_runs(dendro)
     levels = sorted({level for level, _, _, _ in nodes})
     level_rank = {level: r for r, level in enumerate(levels, 1)}
-    ranks = [[0] * n for _ in range(n)]
-    for level, start, end, runs in nodes:
-        r = level_rank[level]
-        for a, b in runs:
-            before = [r] * (a - start)
-            beyond = [r] * (end - b)
-            for x in range(a, b):
-                ranks[x][start:a] = before
-                ranks[x][b:end] = beyond
+    gaps = [0] * (n - 1)
+    for level, _, _, runs in nodes:
+        for _, end in runs[:-1]:
+            gaps[end - 1] = level_rank[level]
     names = tuple(f"x{i + 1}" for i in range(n))
     values = (ZERO,) + tuple(Fraction(level) for level in levels)
-    return FiniteUltrametricSpace(names, tuple(map(tuple, ranks)), values)
+    return FiniteUltrametricSpace(names, _ranks_from_gaps(range(n), gaps), values)
 
 
 def _has_leaf_children(dendro: Dendrogram) -> bool:
@@ -255,13 +253,16 @@ def _witness(label: str, space: FiniteUltrametricSpace, note: str = "") -> dict:
 
 def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """Order-preserving map; with jobs > 1 the work is sharded across
-    processes but the fold order (hence every output byte) is unchanged."""
-    if jobs <= 1 or len(items) < 2:
+    processes but the fold order (hence every output byte) is unchanged.
+    A pool forks all its workers up front, so it gets no more of them
+    than there are CPUs or items."""
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -418,7 +419,6 @@ def check_closed_balls(
     n_max: int = 12,
     pool: Sequence = (0, 1, 2, 3),
     seed: int = 0,
-    jobs: int = 1,
 ) -> CampaignReport:
     """Verify on tree-generated spaces that closed balls are centered spheres.
 
@@ -553,8 +553,8 @@ def check_theorem_suite(
     record(
         "pointwise-greatest-below",
         all(
-            pointwise_distance_set(space, p).greatest_below(r) is not None
-            for p in space.points
+            pointwise.greatest_below(r) is not None
+            for pointwise in (pointwise_distance_set(space, p) for p in space.points)
             for r in probe_radii
         ),
     )

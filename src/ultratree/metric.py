@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
+from operator import itemgetter, neg
 from typing import Iterable, Literal, Optional, Sequence
 
 from .capacity import SUBSET_SCAN_FENCE, require_within
@@ -56,6 +57,46 @@ def _rank_entries(
     rank_of = {key: pos[v] for key, v in exact.items()}
     ranks = tuple(tuple(map(rank_of.__getitem__, map(id, row))) for row in rows)
     return ranks, tuple(values)
+
+
+def _ranks_from_gaps(
+    order: Sequence[int], gaps: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rank matrix in which the distance between ``order[i]`` and
+    ``order[j]`` (i < j) is ``max(gaps[i:j])``.
+
+    Rows are built in list order, each from its neighbour: beyond the
+    diagonal, row i is ``gaps[i]`` followed by row i+1's entries, every
+    entry below ``gaps[i]`` raised to it; those entries form a prefix,
+    as the running maxima ascend away from the diagonal. Before the
+    diagonal, row i is row i-1's entries followed by ``gaps[i-1]``, a
+    suffix of them raised likewise. Each row is thus one bisection and
+    two slice copies per side; a final gather puts rows and columns in
+    point order.
+    """
+    n = len(order)
+    if n == 1:
+        return ((0,),)
+    beyond: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n - 2, -1, -1):
+        g = gaps[i]
+        right = beyond[i + 1]
+        cut = bisect_left(right, g)
+        beyond[i] = [g] * (cut + 1) + right[cut:]
+    rows = []
+    left: list[int] = []
+    for i in range(n):
+        if i:
+            g = gaps[i - 1]
+            cut = bisect_right(left, -g, key=neg)  # first entry below g
+            left = left[:cut] + [g] * (i - cut)
+        rows.append(left + [0] + beyond[i])
+        beyond[i] = []  # each half row is dropped once used, to bound peak memory
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    take = itemgetter(*pos)
+    return tuple(take(rows[k]) for k in pos)
 
 
 @dataclass(frozen=True)

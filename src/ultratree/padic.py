@@ -92,15 +92,18 @@ def _strip_factor(value: int, p: int) -> tuple[int, int]:
     return value, count
 
 
-def padic_valuation(t: Fraction, p: int) -> PadicNorm:
-    """Norm of t under prime p: p^(−γ) where t = p^γ · m/n, or zero for t = 0."""
-    p = _require_prime(p)
-    t = Fraction(t)
+def _norm(t: Fraction, p: int) -> PadicNorm:
+    """p-adic norm of t for a prime p the caller has already checked."""
     if t == 0:
         return PadicNorm(p, None)
     _, up = _strip_factor(abs(t.numerator), p)
     _, down = _strip_factor(t.denominator, p)
     return PadicNorm(p, up - down)
+
+
+def padic_valuation(t: Fraction, p: int) -> PadicNorm:
+    """Norm of t under prime p: p^(−γ) where t = p^γ · m/n, or zero for t = 0."""
+    return _norm(Fraction(t), _require_prime(p))
 
 
 def padic_distance(t: Fraction, w: Fraction, p: int) -> Fraction:
@@ -126,12 +129,7 @@ def dp_metric(p: int) -> Callable[[Fraction, Fraction], Fraction]:
     p = _require_prime(p)
 
     def metric(t: Fraction, w: Fraction) -> Fraction:
-        t = Fraction(t) - Fraction(w)
-        if t == 0:
-            return Fraction(0)
-        _, up = _strip_factor(abs(t.numerator), p)
-        _, down = _strip_factor(t.denominator, p)
-        return PadicNorm(p, up - down).norm
+        return _norm(Fraction(t) - Fraction(w), p).norm
 
     return metric
 

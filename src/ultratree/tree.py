@@ -9,6 +9,12 @@ endpoint labels equal to zero (a *non-degenerate* labeling).
 Vertex identifiers are opaque strings externally; internally they map to
 dense indices. Trees are immutable after validation, so derived structures
 (PathMaxIndex, distance matrices) can cache freely.
+
+Both derived structures start from Kruskal's merge order: merging the
+edges by ascending weight (the larger endpoint label) and appending
+component to component lists the vertices so that the path maximum of
+any two is the largest gap between them. The index answers one pair by
+a range maximum over the gaps; the matrix is filled from the gaps.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -30,7 +35,7 @@ from .errors import (
     NotConnected,
     UnknownVertex,
 )
-from .metric import FiniteUltrametricSpace
+from .metric import FiniteUltrametricSpace, _ranks_from_gaps
 from .rationals import parse_rational
 
 
@@ -173,104 +178,52 @@ def is_nondegenerate(tree: LabeledTree) -> bool:
 
 
 class PathMaxIndex:
-    """Binary-lifting index answering path-maximum label queries.
+    """Range-maximum index answering path-maximum label queries.
 
-    Preprocessing is O(n log d) for maximum depth d; each query is
-    O(log d). Labels are compressed to integer ranks once, so the hot
-    loops compare small ints; results are mapped back to exact Fractions.
+    Edges are weighted by the larger rank of their endpoint labels and
+    put in Kruskal's merge order (:func:`_kruskal_order`), where the path
+    maximum of two vertices is the largest gap between them. A sparse
+    table of gap maxima over power-of-two spans makes the build
+    O(n log n) and each query O(1). Labels are compressed to integer
+    ranks once, so the hot loops compare small ints; results are mapped
+    back to exact Fractions.
     """
 
-    __slots__ = ("tree", "_values", "_rank", "_depth", "_up", "_upmax", "_levels")
+    __slots__ = ("tree", "_values", "_rank", "_pos", "_table")
 
     def __init__(self, tree: LabeledTree):
         self.tree = tree
-        n = tree.n
         values, rank = _label_ranks(tree)
-
-        adj = tree.adjacency()
-        parent = [0] * n
-        depth = [0] * n
-        order = []
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    stack.append(w)
-
-        max_depth = max(depth) if n > 1 else 0
-        levels = max(1, max_depth.bit_length())
-        up = [parent]
-        upmax = [rank[:]]  # segment of length 1: the vertex itself
-        for k in range(1, levels):
-            prev_up = up[k - 1]
-            prev_max = upmax[k - 1]
-            nxt_up = [0] * n
-            nxt_max = [0] * n
-            for v in range(n):
-                mid = prev_up[v]
-                nxt_up[v] = prev_up[mid]
-                a = prev_max[v]
-                b = prev_max[mid]
-                nxt_max[v] = a if a >= b else b
-            up.append(nxt_up)
-            upmax.append(nxt_max)
+        weights = [max(rank[i], rank[j]) for i, j in tree.edges]
+        order, gaps = _kruskal_order(tree.n, tree.edges, weights)
+        pos = [0] * tree.n
+        for k, v in enumerate(order):
+            pos[v] = k
+        # table[k][i] = max(gaps[i : i + 2**k])
+        table = [gaps]
+        span = 1
+        while 2 * span <= len(gaps):
+            prev = table[-1]
+            table.append([a if a >= b else b for a, b in zip(prev, prev[span:])])
+            span *= 2
 
         self._values = values
         self._rank = rank
-        self._depth = depth
-        self._up = up
-        self._upmax = upmax
-        self._levels = levels
+        self._pos = pos
+        self._table = table
 
     def _path_max_rank(self, u: int, v: int) -> int:
-        rank = self._rank
         if u == v:
-            return rank[u]
-        depth = self._depth
-        up = self._up
-        upmax = self._upmax
-        best = rank[u]
-        if rank[v] > best:
-            best = rank[v]
-        du, dv = depth[u], depth[v]
-        if du < dv:
-            u, v, du, dv = v, u, dv, du
-        diff = du - dv
-        k = 0
-        while diff:
-            if diff & 1:
-                m = upmax[k][u]
-                if m > best:
-                    best = m
-                u = up[k][u]
-            diff >>= 1
-            k += 1
-        if u == v:
-            return best
-        for k in range(self._levels - 1, -1, -1):
-            uk = up[k]
-            if uk[u] != uk[v]:
-                mk = upmax[k]
-                m = mk[u]
-                if m > best:
-                    best = m
-                m = mk[v]
-                if m > best:
-                    best = m
-                u = uk[u]
-                v = uk[v]
-        # u and v now sit just below their lowest common ancestor.
-        for r in (rank[u], rank[v], rank[self._up[0][u]]):
-            if r > best:
-                best = r
-        return best
+            return self._rank[u]
+        i, j = self._pos[u], self._pos[v]
+        if i > j:
+            i, j = j, i
+        # two spans of 2**k gaps cover gaps[i:j] from both ends
+        k = (j - i).bit_length() - 1
+        row = self._table[k]
+        a = row[i]
+        b = row[j - (1 << k)]
+        return a if a >= b else b
 
     def path_max(self, u: str, v: str) -> Fraction:
         """Maximum label over the path joining u and v, endpoints included."""
@@ -304,11 +257,10 @@ def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
 
     Raises DegenerateLabeling (with the violating edge) when some edge has
     both labels zero; validity of the result is then guaranteed by
-    construction. Vertices are activated in ascending label order and
-    union-found with their active neighbours, which is Kruskal's order
-    on edges weighted by their larger endpoint label: when a vertex
-    joins two components, every pair across them has it as the path
-    maximum. Runs in O(n²), the size of the output.
+    construction. Edges weighted by their larger endpoint label are
+    merged in Kruskal's order, which lists the vertices so that every
+    distance is the largest gap between them; the matrix is filled from
+    those gaps in O(n²), the size of the output.
     """
     bad = degenerate_edge(tree)
     if bad is not None:
@@ -317,31 +269,31 @@ def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
     weights = [max(rank[i], rank[j]) for i, j in tree.edges]
     realized = sorted(set(weights))  # the later endpoint's label is a distance
     level = {r: k for k, r in enumerate(realized, 1)}
-    ranks = _kruskal_fill(tree.n, tree.edges, [level[w] for w in weights])
+    order, gaps = _kruskal_order(tree.n, tree.edges, [level[w] for w in weights])
     values = (Fraction(0),) + tuple(labels[r] for r in realized)
-    return FiniteUltrametricSpace(tree.vertices, ranks, values)
+    return FiniteUltrametricSpace(tree.vertices, _ranks_from_gaps(order, gaps), values)
 
 
-def _kruskal_fill(
-    n: int, edges: Sequence[tuple[int, int]], levels: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Rank matrix of the path maximum over a tree with ranked edges.
+def _kruskal_order(
+    n: int, edges: Sequence[tuple[int, int]], weights: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Kruskal's merge order of a tree with weighted edges.
 
-    Edges are merged in ascending rank (ties by position); merging
-    components A and B gives every pair across them that edge's rank.
-    Each component is kept as a linked block, the smaller block placed
-    first, so every component ever formed is a contiguous run of the
-    final vertex order. A merge then writes one slice per vertex of the
-    smaller block, O(n log n) slice writes in all, and the lower triangle
-    comes from a transpose.
+    Returns the vertices in an order where the largest edge weight on the
+    path between ``order[i]`` and ``order[j]`` (i < j) is ``max(gaps[i:j])``:
+    the leaf order of the Kruskal reconstruction tree (Demaine, Landau &
+    Weimann, ICALP 2009), whose lowest common ancestors become range
+    maxima (Bender & Farach-Colton, LATIN 2000).
+    Edges are merged in ascending weight (ties by position). Each
+    component is kept as a linked block, and a merge appends the second
+    block to the first with the edge's weight as the gap at the join:
+    every gap inside either block is no larger, so the join is the
+    largest gap between any pair across them.
     """
-    if n == 1:
-        return ((0,),)
     parent = list(range(n))
-    size = [1] * n
-    head = list(range(n))
-    tail = list(range(n))
+    tail = list(range(n))  # last vertex of each root's block
     after = [-1] * n  # next vertex in the block's linked order
+    gap_after = [0] * n
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -349,37 +301,19 @@ def _kruskal_fill(
             x = parent[x]
         return x
 
-    merges = []  # (first vertex of the merged block, first size, second size, rank)
-    for e in sorted(range(len(edges)), key=levels.__getitem__):
+    for e in sorted(range(len(edges)), key=weights.__getitem__):
         a, b = (find(v) for v in edges[e])
-        if size[a] > size[b]:
-            a, b = b, a
-        merges.append((head[a], size[a], size[b], levels[e]))
-        after[tail[a]] = head[b]
-        head[b] = head[a]
-        parent[a] = b
-        size[b] += size[a]
-
+        # a root is its block's first vertex: b's block goes after a's
+        after[tail[a]] = b
+        gap_after[tail[a]] = weights[e]
+        tail[a] = tail[b]
+        parent[b] = a
     order = []
-    v = head[find(0)]
+    v = find(0)
     while v != -1:
         order.append(v)
         v = after[v]
-    pos = [0] * n
-    for k, v in enumerate(order):
-        pos[v] = k
-
-    upper = [[0] * n for _ in range(n)]  # in block order, above the diagonal
-    for first, size_a, size_b, r in merges:
-        start = pos[first]
-        cut = start + size_a
-        run = [r] * size_b
-        for x in range(start, cut):
-            upper[x][cut : cut + size_b] = run
-    columns = list(zip(*upper))
-    full = [columns[k][:k] + tuple(upper[k][k:]) for k in range(n)]
-    take = itemgetter(*pos)
-    return tuple(take(full[k]) for k in pos)
+    return order, [gap_after[v] for v in order[:-1]]
 
 
 def canonical_labeling(tree: LabeledTree) -> LabeledTree:

@@ -2,9 +2,10 @@
 
 These are the straightforward versions the integer-rank core replaced:
 the O(n³) triple scan for the strong triangle inequality, analyses that
-compare Fractions entry by entry, and the tree metric by one binary-lifting
-query per pair. They read only ``space.points`` and the derived
-``space.matrix`` view, never the ranks. The one exception is
+compare Fractions entry by entry, the binary-lifting path-maximum index
+that the range maximum over Kruskal's merge order replaced, and the tree
+metric by one binary-lifting query per pair. They read only
+``space.points`` and the derived ``space.matrix`` view, never the ranks. The one exception is
 ``weak_similarity_search``, the backtracking search over point bijections
 that the canonical-dendrogram test replaced: it matches rank matrices, as
 it did in the library, and shares no code with the canonical form.
@@ -31,7 +32,7 @@ from ultratree.errors import (
     TooSmall,
 )
 from ultratree.metric import FiniteUltrametricSpace, WeakSimilarityWitness
-from ultratree.tree import PathMaxIndex, degenerate_edge
+from ultratree.tree import LabeledTree, degenerate_edge
 from ultratree.errors import DegenerateLabeling
 
 ZERO = Fraction(0)
@@ -326,12 +327,121 @@ def restrict(space, subset):
     )
 
 
+class LiftingPathMaxIndex:
+    """Binary-lifting index answering path-maximum label queries.
+
+    Preprocessing is O(n log d) for maximum depth d; each query is
+    O(log d). Labels are compressed to integer ranks once, so the hot
+    loops compare small ints; results are mapped back to exact Fractions.
+    """
+
+    __slots__ = ("tree", "_values", "_rank", "_depth", "_up", "_upmax", "_levels")
+
+    def __init__(self, tree: LabeledTree):
+        self.tree = tree
+        n = tree.n
+        values = sorted(set(tree.labels))
+        pos = {v: r for r, v in enumerate(values)}
+        rank = [pos[lab] for lab in tree.labels]
+
+        adj = tree.adjacency()
+        parent = [0] * n
+        depth = [0] * n
+        order = []
+        seen = [False] * n
+        stack = [0]
+        seen[0] = True
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    stack.append(w)
+
+        max_depth = max(depth) if n > 1 else 0
+        levels = max(1, max_depth.bit_length())
+        up = [parent]
+        upmax = [rank[:]]  # segment of length 1: the vertex itself
+        for k in range(1, levels):
+            prev_up = up[k - 1]
+            prev_max = upmax[k - 1]
+            nxt_up = [0] * n
+            nxt_max = [0] * n
+            for v in range(n):
+                mid = prev_up[v]
+                nxt_up[v] = prev_up[mid]
+                a = prev_max[v]
+                b = prev_max[mid]
+                nxt_max[v] = a if a >= b else b
+            up.append(nxt_up)
+            upmax.append(nxt_max)
+
+        self._values = values
+        self._rank = rank
+        self._depth = depth
+        self._up = up
+        self._upmax = upmax
+        self._levels = levels
+
+    def _path_max_rank(self, u: int, v: int) -> int:
+        rank = self._rank
+        if u == v:
+            return rank[u]
+        depth = self._depth
+        up = self._up
+        upmax = self._upmax
+        best = rank[u]
+        if rank[v] > best:
+            best = rank[v]
+        du, dv = depth[u], depth[v]
+        if du < dv:
+            u, v, du, dv = v, u, dv, du
+        diff = du - dv
+        k = 0
+        while diff:
+            if diff & 1:
+                m = upmax[k][u]
+                if m > best:
+                    best = m
+                u = up[k][u]
+            diff >>= 1
+            k += 1
+        if u == v:
+            return best
+        for k in range(self._levels - 1, -1, -1):
+            uk = up[k]
+            if uk[u] != uk[v]:
+                mk = upmax[k]
+                m = mk[u]
+                if m > best:
+                    best = m
+                m = mk[v]
+                if m > best:
+                    best = m
+                u = uk[u]
+                v = uk[v]
+        # u and v now sit just below their lowest common ancestor.
+        for r in (rank[u], rank[v], rank[self._up[0][u]]):
+            if r > best:
+                best = r
+        return best
+
+    def path_max(self, u: str, v: str) -> Fraction:
+        """Maximum label over the path joining u and v, endpoints included."""
+        ui = self.tree.index_of(u)
+        vi = self.tree.index_of(v)
+        return self._values[self._path_max_rank(ui, vi)]
+
+
 def tree_matrix(tree):
     """One binary-lifting path-maximum query per pair."""
     bad = degenerate_edge(tree)
     if bad is not None:
         raise DegenerateLabeling(bad)
-    index = PathMaxIndex(tree)
+    index = LiftingPathMaxIndex(tree)
     return tuple(
         tuple(
             ZERO if i == j else index.path_max(tree.vertices[i], tree.vertices[j])
@@ -339,6 +449,31 @@ def tree_matrix(tree):
         )
         for i in range(tree.n)
     )
+
+
+def dendrogram_lca_levels(dendro):
+    """Level of the lowest common ancestor of every pair of leaves, the
+    leaves numbered depth first with children in stored order; 0 on the
+    diagonal."""
+
+    def leaves(node, first):
+        """Leaf numbers under node, filling in the pairs it separates."""
+        if node.is_leaf:
+            return [first]
+        runs = []
+        for child in node.children:
+            runs.append(leaves(child, first + sum(map(len, runs))))
+        for a, run in enumerate(runs):
+            for other in runs[a + 1:]:
+                for i in run:
+                    for j in other:
+                        levels[i][j] = levels[j][i] = node.level
+        return [i for run in runs for i in run]
+
+    n = dendro.leaf_count()
+    levels = [[0] * n for _ in range(n)]
+    leaves(dendro, 0)
+    return levels
 
 
 def dfs_path_max(tree, root):

@@ -251,6 +251,15 @@ class TestSamplerVerbs:
             main(["enumerate", "--n", "3", "--check", "bogus"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate", "--n", "3", "--check", "con3", "--jobs", jobs])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err and f"got {jobs}" in captured.err
+
 
 class TestImports:
     def test_validate_loads_no_campaign_code(self, tree_file):

@@ -397,6 +397,38 @@ class TestCon3Campaign:
         parallel = check_con3(5, jobs=2).to_json_dict()
         assert sequential == parallel
 
+    @pytest.mark.parametrize(
+        "jobs,cpus,items,workers",
+        [(100_000, 2, 50, 2), (100_000, None, 50, None), (3, 8, 2, 2), (4, 8, 50, 4), (2, 1, 50, None)],
+    )
+    def test_pool_size_is_bounded(self, monkeypatch, jobs, cpus, items, workers):
+        # a stand-in pool that records its size and maps in process, so no
+        # worker is ever started whatever size is asked for
+        import concurrent.futures
+
+        from ultratree import explorer
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                assert chunksize == max(1, len(items) // (started[-1] * 4))
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
+        assert explorer._parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
+        assert started == ([] if workers is None else [workers])
+
 
 class TestHolCampaign:
     def test_three_points(self):

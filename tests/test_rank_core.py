@@ -3,7 +3,8 @@
 Three angles: every weak-similarity class with n <= 6 (also relabeled,
 permuted and pushed through validation), hypothesis over random trees,
 p-adic samples and perturbed matrices (same results, same exception
-types), and the union-find tree fill against binary lifting and DFS.
+types), and the tree fill, the path-maximum index and the gap fill
+against binary lifting, DFS and brute force.
 """
 
 import random
@@ -46,7 +47,8 @@ from ultratree.errors import (
     StrongTriangleViolation,
     UltratreeError,
 )
-from ultratree.metric import FiniteUltrametricSpace
+from ultratree.metric import FiniteUltrametricSpace, _ranks_from_gaps
+from ultratree.tree import LabeledTree
 
 F = Fraction
 
@@ -246,6 +248,77 @@ def test_union_find_fill_on_shapes_with_ties():
     )
     for tree in (star, path):
         assert distance_matrix(tree).matrix == oracles.tree_matrix(tree)
+
+
+# --- the range-maximum index and the gap fill ------------------------------------------
+
+def assert_index_agrees(tree, roots=None):
+    """PathMaxIndex against binary lifting and per-root DFS, every pair."""
+    index = PathMaxIndex(tree)
+    lifting = oracles.LiftingPathMaxIndex(tree)
+    for i in range(tree.n) if roots is None else roots:
+        dfs = oracles.dfs_path_max(tree, i)
+        for j in range(tree.n):
+            assert index._values[index._path_max_rank(i, j)] == dfs[j]
+            assert lifting._values[lifting._path_max_rank(i, j)] == dfs[j]
+
+
+@given(
+    st.integers(1, 60),
+    st.lists(st.fractions(min_value=0, max_value=4, max_denominator=2), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_path_max_index_matches_lifting_and_dfs(n, pool, seed):
+    # labels drawn afresh on a random shape, so zero-zero edges occur:
+    # the index accepts degenerate labelings that distance_matrix refuses
+    shape = random_labeled_tree(n, [1], seed=seed)
+    rng = random.Random(seed)
+    tree = LabeledTree(shape.vertices, shape.edges, tuple(rng.choice(pool) for _ in range(n)))
+    assert_index_agrees(tree)
+
+
+def test_path_max_index_on_extreme_shapes():
+    single = validate_tree(["a"], [], {"a": 3})
+    pair = validate_tree(["a", "b"], [("a", "b")], {"a": 0, "b": 0})
+    star = validate_tree(
+        [f"v{i}" for i in range(30)],
+        [("v0", f"v{i}") for i in range(1, 30)],
+        {f"v{i}": i % 4 for i in range(30)},
+    )
+    for tree in (single, pair, star):
+        assert_index_agrees(tree)
+    names = [f"v{i}" for i in range(2000)]
+    rng = random.Random(4)
+    path = validate_tree(
+        names, list(zip(names, names[1:])), {v: rng.randrange(6) for v in names}
+    )
+    assert_index_agrees(path, roots=[0, 1, 999, 1998, 1999])
+
+
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)), st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1)
+    )
+))
+@settings(max_examples=200, deadline=None)
+def test_ranks_from_gaps_is_the_largest_gap_between(case):
+    order, gaps = case
+    ranks = _ranks_from_gaps(order, gaps)
+    n = len(order)
+    for i in range(n):
+        for j in range(n):
+            a, b = sorted((i, j))
+            assert ranks[order[i]][order[j]] == (max(gaps[a:b]) if a < b else 0)
+
+
+def test_dendrogram_to_space_realizes_lca_levels_in_leaf_order():
+    for n in range(1, 8):
+        for dendro in enumerate_dendrograms(n):
+            space = dendrogram_to_space(dendro)
+            expected = oracles.dendrogram_lca_levels(dendro)
+            assert space.points == tuple(f"x{i + 1}" for i in range(n))
+            assert space.matrix == tuple(tuple(map(F, row)) for row in expected)
 
 
 # --- deep chains and unvalidated zero entries -------------------------------------------
