@@ -254,6 +254,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.verb == "enumerate" and args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    if args.verb in ("enumerate", "random-tree") and args.n < 1:
+        parser.error(f"argument --n: must be at least 1, got {args.n}")
     try:
         return _run(args)
     except TooLarge as exc:

@@ -32,21 +32,18 @@ from .formats import matrix_csv_string
 from .metric import (
     Dendrogram,
     FiniteUltrametricSpace,
+    _ball_sets,
     _diameter_split,
     _ranks_from_gaps,
-    ball,
+    _sphere_center,
+    _sphere_sets,
     center_of_distances,
     diameter,
     diametrical_graph,
-    distance_set,
     enumerate_balls,
     enumerate_centered_spheres,
-    is_centered_sphere,
     is_equidistant,
     multipartite_parts,
-    pointwise_distance_set,
-    restrict,
-    space_to_dendrogram,
     spanning_star,
     weak_similarity,
 )
@@ -489,12 +486,13 @@ def check_theorem_suite(
     suite.
     """
     n = space.n
+    everyone = range(n)
     diam = diameter(space)
     center = center_of_distances(space)
-    spheres = _sphere_family(space)
-    open_list = enumerate_balls(space, "open")
-    open_balls = {b.members for b in open_list}
-    closed_balls = _ball_family(space, "closed")
+    spheres = set(_sphere_sets(space))
+    ball_cuts = _ball_sets(space)
+    # every open ball is a closed ball and back: the same index sets
+    balls = set(ball_cuts)
     results: dict = {}
     failures: list = []
 
@@ -534,33 +532,30 @@ def check_theorem_suite(
         equi = is_equidistant(space) is not None
         record(
             "equidistance-equivalence",
-            equi == (spheres == open_balls) == (spheres <= open_balls),
+            equi == (spheres == balls) == (spheres <= balls),
         )
-    ok_irrelevance = True
-    for b in open_list:
-        for a in b.members:
-            if ball(space, a, b.radius, "open").members != b.members:
-                ok_irrelevance = False
-    record("ball-center-irrelevance", ok_irrelevance)
-    ok_relative = True
-    for b in open_list:
-        outer = is_centered_sphere(space, b.members) is not None
-        inner = is_centered_sphere(restrict(space, b.members), b.members) is not None
-        if outer != inner:
-            ok_relative = False
-    record("ball-relative-spheres", ok_relative)
-    probe_radii = [v for v in distance_set(space).values if v > 0] + [diam + 1]
     record(
-        "pointwise-greatest-below",
+        "ball-center-irrelevance",
         all(
-            pointwise.greatest_below(r) is not None
-            for pointwise in (pointwise_distance_set(space, p) for p in space.points)
-            for r in probe_radii
+            {j for j, r in enumerate(space.ranks[a]) if r < cut} == members
+            for members, (_, cut) in ball_cuts.items()
+            for a in members
         ),
     )
     record(
+        "ball-relative-spheres",
+        all(
+            (_sphere_center(space, idxs, everyone) is None)
+            == (_sphere_center(space, idxs, idxs) is None)
+            for idxs in map(sorted, ball_cuts)
+        ),
+    )
+    # the probe radii are the rank cuts 1..len(values), the last above the
+    # diameter: a distance below every cut is one below the first
+    record("pointwise-greatest-below", all(min(row) < 1 for row in space.ranks))
+    record(
         "singletons-are-spheres",
-        all(is_centered_sphere(space, [p]) is not None for p in space.points),
+        all(_sphere_center(space, [i], everyone) is not None for i in everyone),
     )
 
     if is_ut_hint:
@@ -573,18 +568,17 @@ def check_theorem_suite(
             record(
                 "ut-star-equivalence",
                 b_center == b_singleton == b_star,
-                f"center-dichotomy={b_center} singleton-part={b_singleton} star={b_star}",
+                note,
             )
-            whole = is_centered_sphere(space, space.points)
+            whole = _sphere_center(space, everyone, everyone)
             record(
                 "ut-whole-space-sphere",
-                whole is not None and whole.radius == diam,
+                whole is not None and space.values[whole[1]] == diam,
             )
             record("ut-spanning-star", b_star)
-        record("ut-open-balls-are-spheres", open_balls <= spheres)
-        closed_ok = closed_balls <= spheres
+        record("ut-open-balls-are-spheres", balls <= spheres)
         results["ut-closed-balls-are-spheres"] = {
-            "verdict": "CONSISTENT" if closed_ok else "COUNTEREXAMPLE",
+            "verdict": "CONSISTENT" if balls <= spheres else "COUNTEREXAMPLE",
             "status": "search evidence",
         }
 

@@ -50,6 +50,7 @@ def parse_tree_json(text: str) -> LabeledTree:
         if not all(isinstance(v, str) for v in edge):
             raise FormatError(f"edge {edge!r} must name its endpoints by vertex strings")
     labels = {}
+    parsed: dict[str, Fraction] = {}  # each distinct label text is parsed once
     for vertex, value in labels_raw.items():
         if isinstance(value, bool) or isinstance(value, float):
             raise FormatError(
@@ -59,7 +60,9 @@ def parse_tree_json(text: str) -> LabeledTree:
             value = str(value)
         if not isinstance(value, str):
             raise FormatError(f"label for {vertex!r} must be a rational string")
-        labels[vertex] = parse_rational(value)
+        if value not in parsed:
+            parsed[value] = parse_rational(value)
+        labels[vertex] = parsed[value]
     return validate_tree(vertices, edges, labels)
 
 

@@ -343,47 +343,40 @@ def _index_sets_sorted(found: dict) -> list:
     return sorted(found, key=lambda idx: (len(idx), sorted(idx)))
 
 
+def _ball_sets(space: FiniteUltrametricSpace) -> dict[frozenset[int], tuple[int, int]]:
+    """Every distinct ball as an index set, with its least (center, cut).
+
+    A ball is the set of points whose rank in the center's row is below a
+    cut c = 1..len(values): the open ball of radius ``values[c]`` (the
+    sentinel diameter + 1 for the last cut) and the closed ball of radius
+    ``values[c - 1]`` alike. In a row's rank-sorted order a ball ends where
+    the next rank is larger; its least cut is one above its last rank.
+    """
+    k = len(space.values)
+    found: dict[frozenset[int], tuple[int, int]] = {}
+    for ci, row in enumerate(space.ranks):
+        by_rank = sorted(range(space.n), key=row.__getitem__)
+        sorted_ranks = [row[i] for i in by_rank]
+        for size, (r, after) in enumerate(zip(sorted_ranks, sorted_ranks[1:] + [k]), 1):
+            if after > r:
+                found.setdefault(frozenset(by_rank[:size]), (ci, r + 1))
+    return found
+
+
 def enumerate_balls(
     space: FiniteUltrametricSpace, kind: BallKind = "open"
 ) -> tuple[Ball, ...]:
-    """Every distinct ball of the space, one representative each.
-
-    Open-ball member sets only change when the radius crosses a realized
-    distance, so sweeping the distance values (plus one sentinel above the
-    diameter) is exhaustive. Deduplication is by member set; the reported
-    (center, radius) is the least certificate in the sweep, by point index
-    then radius.
-    """
+    """Every distinct ball of the space, one least (center, radius) each,
+    by point index then radius: the cuts of :func:`_ball_sets` as radii."""
     values = space.values
-    k = len(values)
-    # (cut, radius): the ball is every point whose rank is below the cut
-    if kind == "open":
-        cuts = [(c, values[c]) for c in range(1, k)] + [(k, values[-1] + 1)]
-    else:
-        cuts = [(c + 1, values[c]) for c in range(k)]
-    n = space.n
-    found: dict[frozenset[int], tuple[int, Fraction]] = {}
-    for ci, row in enumerate(space.ranks):
-        by_rank = sorted(range(n), key=row.__getitem__)
-        below = [0] * (k + 1)  # below[c]: how many points have rank < c
-        for r in row:
-            below[r + 1] += 1
-        for c in range(1, k + 1):
-            below[c] += below[c - 1]
-        last = 0
-        for cut, radius in cuts:
-            size = below[cut]
-            if size == last:
-                continue  # the same ball as at the previous radius
-            last = size
-            members = frozenset(by_rank[:size])
-            if members not in found:
-                found[members] = (ci, radius)
+    # the radius of cut c is radii[c - 1]
+    radii = (*values[1:], values[-1] + 1) if kind == "open" else values
+    found = _ball_sets(space)
     points = space.points
     balls = []
     for members in _index_sets_sorted(found):
-        ci, radius = found[members]
-        balls.append(Ball(kind, points[ci], radius, frozenset(points[i] for i in members)))
+        ci, cut = found[members]
+        balls.append(Ball(kind, points[ci], radii[cut - 1], frozenset(points[i] for i in members)))
     return tuple(balls)
 
 
@@ -392,6 +385,27 @@ class SphereCertificate:
     center: str
     radius: Fraction
     subset: frozenset[str]
+
+
+def _sphere_center(
+    space: FiniteUltrametricSpace, idxs: Sequence[int], among: Iterable[int]
+) -> Optional[tuple[int, int]]:
+    """The least (c, r) for which {c} ∪ {x in among : rank(c, x) = r} is
+    exactly the ascending ``idxs``, or None. ``among`` is every point for a
+    sphere of the space, or ``idxs`` for one of the subspace on ``idxs``,
+    whose ranks compare as the ambient ones do."""
+    wanted = set(idxs)
+    for ci in idxs:
+        row = space.ranks[ci]
+        rest = {row[j] for j in idxs if j != ci}
+        if len(rest) > 1:
+            continue
+        radius = rest.pop() if rest else 0
+        realized = {i for i in among if row[i] == radius}
+        realized.add(ci)
+        if realized == wanted:
+            return ci, radius
+    return None
 
 
 def is_centered_sphere(
@@ -405,41 +419,32 @@ def is_centered_sphere(
     idxs = sorted({space.index_of(p) for p in subset})
     if not idxs:
         raise EmptySubset()
-    wanted = set(idxs)
-    for ci in idxs:
-        row = space.ranks[ci]
-        rest = {row[j] for j in idxs if j != ci}
-        if len(rest) > 1:
-            continue
-        radius = rest.pop() if rest else 0
-        realized = {i for i, r in enumerate(row) if r == radius}
-        realized.add(ci)
-        if realized == wanted:
-            return SphereCertificate(
-                space.points[ci],
-                space.values[radius],
-                frozenset(space.points[i] for i in idxs),
-            )
-    return None
+    found = _sphere_center(space, idxs, range(space.n))
+    if found is None:
+        return None
+    members = frozenset(space.points[i] for i in idxs)
+    return SphereCertificate(space.points[found[0]], space.values[found[1]], members)
 
 
-def enumerate_centered_spheres(
-    space: FiniteUltrametricSpace,
-) -> tuple[SphereCertificate, ...]:
-    """Every distinct centered sphere, one least (center, radius) each.
-
-    For a center c only radii in c's pointwise distance set produce
-    anything beyond the singleton {c}, so that sweep is exhaustive.
-    """
+def _sphere_sets(space: FiniteUltrametricSpace) -> dict[frozenset[int], tuple[int, int]]:
+    """Every distinct centered sphere as an index set, with its least
+    (center, rank). A row's rank buckets are exhaustive and disjoint, so
+    they give distinct sets, and the first center to give a set is least."""
     found: dict[frozenset[int], tuple[int, int]] = {}
     for ci, row in enumerate(space.ranks):
         spheres: dict[int, list[int]] = {}
         for i, r in enumerate(row):
             spheres.setdefault(r, []).append(i)
-        for r in sorted(spheres):
-            subset = frozenset(spheres[r]) | {ci}
-            if subset not in found:
-                found[subset] = (ci, r)
+        for r, bucket in spheres.items():
+            found.setdefault(frozenset(bucket) | {ci}, (ci, r))
+    return found
+
+
+def enumerate_centered_spheres(
+    space: FiniteUltrametricSpace,
+) -> tuple[SphereCertificate, ...]:
+    """Every distinct centered sphere, one least (center, radius) each."""
+    found = _sphere_sets(space)
     points = space.points
     certs = []
     for subset in _index_sets_sorted(found):

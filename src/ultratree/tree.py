@@ -35,7 +35,7 @@ from .errors import (
     NotConnected,
     UnknownVertex,
 )
-from .metric import FiniteUltrametricSpace, _ranks_from_gaps
+from .metric import FiniteUltrametricSpace, _rank_entries, _ranks_from_gaps
 from .rationals import parse_rational
 
 
@@ -133,7 +133,10 @@ def validate_tree(
         if name not in labels:
             raise MissingLabel(name)
         value = labels[name]
-        frac = parse_rational(value) if isinstance(value, str) else Fraction(value)
+        if type(value) is Fraction:
+            frac = value  # the same object, so equal labels stay shared for ranking
+        else:
+            frac = parse_rational(value) if isinstance(value, str) else Fraction(value)
         if frac < 0:
             raise NegativeLabel(name, frac)
         parsed.append(frac)
@@ -193,7 +196,7 @@ class PathMaxIndex:
 
     def __init__(self, tree: LabeledTree):
         self.tree = tree
-        values, rank = _label_ranks(tree)
+        (rank,), values = _rank_entries([tree.labels])
         weights = [max(rank[i], rank[j]) for i, j in tree.edges]
         order, gaps = _kruskal_order(tree.n, tree.edges, weights)
         pos = [0] * tree.n
@@ -245,13 +248,6 @@ def label_distance(index: PathMaxIndex, u: str, v: str) -> Fraction:
     return index.distance(u, v)
 
 
-def _label_ranks(tree: LabeledTree) -> tuple[list[Fraction], list[int]]:
-    """The distinct labels in ascending order and each vertex's rank among them."""
-    values = sorted(set(tree.labels))
-    pos = {v: r for r, v in enumerate(values)}
-    return values, [pos[lab] for lab in tree.labels]
-
-
 def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
     """Build the exact distance matrix of the tree's ultrametric.
 
@@ -265,12 +261,11 @@ def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
     bad = degenerate_edge(tree)
     if bad is not None:
         raise DegenerateLabeling(bad)
-    labels, rank = _label_ranks(tree)
-    weights = [max(rank[i], rank[j]) for i, j in tree.edges]
-    realized = sorted(set(weights))  # the later endpoint's label is a distance
-    level = {r: k for k, r in enumerate(realized, 1)}
-    order, gaps = _kruskal_order(tree.n, tree.edges, [level[w] for w in weights])
-    values = (Fraction(0),) + tuple(labels[r] for r in realized)
+    labels = tree.labels
+    # every weight is positive and a distance: the later endpoint's label
+    weights = [max(labels[i], labels[j]) for i, j in tree.edges]
+    (levels,), values = _rank_entries([weights])
+    order, gaps = _kruskal_order(tree.n, tree.edges, levels)
     return FiniteUltrametricSpace(tree.vertices, _ranks_from_gaps(order, gaps), values)
 
 
@@ -349,10 +344,9 @@ def ball_subtree(tree: LabeledTree, ball: Iterable[str]) -> LabeledTree:
     if bad is not None:
         raise DegenerateLabeling(bad)
     index = PathMaxIndex(tree)
-    values = index._values
 
-    def dist(i: int, j: int) -> Fraction:
-        return Fraction(0) if i == j else values[index._path_max_rank(i, j)]
+    def dist(i: int, j: int) -> int:  # label ranks, with 0 ranked 0
+        return 0 if i == j else index._path_max_rank(i, j)
 
     center = min(members)
     if len(members) < tree.n:

@@ -9,9 +9,11 @@ metric by one binary-lifting query per pair. They read only
 ``weak_similarity_search``, the backtracking search over point bijections
 that the canonical-dendrogram test replaced: it matches rank matrices, as
 it did in the library, and shares no code with the canonical form.
-The last section holds the class enumeration on nested tuples and the
-campaign checks on each class's realized space, which the fold over
-interned dendrograms replaced.
+The class enumeration on nested tuples and the campaign checks on each
+class's realized space are what the fold over interned dendrograms
+replaced. The last section is the theorem suite through the public
+name-keyed API, which the suite on the rank matrix replaced; like that
+suite, it reads the ranks for its row-maximum check.
 """
 
 from __future__ import annotations
@@ -596,3 +598,146 @@ def center_size(space) -> int:
 def all_subsets_spheres(space) -> bool:
     """Whether every non-empty subset of the space is a centered sphere."""
     return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1
+
+
+# --- the name-keyed theorem suite ---------------------------------------------
+
+def theorem_suite(
+    space: FiniteUltrametricSpace, is_ut_hint: bool = False
+) -> "CampaignReport":
+    """The theorem suite through the public name-keyed API, as it ran
+    before the suite read the rank matrix: one ``ball``,
+    ``is_centered_sphere``, ``restrict`` or ``pointwise_distance_set``
+    call per ball or per point, radii and distance sets as Fractions.
+
+    The ball and sphere enumerations and the sphere test are this
+    module's Fraction-matrix versions, since the library's now wrap the
+    index cores the suite runs on; the rest is the library's API.
+    """
+    from ultratree.explorer import CampaignReport, _witness
+    from ultratree.metric import (
+        ball,
+        center_of_distances,
+        diameter,
+        diametrical_graph,
+        distance_set,
+        is_equidistant,
+        multipartite_parts,
+        pointwise_distance_set,
+        restrict,
+        spanning_star,
+    )
+
+    n = space.n
+    diam = diameter(space)
+    center = center_of_distances(space)
+    spheres = {subset for _, _, subset in enumerate_centered_spheres(space)}
+    open_list = enumerate_balls(space, "open")  # (center, radius, members) each
+    open_balls = {members for _, _, members in open_list}
+    closed_balls = {members for _, _, members in enumerate_balls(space, "closed")}
+    results: dict = {}
+    failures: list = []
+
+    def record(name: str, ok: bool, note: str = "") -> None:
+        results[name] = {"verdict": "PASS" if ok else "FAIL"}
+        if note:
+            results[name]["note"] = note
+        if not ok:
+            failures.append((name, note))
+
+    record(
+        "diameter-row-max",
+        all(max(row) == len(space.values) - 1 for row in space.ranks)
+        if n > 1
+        else diam == 0,
+    )
+    record("center-contains-zero", ZERO in center)
+    if n >= 2:
+        record("center-contains-diameter", diam in center)
+        b_center = center.values == (ZERO, diam)
+        graph = diametrical_graph(space)
+        try:
+            parts = multipartite_parts(graph).parts
+            b_singleton = any(len(p) == 1 for p in parts)
+            record("complete-multipartite", True)
+        except NotCompleteMultipartite as exc:  # would refute the input space
+            record("complete-multipartite", False, str(exc))
+            b_singleton = False
+        b_star = spanning_star(graph) is not None
+        # A spanning star forces the center to be exactly {0, diam} on any
+        # finite space, and a star is the same thing as a singleton part;
+        # the full three-way equivalence needs a tree-generated space (the
+        # two-pairs-at-different-scales 4-point class breaks the converse).
+        note = f"center-dichotomy={b_center} singleton-part={b_singleton} star={b_star}"
+        record("star-iff-singleton-part", b_singleton == b_star, note)
+        record("star-implies-center-dichotomy", (not b_star) or b_center, note)
+        equi = is_equidistant(space) is not None
+        record(
+            "equidistance-equivalence",
+            equi == (spheres == open_balls) == (spheres <= open_balls),
+        )
+    ok_irrelevance = True
+    for _, radius, members in open_list:
+        for a in members:
+            if ball(space, a, radius, "open").members != members:
+                ok_irrelevance = False
+    record("ball-center-irrelevance", ok_irrelevance)
+    ok_relative = True
+    for _, _, members in open_list:
+        outer = is_centered_sphere(space, members) is not None
+        inner = is_centered_sphere(restrict(space, members), members) is not None
+        if outer != inner:
+            ok_relative = False
+    record("ball-relative-spheres", ok_relative)
+    probe_radii = [v for v in distance_set(space).values if v > 0] + [diam + 1]
+    record(
+        "pointwise-greatest-below",
+        all(
+            pointwise.greatest_below(r) is not None
+            for pointwise in (pointwise_distance_set(space, p) for p in space.points)
+            for r in probe_radii
+        ),
+    )
+    record(
+        "singletons-are-spheres",
+        all(is_centered_sphere(space, [p]) is not None for p in space.points),
+    )
+
+    if is_ut_hint:
+        if n >= 2:
+            record("ut-center-dichotomy", center.values == (ZERO, diam))
+            record(
+                "ut-no-interior-center-value",
+                all(not (0 < v < diam) for v in center.values),
+            )
+            record(
+                "ut-star-equivalence",
+                b_center == b_singleton == b_star,
+                f"center-dichotomy={b_center} singleton-part={b_singleton} star={b_star}",
+            )
+            whole = is_centered_sphere(space, space.points)
+            record(
+                "ut-whole-space-sphere",
+                whole is not None and whole[1] == diam,
+            )
+            record("ut-spanning-star", b_star)
+        record("ut-open-balls-are-spheres", open_balls <= spheres)
+        closed_ok = closed_balls <= spheres
+        results["ut-closed-balls-are-spheres"] = {
+            "verdict": "CONSISTENT" if closed_ok else "COUNTEREXAMPLE",
+            "status": "search evidence",
+        }
+
+    verdict = "PASS" if not failures else "FAIL"
+    witnesses = []
+    if failures:
+        name, note = failures[0]
+        witnesses.append(_witness(f"first-failure:{name}", space, note))
+    return CampaignReport(
+        check="suite",
+        n=n,
+        instances=1,
+        verdict=verdict,
+        results=results,
+        witnesses=witnesses,
+    )

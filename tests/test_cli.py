@@ -260,6 +260,23 @@ class TestSamplerVerbs:
         assert captured.out == ""
         assert "--jobs" in captured.err and f"got {jobs}" in captured.err
 
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["enumerate", "--check", "con3"],
+            ["enumerate", "--check", "suite"],
+            ["random-tree", "--seed", "1", "--pool", "0,1"],
+        ],
+    )
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_is_a_usage_error(self, capsys, verb, n):
+        with pytest.raises(SystemExit) as err:
+            main([*verb, "--n", n])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n" in captured.err and f"got {n}" in captured.err
+
 
 class TestImports:
     def test_validate_loads_no_campaign_code(self, tree_file):

@@ -3,9 +3,11 @@
 ``perfbench/spans.py`` wraps each function listed in ``GROUPS`` by its
 dotted name, so renaming one (``_center_size``, ``_sphere_family``,
 ``PathMaxIndex.__init__``, ...) would break ``perfbench/run.py --trace 1``. The package's public names
-are pinned too.
+are pinned too, and no module of the package keeps a name it imports but
+never uses.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -69,3 +71,19 @@ def test_every_public_name_imports():
     assert set(PUBLIC_NAMES) <= set(namespace)
     for name in PUBLIC_NAMES:
         assert getattr(ultratree, name) is namespace[name]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(ultratree.__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_from_import_is_used(path):
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    unused = [
+        alias.asname or alias.name
+        for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name) not in used
+    ]
+    assert unused == []
