@@ -17,7 +17,7 @@ _EXPORTS = {
     "explorer": (
         "CampaignReport", "check_closed_balls", "check_con3", "check_hol",
         "check_theorem_suite", "dendrogram_to_space", "enumerate_dendrograms",
-        "is_ut", "merge_parts", "random_labeled_tree",
+        "is_ut", "merge_parts",
     ),
     "metric": (
         "Ball", "Dendrogram", "DiametricalGraph", "DistanceSet",
@@ -35,7 +35,8 @@ _EXPORTS = {
     ),
     "tree": (
         "LabeledTree", "PathMaxIndex", "ball_subtree", "canonical_labeling",
-        "distance_matrix", "is_nondegenerate", "label_distance", "validate_tree",
+        "distance_matrix", "is_nondegenerate", "label_distance", "random_labeled_tree",
+        "validate_tree",
     ),
 }
 _SUBMODULES = ("capacity", "errors", "explorer", "formats", "metric", "padic", "rationals", "tree")

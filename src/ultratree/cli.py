@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for con3, hol and suite (at most the CPU count)",
+        help="worker processes for hol and suite (at most the CPU count); "
+        "con3 and closed-balls always run in one process",
     )
 
     p = sub.add_parser("padic", help="p-adic distance matrix of a rational sample")
@@ -201,7 +202,7 @@ def _run(args: argparse.Namespace) -> int:
         from . import explorer
 
         if args.check == "con3":
-            report = explorer.check_con3(args.n, jobs=args.jobs)
+            report = explorer.check_con3(args.n)
         elif args.check == "hol":
             report = explorer.check_hol(args.n, jobs=args.jobs)
         elif args.check == "closed-balls":
@@ -239,10 +240,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "random-tree":
-        from . import explorer
-
         pool = parse_rational_list(args.pool)
-        t = explorer.random_labeled_tree(args.n, pool, args.seed)
+        t = tree.random_labeled_tree(args.n, pool, args.seed)
         sys.stdout.write(formats.tree_json_string(t))
         return 0
 

@@ -11,23 +11,17 @@ questions (center-size bound, all-subsets-spheres, closed balls).
 
 from __future__ import annotations
 
-import heapq
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .capacity import ALL_SUBSETS_SPHERES_FENCE, ENUMERATION_FENCE, require_within
-from .errors import (
-    EmptyPool,
-    FewerThanTwoBlocks,
-    NegativeInput,
-    NotCompleteMultipartite,
-    TooSmall,
-)
+from .errors import FewerThanTwoBlocks, NotCompleteMultipartite, TooSmall
 from .formats import matrix_csv_string
 from .metric import (
     Dendrogram,
@@ -47,7 +41,7 @@ from .metric import (
     spanning_star,
     weak_similarity,
 )
-from .tree import LabeledTree, distance_matrix, is_nondegenerate, validate_tree
+from .tree import LabeledTree, distance_matrix, random_labeled_tree, validate_tree
 
 ZERO = Fraction(0)
 
@@ -83,30 +77,55 @@ def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
     return list(rec(counts, None, []))
 
 
-def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
-    """Stream every weak-similarity class of n-point spaces exactly once.
+@dataclass
+class _Subtrees:
+    """The enumerator's interned subtrees, one entry per int id.
+
+    Id 0 is the leaf. ``nodes[i]`` is (level, child id, ...), children
+    sorted by key, and ``keys[i]`` the canonical key. Two values fold
+    bottom-up: ``full[i]`` has bit L set when the nodes at level L cover
+    every leaf of the subtree (none for a leaf; a node adds its own level
+    to the AND of its children's), and ``leafy[i]`` says every internal
+    node of the subtree has a leaf child.
+    """
+
+    nodes: list = field(default_factory=lambda: [(0,)])
+    keys: list = field(default_factory=lambda: ["L"])
+    full: list = field(default_factory=lambda: [0])
+    leafy: list = field(default_factory=lambda: [True])
+    built: list = field(default_factory=list)  # a Dendrogram or None per id
+
+    def dendrogram(self, nid: int) -> Dendrogram:
+        """The subtree as a ``Dendrogram``; each id is built once."""
+        built = self.built
+        if len(built) < len(self.nodes):
+            built.extend([None] * (len(self.nodes) - len(built)))
+        dendro = built[nid]
+        if dendro is None:
+            level, *children = self.nodes[nid]
+            dendro = built[nid] = Dendrogram(level, tuple(map(self.dendrogram, children)))
+        return dendro
+
+
+def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
+    """Stream the root id of every n-point class exactly once.
 
     Classes are built bottom-up: starting from n leaves, each step merges
     one or more groups (of at least two current roots) into new nodes at
     the next level. Every canonical dendrogram has a unique merge
-    history, so the walk needs no deduplication.
-
-    Subtrees are interned as ints with one key string each (id 0 is the
-    leaf), and a forest is a tuple of ids sorted by key, so forests hash
-    and compare ints and equal subtrees sit side by side. Each id becomes
-    a ``Dendrogram`` once, when a class that holds it is emitted.
+    history, so the walk needs no deduplication. A forest is a tuple of
+    ids sorted by key, so forests hash and compare ints and equal
+    subtrees sit side by side.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     require_within("class enumeration", n, ENUMERATION_FENCE)
     if n == 1:
-        yield Dendrogram(0)
+        yield 0
         return
 
-    keys = ["L"]
-    nodes: list[tuple[int, ...]] = [(0,)]  # (level, child id, ...) per id
+    nodes, keys, full, leafy = table.nodes, table.keys, table.full, table.leafy
     ids: dict[tuple[int, ...], int] = {}
-    dendros = [Dendrogram(0)]
     plans: dict[tuple[int, ...], list] = {}  # partitions by multiplicities
     key_of = keys.__getitem__
 
@@ -115,7 +134,10 @@ def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
         if nid is None:
             nid = ids[node] = len(keys)
             nodes.append(node)
-            keys.append("(%d:%s)" % (node[0], ",".join(map(key_of, node[1:]))))
+            level, *children = node
+            keys.append("(%d:%s)" % (level, ",".join(map(key_of, children))))
+            full.append(reduce(and_, map(full.__getitem__, children)) | 1 << level)
+            leafy.append(0 in children and all(map(leafy.__getitem__, children)))
         return nid
 
     def step(forest: tuple[int, ...], level: int) -> Iterator[int]:
@@ -139,11 +161,15 @@ def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
                 else:
                     yield from step(new_forest, level + 1)
 
-    for root in step((0,) * n, 1):
-        # children are interned before their parents, so ids build in order
-        for level, *children in nodes[len(dendros):root + 1]:
-            dendros.append(Dendrogram(level, tuple(map(dendros.__getitem__, children))))
-        yield dendros[root]
+    yield from step((0,) * n, 1)
+
+
+def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
+    """Stream every weak-similarity class of n-point spaces exactly once,
+    as canonical dendrograms in the order of :func:`_enumerate_ids`."""
+    table = _Subtrees()
+    for root in _enumerate_ids(n, table):
+        yield table.dendrogram(root)
 
 
 def _leaf_runs(dendro: Dendrogram) -> tuple[int, list[tuple[int, int, int, list]]]:
@@ -197,21 +223,6 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     return FiniteUltrametricSpace(names, _ranks_from_gaps(range(n), gaps), values)
 
 
-def _has_leaf_children(dendro: Dendrogram) -> bool:
-    """The ``is_ut`` criterion read off the dendrogram: the class is
-    realizable by a labeled tree on its own points exactly when every
-    internal node has a leaf child."""
-    stack = [dendro]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        if not any(child.is_leaf for child in node.children):
-            return False
-        stack.extend(node.children)
-    return True
-
-
 # --- campaign reports -------------------------------------------------------------
 
 SCHEMA_VERSION = 1
@@ -263,38 +274,35 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def _center_size(dendro: Dendrogram) -> int:
-    """|center of distances| of the class, read off the dendrogram.
-
-    A point's distances are 0 and its ancestors' levels, so a level is in
-    the center exactly when the nodes at that level hold all the leaves.
-    """
-    n, nodes = _leaf_runs(dendro)
-    covered: Counter = Counter()
-    for level, start, end, _ in nodes:
-        covered[level] += end - start
-    return 1 + list(covered.values()).count(n)
+def _center_size(full: int) -> int:
+    """|center of distances| of a class from its root's ``full`` mask: 0
+    and every level whose nodes hold all the leaves (see :class:`_Subtrees`)."""
+    return 1 + full.bit_count()
 
 
-def check_con3(n: int, jobs: int = 1) -> CampaignReport:
+def check_con3(n: int) -> CampaignReport:
     """Probe the binary-log bound on the center size over all n-point classes.
 
     Reports the maximum |center| over every weak-similarity class of
-    cardinality n, the extremal witness, and whether the bound
-    1 + floor(log2 n) holds.
+    cardinality n, the first class attaining it as the witness, and
+    whether the bound 1 + floor(log2 n) holds. The sizes fold over the
+    enumerator's per-subtree masks, so the only class built as a
+    dendrogram is the witness.
     """
     require_within("center-size campaign", n, ENUMERATION_FENCE)
-    classes = list(enumerate_dendrograms(n))
-    sizes = _parallel_map(_center_size, classes, jobs)
+    table = _Subtrees()
+    instances = max_size = best = 0
+    for root in _enumerate_ids(n, table):
+        instances += 1
+        size = _center_size(table.full[root])
+        if size > max_size:
+            max_size, best = size, root
     bound = 1 + (n.bit_length() - 1)
-    max_size = max(sizes)
-    best = sizes.index(max_size)
-    witness_space = dendrogram_to_space(classes[best])
     verdict = "CONSISTENT" if max_size <= bound else "COUNTEREXAMPLE"
-    report = CampaignReport(
+    return CampaignReport(
         check="con3",
         n=n,
-        instances=len(classes),
+        instances=instances,
         verdict=verdict,
         results={
             "center-size-bound": {
@@ -306,13 +314,12 @@ def check_con3(n: int, jobs: int = 1) -> CampaignReport:
         },
         witnesses=[
             _witness(
-                classes[best].key(),
-                witness_space,
+                table.keys[best],
+                dendrogram_to_space(table.dendrogram(best)),
                 f"center size {max_size} (bound {bound})",
             )
         ],
     )
-    return report
 
 
 def _reference_three_point_space() -> FiniteUltrametricSpace:
@@ -429,9 +436,11 @@ def check_closed_balls(
     if source == "enumerated":
         if n is None:
             raise ValueError("source='enumerated' needs n")
-        for pos, dendro in enumerate(enumerate_dendrograms(n)):
-            if _has_leaf_children(dendro):
-                instances.append((f"class-{pos}:{dendro.key()}", dendrogram_to_space(dendro)))
+        table = _Subtrees()
+        for pos, root in enumerate(_enumerate_ids(n, table)):
+            if table.leafy[root]:
+                space = dendrogram_to_space(table.dendrogram(root))
+                instances.append((f"class-{pos}:{table.keys[root]}", space))
     elif source == "random-trees":
         rng = random.Random(seed)
         for i in range(count):
@@ -597,9 +606,10 @@ def check_theorem_suite(
     )
 
 
-def _suite_row(dendro: Dendrogram) -> tuple[str, bool, Optional[str]]:
+def _suite_row(item: tuple[Dendrogram, bool]) -> tuple[str, bool, Optional[str]]:
+    dendro, realizable = item
     space = dendrogram_to_space(dendro)
-    report = check_theorem_suite(space, is_ut_hint=_has_leaf_children(dendro))
+    report = check_theorem_suite(space, is_ut_hint=realizable)
     first_fail = None
     if report.verdict != "PASS":
         first_fail = next(
@@ -611,10 +621,11 @@ def _suite_row(dendro: Dendrogram) -> tuple[str, bool, Optional[str]]:
 def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
     """Run the theorem suite over every class of cardinality n."""
     require_within("class enumeration", n, ENUMERATION_FENCE)
-    classes = list(enumerate_dendrograms(n))
+    table = _Subtrees()
+    classes = [(table.dendrogram(root), table.leafy[root]) for root in _enumerate_ids(n, table)]
     rows = _parallel_map(_suite_row, classes, jobs)
     failures = [
-        (dendro, key, fail) for dendro, (key, ok, fail) in zip(classes, rows) if not ok
+        (dendro, key, fail) for (dendro, _), (key, ok, fail) in zip(classes, rows) if not ok
     ]
     witnesses = []
     if failures:
@@ -703,69 +714,3 @@ def merge_parts(parts: Sequence[Iterable]) -> tuple[tuple, tuple]:
         key=lambda side: (-len(side), side),
     )
     return (first, second)
-
-
-# --- random labeled trees ---------------------------------------------------------------
-
-def _prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Decode a Prüfer sequence over 0..n-1 into a sorted edge list."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return sorted(edges)
-
-
-def random_labeled_tree(n: int, label_pool: Sequence, seed: int) -> LabeledTree:
-    """Uniformly random tree shape with labels drawn from the pool.
-
-    Degenerate edges (both endpoint labels zero) are repaired in a single
-    deterministic pass by redrawing the lower endpoint from the positive
-    pool values; repairs only ever raise labels, so the result is always
-    non-degenerate. The pool must contain a positive value whenever
-    n >= 2. Deterministic for a fixed seed.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    pool = [Fraction(v) for v in label_pool]
-    if not pool:
-        raise EmptyPool()
-    for v in pool:
-        if v < 0:
-            raise NegativeInput(v)
-    positive = [v for v in pool if v > 0]
-    if n >= 2 and not positive:
-        raise EmptyPool("label pool needs a positive value for n >= 2")
-
-    rng = random.Random(seed)
-    names = [f"v{i + 1}" for i in range(n)]
-    if n == 1:
-        edges: list[tuple[int, int]] = []
-    elif n == 2:
-        edges = [(0, 1)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        edges = _prufer_to_edges(seq, n)
-
-    labels = [rng.choice(pool) for _ in range(n)]
-    for i, j in edges:
-        if labels[i] == 0 and labels[j] == 0:
-            labels[i] = rng.choice(positive)
-    tree = validate_tree(
-        names,
-        [(names[i], names[j]) for i, j in edges],
-        {names[i]: labels[i] for i in range(n)},
-    )
-    assert is_nondegenerate(tree)
-    return tree

@@ -26,10 +26,26 @@ from .tree import LabeledTree, validate_tree
 
 # --- labeled trees ------------------------------------------------------------
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when it repeats a key: ``json`` would keep
+    the last value and drop the others without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate JSON key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_tree_json(text: str) -> LabeledTree:
-    """Parse {"vertices": [...], "labels": {...}, "edges": [[a,b], ...]}."""
+    """Parse {"vertices": [...], "labels": {...}, "edges": [[a,b], ...]}.
+
+    A key repeated in any object, even one the parser ignores, is refused.
+    """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .errors import FormatError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# [0-9], not \d: \d also matches other scripts' digits, such as "٣"
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
 
 
 def parse_rational(text: str) -> Fraction:

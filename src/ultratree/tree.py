@@ -27,9 +27,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     DegenerateLabeling,
     DuplicateVertex,
+    EmptyPool,
     FormatError,
     HasCycle,
     MissingLabel,
+    NegativeInput,
     NegativeLabel,
     NotABall,
     NotConnected,
@@ -363,3 +365,75 @@ def ball_subtree(tree: LabeledTree, ball: Iterable[str]) -> LabeledTree:
     )
     labels = tuple(tree.labels[i] for i in keep)
     return LabeledTree(names, edges, labels)
+
+
+# --- random labeled trees ---------------------------------------------------------------
+# `random` and `heapq` are imported by the functions that use them, so
+# the verbs that only read trees do not load them.
+
+def _prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Decode a Prüfer sequence over 0..n-1 into a sorted edge list."""
+    import heapq
+
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def random_labeled_tree(n: int, label_pool: Sequence, seed: int) -> LabeledTree:
+    """Uniformly random tree shape with labels drawn from the pool.
+
+    Degenerate edges (both endpoint labels zero) are repaired in a single
+    deterministic pass by redrawing the lower endpoint from the positive
+    pool values; repairs only ever raise labels, so the result is always
+    non-degenerate. The pool must contain a positive value whenever
+    n >= 2. Deterministic for a fixed seed.
+    """
+    import random
+
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    pool = [Fraction(v) for v in label_pool]
+    if not pool:
+        raise EmptyPool()
+    for v in pool:
+        if v < 0:
+            raise NegativeInput(v)
+    positive = [v for v in pool if v > 0]
+    if n >= 2 and not positive:
+        raise EmptyPool("label pool needs a positive value for n >= 2")
+
+    rng = random.Random(seed)
+    names = [f"v{i + 1}" for i in range(n)]
+    if n == 1:
+        edges: list[tuple[int, int]] = []
+    elif n == 2:
+        edges = [(0, 1)]
+    else:
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        edges = _prufer_to_edges(seq, n)
+
+    labels = [rng.choice(pool) for _ in range(n)]
+    for i, j in edges:
+        if labels[i] == 0 and labels[j] == 0:
+            labels[i] = rng.choice(positive)
+    tree = validate_tree(
+        names,
+        [(names[i], names[j]) for i, j in edges],
+        {names[i]: labels[i] for i in range(n)},
+    )
+    assert is_nondegenerate(tree)
+    return tree

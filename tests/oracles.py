@@ -11,7 +11,9 @@ that the canonical-dendrogram test replaced: it matches rank matrices, as
 it did in the library, and shares no code with the canonical form.
 The class enumeration on nested tuples and the campaign checks on each
 class's realized space are what the fold over interned dendrograms
-replaced. The last section is the theorem suite through the public
+replaced; the walks over one class's dendrogram for its center size and
+its leaf-child criterion are what the per-subtree masks and flags of the
+enumerator replaced. The last section is the theorem suite through the public
 name-keyed API, which the suite on the rank matrix replaced; like that
 suite, it reads the ranks for its row-maximum check.
 """
@@ -36,6 +38,7 @@ from ultratree.errors import (
 from ultratree.metric import FiniteUltrametricSpace, WeakSimilarityWitness
 from ultratree.tree import LabeledTree, degenerate_edge
 from ultratree.errors import DegenerateLabeling
+from ultratree.explorer import _leaf_runs
 
 ZERO = Fraction(0)
 
@@ -598,6 +601,34 @@ def center_size(space) -> int:
 def all_subsets_spheres(space) -> bool:
     """Whether every non-empty subset of the space is a centered sphere."""
     return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1
+
+
+def dendrogram_center_size(dendro) -> int:
+    """|center of distances| of the class, read off the dendrogram.
+
+    A point's distances are 0 and its ancestors' levels, so a level is in
+    the center exactly when the nodes at that level hold all the leaves.
+    """
+    n, nodes = _leaf_runs(dendro)
+    covered: Counter = Counter()
+    for level, start, end, _ in nodes:
+        covered[level] += end - start
+    return 1 + list(covered.values()).count(n)
+
+
+def has_leaf_children(dendro) -> bool:
+    """The ``is_ut`` criterion read off the dendrogram: the class is
+    realizable by a labeled tree on its own points exactly when every
+    internal node has a leaf child."""
+    stack = [dendro]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        if not any(child.is_leaf for child in node.children):
+            return False
+        stack.extend(node.children)
+    return True
 
 
 # --- the name-keyed theorem suite ---------------------------------------------

@@ -278,24 +278,62 @@ class TestSamplerVerbs:
         assert "--n" in captured.err and f"got {n}" in captured.err
 
 
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("cell", ["\u0663", "\uff17/2"])
+    def test_matrix_cell_is_named(self, capsys, tmp_path, cell):
+        # "٣" read as 3 under a Unicode-aware \d, and `center` printed {0, 3}
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b\n0,{cell}\n{cell},0\n", encoding="utf-8")
+        code, out, err = run(capsys, "center", str(path))
+        assert code == 1 and out == ""
+        assert repr(cell) in err
+
+    def test_tree_label_is_named(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"vertices": ["a", "b"], "labels": {"a": "\u0663", "b": "1"}, "edges": [["a", "b"]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and out == ""
+        assert repr("\u0663") in err
+
+
+def loaded_modules(argv):
+    """Run one CLI command in a fresh interpreter, so that no other test's
+    imports count, and list the modules it loaded."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from ultratree import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestImports:
     def test_validate_loads_no_campaign_code(self, tree_file):
-        # a fresh interpreter, so that no other test's imports count
-        script = (
-            "import sys\n"
-            "from ultratree import cli\n"
-            f"assert cli.main(['validate', {tree_file!r}]) == 0\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('ultratree'))))\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PATH": ""},
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = proc.stdout.split()
+        loaded = loaded_modules(["validate", tree_file])
         assert "ultratree.tree" in loaded
         assert "ultratree.explorer" not in loaded
+
+    def test_random_tree_loads_no_campaign_code(self):
+        loaded = loaded_modules(["random-tree", "--n", "12", "--seed", "7", "--pool", "0,1,2,3"])
+        assert "ultratree.tree" in loaded
+        assert "ultratree.explorer" not in loaded
+
+    def test_con3_starts_no_pool(self):
+        # con3 folds in one process whatever --jobs says
+        loaded = loaded_modules(["enumerate", "--n", "6", "--check", "con3", "--jobs", "2"])
+        assert "ultratree.explorer" in loaded
+        assert "concurrent.futures" not in loaded

@@ -18,6 +18,7 @@ from ultratree import (
     distance_matrix,
     dp_metric,
     enumerate_dendrograms,
+    explorer,
     is_ut,
     merge_parts,
     random_labeled_tree,
@@ -29,9 +30,10 @@ from ultratree import (
 )
 from ultratree.errors import EmptyPool, FewerThanTwoBlocks, TooLarge, TooSmall
 from ultratree.explorer import (
+    _Subtrees,
     _all_subsets_spheres,
     _center_size,
-    _has_leaf_children,
+    _enumerate_ids,
     _sphere_masks,
     check_suite_enumerated,
 )
@@ -72,7 +74,7 @@ def oracle_classes_by_matrix_enumeration(n):
 def oracle_is_realizable(space):
     """Unpruned tree search: every shape (Prüfer) x every labeling over the
     realized distances plus 0, compared by full path-max matrices."""
-    from ultratree.explorer import _prufer_to_edges
+    from ultratree.tree import _prufer_to_edges
 
     n = space.n
     values = sorted({v for row in space.matrix for v in row} | {F(0)})
@@ -116,7 +118,7 @@ def oracle_is_ut_search(space):
     realize its endpoints' distance as the larger label) and by the
     center-dichotomy necessary condition. Returns a certificate or None."""
     from ultratree import center_of_distances, diameter, distance_set, validate_tree
-    from ultratree.explorer import _prufer_to_edges
+    from ultratree.tree import _prufer_to_edges
 
     n = space.n
     if n == 1:
@@ -359,8 +361,8 @@ class TestCampaignFold:
     def test_fold_matches_space_oracles(self, n):
         for dendro in enumerate_dendrograms(n):
             space = dendrogram_to_space(dendro)
-            assert _center_size(dendro) == oracles.center_size(space)
-            assert _has_leaf_children(dendro) == (is_ut(space) is not None)
+            assert oracles.dendrogram_center_size(dendro) == oracles.center_size(space)
+            assert oracles.has_leaf_children(dendro) == (is_ut(space) is not None)
             if n <= 7:
                 assert _all_subsets_spheres(dendro) == oracles.all_subsets_spheres(space)
                 # leaf i of the depth-first numbering is the point x{i+1}
@@ -369,6 +371,19 @@ class TestCampaignFold:
                     for _, _, subset in oracles.enumerate_centered_spheres(space)
                 }
                 assert _sphere_masks(dendro) == (n, spheres)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_per_subtree_values_match_the_walks(self, n):
+        table = _Subtrees()
+        roots = [table.keys[root] for root in _enumerate_ids(n, table)]
+        assert roots == [dendro.key() for dendro in enumerate_dendrograms(n)]
+        # every interned subtree, the inner ones included, against the
+        # walks over its dendrogram
+        for nid, key in enumerate(table.keys):
+            dendro = table.dendrogram(nid)
+            assert dendro.key() == key
+            assert _center_size(table.full[nid]) == oracles.dendrogram_center_size(dendro)
+            assert table.leafy[nid] == oracles.has_leaf_children(dendro)
 
 
 class TestCon3Campaign:
@@ -393,9 +408,51 @@ class TestCon3Campaign:
         assert json.loads(text)["check"] == "con3"
 
     def test_jobs_do_not_change_output(self):
-        sequential = check_con3(5, jobs=1).to_json_dict()
-        parallel = check_con3(5, jobs=2).to_json_dict()
-        assert sequential == parallel
+        # con3 runs in one process; the campaigns that still shard do not
+        # change a byte under a pool
+        for campaign in (check_hol, check_suite_enumerated):
+            sequential = campaign(5, jobs=1).to_json_dict()
+            parallel = campaign(5, jobs=2).to_json_dict()
+            assert sequential == parallel
+
+    def test_builds_only_the_witness(self, monkeypatch):
+        # the sizes fold over per-subtree masks: the one dendrogram built
+        # is the witness's, one node per distinct subtree, and the one
+        # walk is its realization; no pool is started
+        import concurrent.futures
+
+        built = []
+        walks = []
+        real_dendrogram = explorer.Dendrogram
+        real_leaf_runs = explorer._leaf_runs
+
+        def counting_dendrogram(*args, **kwargs):
+            node = real_dendrogram(*args, **kwargs)
+            built.append(node)
+            return node
+
+        def counting_leaf_runs(dendro):
+            walks.append(dendro)
+            return real_leaf_runs(dendro)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("check_con3 started a process pool")
+
+        monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
+        monkeypatch.setattr(explorer, "_leaf_runs", counting_leaf_runs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        report = check_con3(7)
+        assert report.instances == 468
+        witness = built[-1]
+        assert witness.key() == report.witnesses[0]["label"]
+        distinct = set()
+        stack = [witness]
+        while stack:
+            node = stack.pop()
+            distinct.add(node.key())
+            stack.extend(node.children)
+        assert len(built) == len(distinct)
+        assert walks == [witness]
 
     @pytest.mark.parametrize(
         "jobs,cpus,items,workers",

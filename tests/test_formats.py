@@ -31,6 +31,14 @@ class TestRationals:
         with pytest.raises(FormatError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", ["\u0663", "\uff17/2", "1/\u0662", "\u0661\u0660", "\U0001d7d9"])
+    def test_reject_digits_outside_ascii(self, bad):
+        # Arabic-Indic, fullwidth and mathematical digits read as numbers
+        # under a Unicode-aware \d; the text form is ASCII only
+        with pytest.raises(FormatError) as err:
+            parse_rational(bad)
+        assert repr(bad) in str(err.value)
+
     def test_format_roundtrip(self):
         for value in (F(3), F(-7, 3), F(0), F(10, 4)):
             assert parse_rational(format_rational(value)) == value
@@ -75,6 +83,35 @@ class TestTreeJson:
         with pytest.raises(FormatError) as err:
             parse_tree_json(text)
         assert repr(json.loads(edge)) in str(err.value)
+
+    def test_duplicated_label_key_rejected(self):
+        # json keeps the last value: "a" would silently get the label 5
+        text = (
+            '{"vertices": ["a", "b"], "labels": {"a": "1", "b": "1", "a": "5"}, '
+            '"edges": [["a", "b"]]}'
+        )
+        with pytest.raises(FormatError, match="duplicate JSON key 'a'"):
+            parse_tree_json(text)
+
+    def test_duplicated_field_rejected(self):
+        # a second edge list replaced the first, and the error then blamed
+        # connectivity
+        text = (
+            '{"vertices": ["a", "b"], "labels": {"a": "1", "b": "1"}, '
+            '"edges": [["a", "b"]], "edges": []}'
+        )
+        with pytest.raises(FormatError, match="duplicate JSON key 'edges'"):
+            parse_tree_json(text)
+
+    def test_duplicated_key_in_an_ignored_field_rejected(self):
+        text = (
+            '{"vertices": ["a"], "labels": {"a": "1"}, "edges": [], '
+            '"meta": {"notes": [{"x": 1, "x": 2}]}}'
+        )
+        with pytest.raises(FormatError, match="duplicate JSON key 'x'"):
+            parse_tree_json(text)
+        # the same field without the repeat is ignored, as before
+        assert parse_tree_json(text.replace('"x": 2', '"y": 2')).vertices == ("a",)
 
     def test_validate_tree_still_names_endpoints_by_str(self):
         # the library entry point keeps converting endpoints with str()
