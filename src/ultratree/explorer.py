@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -74,10 +73,12 @@ def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
             yield from rec(tuple(r - t for r, t in zip(remaining, part)), pk, acc)
             acc.pop()
 
-    return list(rec(counts, None, []))
+    try:
+        return list(rec(counts, None, []))
+    finally:
+        del rec  # it calls itself through its closure cell: a reference cycle
 
 
-@dataclass
 class _Subtrees:
     """The enumerator's interned subtrees, one entry per int id.
 
@@ -89,11 +90,12 @@ class _Subtrees:
     node of the subtree has a leaf child.
     """
 
-    nodes: list = field(default_factory=lambda: [(0,)])
-    keys: list = field(default_factory=lambda: ["L"])
-    full: list = field(default_factory=lambda: [0])
-    leafy: list = field(default_factory=lambda: [True])
-    built: list = field(default_factory=list)  # a Dendrogram or None per id
+    def __init__(self):
+        self.nodes: list = [(0,)]
+        self.keys: list = ["L"]
+        self.full: list = [0]
+        self.leafy: list = [True]
+        self.built: list = []  # a Dendrogram or None per id
 
     def dendrogram(self, nid: int) -> Dendrogram:
         """The subtree as a ``Dendrogram``; each id is built once."""
@@ -161,7 +163,13 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
                 else:
                     yield from step(new_forest, level + 1)
 
-    yield from step((0,) * n, 1)
+    try:
+        yield from step((0,) * n, 1)
+    finally:
+        # ``step`` calls itself through its closure cell; breaking that
+        # cycle frees ``ids``, ``plans`` and the closures when the walk
+        # ends, not at the next cyclic garbage collection
+        del step
 
 
 def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
@@ -228,20 +236,38 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class CampaignReport:
     """Outcome of one verification or search campaign.
 
     ``results`` maps a check name to its verdict plus tallies; witnesses
     carry replayable matrix CSV strings for extremal or failing instances.
+    Reports compare by their fields; being mutable, they are not hashable.
     """
 
-    check: str
-    n: Optional[int]
-    instances: int
-    verdict: str
-    results: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
+    def __init__(
+        self,
+        check: str,
+        n: Optional[int],
+        instances: int,
+        verdict: str,
+        results: Optional[dict] = None,
+        witnesses: Optional[list] = None,
+    ):
+        self.check = check
+        self.n = n
+        self.instances = instances
+        self.verdict = verdict
+        self.results = {} if results is None else results
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other):  # defining __eq__ alone also sets __hash__ to None
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
     def to_json_dict(self) -> dict:
         return {

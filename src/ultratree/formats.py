@@ -94,7 +94,8 @@ def tree_json_string(tree: LabeledTree) -> str:
 
 
 def read_tree_file(path: str) -> LabeledTree:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors write first
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_tree_json(fh.read())
 
 
@@ -141,7 +142,9 @@ def matrix_csv_string(space: FiniteUltrametricSpace) -> str:
 
 
 def read_matrix_file(path: str) -> FiniteUltrametricSpace:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheets write first, which
+    # would otherwise become part of the first point's name
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return parse_matrix_csv(fh.read())
 
 

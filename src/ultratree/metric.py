@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import itemgetter, neg
+from operator import attrgetter, itemgetter, neg
 from typing import Iterable, Literal, Optional, Sequence
 
 from .capacity import SUBSET_SCAN_FENCE, require_within
@@ -36,6 +35,62 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
+
+
+class _Record:
+    """Base of the library's frozen value records.
+
+    A subclass lists its fields in ``__slots__`` (plus ``"__dict__"`` when
+    it caches derived values). It gets construction by position or keyword,
+    equality and hashing by field values between records of the same type,
+    a ``Name(field=value, ...)`` repr, and no assignment or deletion after
+    construction. A record that validates or is built in a hot loop writes
+    its own ``__init__``, setting each field with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # what equality and hashing compare, read in one call: the field
+        # values (the value itself for a one-field record). An attrgetter
+        # is no descriptor, so ``self._compared`` is the getter unbound.
+        cls._compared = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # every field exactly once: none missing, unknown or given twice
+        if values.keys() != set(fields) or len(args) + len(kwargs) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
+        for field in fields:
+            object.__setattr__(self, field, values[field])
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared(self) == other._compared(other)
+
+    def __hash__(self):
+        return hash(self._compared(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _rank_entries(
@@ -99,8 +154,7 @@ def _ranks_from_gaps(
     return tuple(take(rows[k]) for k in pos)
 
 
-@dataclass(frozen=True)
-class FiniteUltrametricSpace:
+class FiniteUltrametricSpace(_Record):
     """An ordered point list plus an integer rank matrix over exact values.
 
     ``ranks[i][j]`` indexes ``values``, the distance set in ascending
@@ -111,9 +165,15 @@ class FiniteUltrametricSpace:
     either through ``from_trusted_matrix`` or directly from ranks.
     """
 
+    __slots__ = ("points", "ranks", "values", "__dict__")
     points: tuple[str, ...]
     ranks: tuple[tuple[int, ...], ...]
     values: tuple[Fraction, ...]
+
+    def __init__(self, points, ranks, values):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_trusted_matrix(
@@ -229,17 +289,18 @@ def _check_strong_triangle(names: tuple[str, ...], ranks) -> None:
                 parent[x] = v
 
 
-@dataclass(frozen=True)
-class DistanceSet:
+class DistanceSet(_Record):
     """A strictly increasing tuple of exact distances, always containing 0."""
 
+    __slots__ = ("values",)
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if not self.values or self.values[0] != 0:
+    def __init__(self, values):
+        if not values or values[0] != 0:
             raise ValueError("distance set must start at 0")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("distance set must be strictly increasing")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_values(cls, values: Iterable[Fraction]) -> "DistanceSet":
@@ -307,12 +368,21 @@ def center_of_distances(space: FiniteUltrametricSpace) -> DistanceSet:
 BallKind = Literal["open", "closed"]
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Record):
+    """The points of an open or closed ball, with the center and radius
+    that give it."""
+
+    __slots__ = ("kind", "center", "radius", "members")
     kind: BallKind
     center: str
     radius: Fraction
     members: frozenset[str]
+
+    def __init__(self, kind, center, radius, members):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "members", members)
 
 
 def ball(
@@ -380,11 +450,19 @@ def enumerate_balls(
     return tuple(balls)
 
 
-@dataclass(frozen=True)
-class SphereCertificate:
+class SphereCertificate(_Record):
+    """A subset with a center c in it and a radius r for which it is
+    {x : d(x, c) = r} ∪ {c}."""
+
+    __slots__ = ("center", "radius", "subset")
     center: str
     radius: Fraction
     subset: frozenset[str]
+
+    def __init__(self, center, radius, subset):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "subset", subset)
 
 
 def _sphere_center(
@@ -474,10 +552,10 @@ def _spheres_are_all_subsets(
     return len(spheres) == (1 << space.n) - 1
 
 
-@dataclass(frozen=True)
-class DiametricalGraph:
+class DiametricalGraph(_Record):
     """Graph joining exactly the point pairs at maximal distance."""
 
+    __slots__ = ("points", "edges")
     points: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
@@ -503,10 +581,10 @@ def diametrical_graph(space: FiniteUltrametricSpace) -> DiametricalGraph:
     return DiametricalGraph(points, tuple(edges))
 
 
-@dataclass(frozen=True)
-class MultipartiteDecomposition:
+class MultipartiteDecomposition(_Record):
     """Partition of a graph's vertices with edges exactly across parts."""
 
+    __slots__ = ("parts",)
     parts: tuple[tuple[str, ...], ...]
 
 
@@ -558,10 +636,10 @@ def multipartite_parts(graph: DiametricalGraph) -> MultipartiteDecomposition:
     return MultipartiteDecomposition(tuple(tuple(names[a] for a in part) for part in parts))
 
 
-@dataclass(frozen=True)
-class StarCertificate:
+class StarCertificate(_Record):
     """A vertex adjacent to every other vertex of the host graph."""
 
+    __slots__ = ("center",)
     center: str
 
 
@@ -591,25 +669,27 @@ def is_equidistant(space: FiniteUltrametricSpace) -> Optional[Fraction]:
 
 # --- canonical dendrograms ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(_Record):
     """A rooted leveled hierarchy: leaves at level 0, internal nodes at
     strictly decreasing positive levels, every internal node with at
     least two children. Children are kept sorted by canonical key."""
 
+    __slots__ = ("level", "children", "__dict__")
     level: int
-    children: tuple["Dendrogram", ...] = ()
+    children: tuple["Dendrogram", ...]
 
-    def __post_init__(self):
-        if self.level == 0:
-            if self.children:
+    def __init__(self, level, children=()):
+        if level == 0:
+            if children:
                 raise ValueError("a leaf cannot have children")
         else:
-            if len(self.children) < 2:
+            if len(children) < 2:
                 raise ValueError("an internal node needs at least 2 children")
-            for child in self.children:
-                if child.level >= self.level:
+            for child in children:
+                if child.level >= level:
                     raise ValueError("levels must strictly decrease downward")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "children", children)
 
     @property
     def is_leaf(self) -> bool:
@@ -640,8 +720,8 @@ class Dendrogram:
         """Canonical string encoding; equal keys mean the same class.
 
         Computed without recursion, so chains of any depth work, and
-        cached on every node it visits (outside the dataclass fields, so
-        equality and hashing are unaffected).
+        cached on every node it visits (in the instance dict, outside the
+        fields, so equality and hashing are unaffected).
         """
         stack = [(self, False)]
         while stack:
@@ -753,8 +833,7 @@ def _diameter_split(
     return diam, groups
 
 
-@dataclass(frozen=True)
-class WeakSimilarityWitness:
+class WeakSimilarityWitness(_Record):
     """A point bijection plus the order-preserving pairing of distance sets.
 
     ``point_bijection`` maps the first space's points onto the second's;
@@ -763,6 +842,7 @@ class WeakSimilarityWitness:
     d_first(x, y) = scale(d_second(Φx, Φy)) for all pairs.
     """
 
+    __slots__ = ("point_bijection", "scale_map")
     point_bijection: tuple[tuple[str, str], ...]
     scale_map: tuple[tuple[Fraction, Fraction], ...]
 

@@ -10,13 +10,12 @@ into a validated distance matrix under either metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import DuplicateValue, NegativeInput, NotPrime
-from .metric import FiniteUltrametricSpace, validate_ultrametric
+from .metric import FiniteUltrametricSpace, _Record, validate_ultrametric
 from .rationals import format_rational
 
 # Strong-pseudoprime witnesses making Miller-Rabin deterministic for all
@@ -59,8 +58,7 @@ def _require_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PadicNorm:
+class PadicNorm(_Record):
     """The p-adic norm of a rational: either zero or p^(−exponent).
 
     ``exponent`` is None exactly for input 0. The exponent form is kept so
@@ -68,8 +66,13 @@ class PadicNorm:
     norm as a Fraction.
     """
 
+    __slots__ = ("prime", "exponent")
     prime: int
     exponent: Optional[int]
+
+    def __init__(self, prime, exponent):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "exponent", exponent)
 
     @property
     def is_zero(self) -> bool:

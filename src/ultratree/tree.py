@@ -19,7 +19,6 @@ a range maximum over the gaps; the matrix is filled from the gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -37,12 +36,11 @@ from .errors import (
     NotConnected,
     UnknownVertex,
 )
-from .metric import FiniteUltrametricSpace, _rank_entries, _ranks_from_gaps
+from .metric import FiniteUltrametricSpace, _rank_entries, _ranks_from_gaps, _Record
 from .rationals import parse_rational
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(_Record):
     """An immutable tree with a non-negative rational label on each vertex.
 
     ``vertices`` fixes the external identifiers and their order; ``edges``
@@ -51,13 +49,17 @@ class LabeledTree:
     library code that guarantees the invariants by construction).
     """
 
+    __slots__ = ("vertices", "edges", "labels", "__dict__")
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     labels: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.vertices):
+    def __init__(self, vertices, edges, labels):
+        if len(labels) != len(vertices):
             raise ValueError("labels must align with vertices")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:

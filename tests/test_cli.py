@@ -299,6 +299,32 @@ class TestNonAsciiDigits:
         assert repr("\u0663") in err
 
 
+class TestByteOrderMark:
+    """Spreadsheets start a CSV with a UTF-8 byte-order mark; the readers
+    drop it instead of keeping it in the first name."""
+
+    MATRIX_CSV = "a,b,c\n0,2,1\n2,0,2\n1,2,0\n"
+
+    @pytest.mark.parametrize("verb", ["is-ut", "center", "spheres", "check", "diametrical"])
+    def test_matrix_csv(self, capsys, tmp_path, verb):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(self.MATRIX_CSV.encode())
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + self.MATRIX_CSV.encode())
+        expected = run(capsys, verb, str(plain))
+        assert run(capsys, verb, str(marked)) == expected
+
+    @pytest.mark.parametrize("verb", ["validate", "distances", "canonical", "center"])
+    def test_tree_json(self, capsys, tmp_path, verb):
+        plain = tmp_path / "plain.json"
+        plain.write_bytes(PATH_TREE_JSON.encode())
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + PATH_TREE_JSON.encode())
+        expected = run(capsys, verb, str(plain))
+        assert expected[0] == 0
+        assert run(capsys, verb, str(marked)) == expected
+
+
 def loaded_modules(argv):
     """Run one CLI command in a fresh interpreter, so that no other test's
     imports count, and list the modules it loaded."""
@@ -337,3 +363,17 @@ class TestImports:
         loaded = loaded_modules(["enumerate", "--n", "6", "--check", "con3", "--jobs", "2"])
         assert "ultratree.explorer" in loaded
         assert "concurrent.futures" not in loaded
+
+    # Between them these verbs load every module that defines a record.
+    # ``dataclasses`` (with ``inspect``, ``ast`` and ``tokenize`` behind it)
+    # would add about 20 ms to each process's start-up.
+    def test_validate_loads_no_dataclasses(self, tree_file):
+        loaded = loaded_modules(["validate", tree_file])
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
+
+    def test_suite_campaign_loads_no_dataclasses(self):
+        loaded = loaded_modules(["enumerate", "--n", "5", "--check", "suite"])
+        assert {"ultratree.explorer", "ultratree.padic", "ultratree.tree"} <= set(loaded)
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded

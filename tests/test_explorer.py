@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 from collections import Counter
@@ -384,6 +385,30 @@ class TestCampaignFold:
             assert dendro.key() == key
             assert _center_size(table.full[nid]) == oracles.dendrogram_center_size(dendro)
             assert table.leafy[nid] == oracles.has_leaf_children(dendro)
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_a_finished_walk_leaves_no_garbage_cycle(self, n):
+        # the walk's tables are freed as soon as it ends, not at the next
+        # cyclic garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            table = _Subtrees()
+            assert sum(1 for _ in _enumerate_ids(n, table)) == len(list(enumerate_dendrograms(n)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_an_abandoned_walk_leaves_no_garbage_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            walk = _enumerate_ids(6, _Subtrees())
+            next(walk)
+            del walk
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCon3Campaign:
