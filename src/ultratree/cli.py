@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for hol and suite (at most the CPU count); "
-        "con3 and closed-balls always run in one process",
+        help="worker processes for suite (at most the CPU count); "
+        "con3, hol and closed-balls always run in one process",
     )
 
     p = sub.add_parser("padic", help="p-adic distance matrix of a rational sample")
@@ -204,7 +204,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.check == "con3":
             report = explorer.check_con3(args.n)
         elif args.check == "hol":
-            report = explorer.check_hol(args.n, jobs=args.jobs)
+            report = explorer.check_hol(args.n)
         elif args.check == "closed-balls":
             report = explorer.check_closed_balls("enumerated", n=args.n)
         else:

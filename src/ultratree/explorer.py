@@ -26,15 +26,13 @@ from .metric import (
     Dendrogram,
     FiniteUltrametricSpace,
     _ball_sets,
-    _diameter_split,
     _ranks_from_gaps,
     _sphere_center,
     _sphere_sets,
+    _split_table,
     center_of_distances,
     diameter,
     diametrical_graph,
-    enumerate_balls,
-    enumerate_centered_spheres,
     is_equidistant,
     multipartite_parts,
     spanning_star,
@@ -381,7 +379,7 @@ def _all_subsets_spheres(dendro: Dendrogram) -> bool:
     return len(family) == (1 << n) - 1
 
 
-def check_hol(n: int, jobs: int = 1) -> CampaignReport:
+def check_hol(n: int) -> CampaignReport:
     """Search for classes where every non-empty subset is a centered sphere.
 
     At n = 3 exactly one such class should exist (the one-short-side
@@ -391,9 +389,12 @@ def check_hol(n: int, jobs: int = 1) -> CampaignReport:
     if n < 3:
         raise TooSmall("the all-subsets-spheres campaign needs n >= 3")
     require_within("all-subsets-spheres campaign", n, ALL_SUBSETS_SPHERES_FENCE)
-    classes = list(enumerate_dendrograms(n))
-    flags = _parallel_map(_all_subsets_spheres, classes, jobs)
-    satisfying = [dendro for dendro, flag in zip(classes, flags) if flag]
+    instances = 0
+    satisfying = []
+    for dendro in enumerate_dendrograms(n):
+        instances += 1
+        if _all_subsets_spheres(dendro):
+            satisfying.append(dendro)
     witnesses = []
     similar_to_reference = []
     reference = _reference_three_point_space()
@@ -417,7 +418,7 @@ def check_hol(n: int, jobs: int = 1) -> CampaignReport:
     return CampaignReport(
         check="hol",
         n=n,
-        instances=len(classes),
+        instances=instances,
         verdict=verdict,
         results={
             "all-subsets-spheres": {
@@ -430,14 +431,13 @@ def check_hol(n: int, jobs: int = 1) -> CampaignReport:
     )
 
 
-def _sphere_family(space: FiniteUltrametricSpace) -> set[frozenset[str]]:
-    return {cert.subset for cert in enumerate_centered_spheres(space)}
+def _sphere_family(space: FiniteUltrametricSpace) -> set[frozenset[int]]:
+    return set(_sphere_sets(space))
 
 
-def _ball_family(
-    space: FiniteUltrametricSpace, kind: str
-) -> set[frozenset[str]]:
-    return {b.members for b in enumerate_balls(space, kind)}
+def _ball_family(space: FiniteUltrametricSpace) -> set[frozenset[int]]:
+    # every open ball is a closed ball and back: one family of index sets
+    return set(_ball_sets(space))
 
 
 def check_closed_balls(
@@ -455,8 +455,11 @@ def check_closed_balls(
     ``source`` is "enumerated" (all classes of cardinality ``n`` that are
     realizable by a labeled tree) or "random-trees" (``count`` random
     non-degenerate labeled trees with sizes in [n_min, n_max], seeded).
-    Open balls are re-checked alongside as the established half; the
-    closed-ball half is reported as search evidence, not asserted.
+    On a finite space the closed balls are the open balls (the closed ball
+    of radius ``values[c - 1]`` is the open ball of radius ``values[c]``),
+    so each space's one ball family is checked against its spheres once.
+    The verdict is reported twice: for open balls, the established half,
+    and for closed balls, as search evidence, not asserted.
     """
     instances: list[tuple[str, FiniteUltrametricSpace]] = []
     if source == "enumerated":
@@ -476,34 +479,32 @@ def check_closed_balls(
     else:
         raise ValueError("source must be 'enumerated' or 'random-trees'")
 
-    open_fail = []
-    closed_fail = []
-    for label, space in instances:
-        spheres = _sphere_family(space)
-        if not _ball_family(space, "open") <= spheres:
-            open_fail.append(_witness(label, space, "open ball is not a sphere"))
-        if not _ball_family(space, "closed") <= spheres:
-            closed_fail.append(_witness(label, space, "closed ball is not a sphere"))
-    closed_verdict = "CONSISTENT" if not closed_fail else "COUNTEREXAMPLE"
-    open_verdict = "PASS" if not open_fail else "FAIL"
-    overall = closed_verdict if open_verdict == "PASS" else "FAIL"
+    failed = [
+        (label, space)
+        for label, space in instances
+        if not _ball_family(space) <= _sphere_family(space)
+    ]
     return CampaignReport(
         check="closed-balls",
         n=n,
         instances=len(instances),
-        verdict=overall,
+        verdict="FAIL" if failed else "CONSISTENT",
         results={
             "closed-balls-are-spheres": {
-                "verdict": closed_verdict,
+                "verdict": "COUNTEREXAMPLE" if failed else "CONSISTENT",
                 "status": "search evidence",
-                "failures": len(closed_fail),
+                "failures": len(failed),
             },
             "open-balls-are-spheres": {
-                "verdict": open_verdict,
-                "failures": len(open_fail),
+                "verdict": "FAIL" if failed else "PASS",
+                "failures": len(failed),
             },
         },
-        witnesses=open_fail + closed_fail,
+        witnesses=[
+            _witness(label, space, f"{kind} ball is not a sphere")
+            for kind in ("open", "closed")
+            for label, space in failed
+        ],
     )
 
 
@@ -680,31 +681,31 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
     Such a tree exists exactly when every internal node of the space's
     canonical dendrogram has at least one leaf child: when every ball of
     two or more points, split at its diameter, has a single-point block.
-    The tree is built along the same splits. The lowest-index singleton
-    block of each ball is its hub and takes the ball's diameter as its
-    label; every other block hangs its own hub off it, and a singleton
-    block is its own hub with label 0. Every path between two blocks of
-    a ball then peaks at that ball's hub. Returns None when some ball has
-    no singleton block. Runs in polynomial time, with no fence.
+    The tree is built along the same splits, read bottom-up from
+    :func:`~ultratree.metric._split_table`. The first single-point block
+    of each ball (its lowest-index singleton) is its hub and takes the
+    ball's diameter as its label; every other block hangs its own hub off
+    it, and a singleton block is its own hub with label 0. Every path
+    between two blocks of a ball then peaks at that ball's hub. Returns
+    None when some ball has no singleton block. Runs in polynomial time,
+    with no fence.
     """
     if not space.n:
         raise TooSmall("is_ut needs at least 1 point")
+    balls, levels, children = _split_table(space)
     labels = [ZERO] * space.n
     edges: list[tuple[int, int]] = []
-    stack: list[tuple[list[int], Optional[int]]] = [(list(range(space.n)), None)]
-    while stack:
-        idxs, parent = stack.pop()
-        hub = idxs[0]
-        if len(idxs) > 1:
-            diam, groups = _diameter_split(space, idxs)
-            singles = [g[0] for g in groups if len(g) == 1]
-            if not singles:
-                return None
-            hub = singles[0]
-            labels[hub] = space.values[diam]
-            stack.extend((g, hub) for g in groups if g != [hub])
-        if parent is not None:
-            edges.append((parent, hub))
+    hubs = [0] * len(balls)
+    for pos in reversed(range(len(balls))):  # children come after parents
+        if not levels[pos]:
+            hubs[pos] = balls[pos][0]
+            continue
+        hub_block = next((c for c in children[pos] if not levels[c]), None)
+        if hub_block is None:
+            return None
+        hub = hubs[pos] = hubs[hub_block]
+        labels[hub] = space.values[levels[pos]]
+        edges.extend((hub, hubs[c]) for c in children[pos] if c != hub_block)
     names = space.points
     return validate_tree(
         names,

@@ -99,11 +99,6 @@ def read_tree_file(path: str) -> LabeledTree:
         return parse_tree_json(fh.read())
 
 
-def write_tree_file(path: str, tree: LabeledTree) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(tree_json_string(tree))
-
-
 # --- distance matrices ----------------------------------------------------------
 
 def parse_matrix_csv(text: str) -> FiniteUltrametricSpace:
@@ -146,11 +141,6 @@ def read_matrix_file(path: str) -> FiniteUltrametricSpace:
     # would otherwise become part of the first point's name
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return parse_matrix_csv(fh.read())
-
-
-def write_matrix_file(path: str, space: FiniteUltrametricSpace) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(matrix_csv_string(space))
 
 
 # --- DOT export ------------------------------------------------------------------

@@ -302,10 +302,6 @@ class DistanceSet(_Record):
             raise ValueError("distance set must be strictly increasing")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_values(cls, values: Iterable[Fraction]) -> "DistanceSet":
-        return cls(tuple(sorted(set(values) | {ZERO})))
-
     def __contains__(self, value) -> bool:
         return value in self.values
 
@@ -559,13 +555,6 @@ class DiametricalGraph(_Record):
     points: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def neighbors(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {p: set() for p in self.points}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def diametrical_graph(space: FiniteUltrametricSpace) -> DiametricalGraph:
     """Edges = point pairs realizing the diameter; empty iff a singleton."""
@@ -769,14 +758,20 @@ def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     return _canonical_form(space)[0]
 
 
-def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int]]:
-    """The canonical dendrogram plus the point indices in canonical leaf order.
+def _split_table(
+    space: FiniteUltrametricSpace,
+) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Split the space recursively at its diameters, without recursion.
 
-    Each node sorts its children by canonical key (AHU canonization), and
-    the leaf order lists the children's leaves in that same order, so the
-    i-th leaves of two weakly similar spaces correspond. The splits are
-    walked without recursion, so chains of any depth work.
+    Returns three lists indexed by ball position, parents before children:
+    the ball's ascending point indices, its diameter rank (0 for a single
+    point) and the positions of its blocks. The blocks are the points
+    closer than the diameter to each other, in order of their smallest
+    index; in an ultrametric ball the row of any one point attains the
+    diameter. A zero diameter can only come from an unvalidated matrix and
+    raises NonpositiveOffDiagonal for the pair.
     """
+    ranks = space.ranks
     balls: list[list[int]] = [list(range(space.n))]
     levels: list[int] = []
     children: list[list[int]] = []
@@ -785,10 +780,30 @@ def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int
             levels.append(0)
             children.append([])
             continue
-        diam, groups = _diameter_split(space, idxs)
+        row = ranks[idxs[0]]
+        diam = max(map(row.__getitem__, idxs))
+        if diam == 0:
+            raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
+        first = len(balls)
+        remaining = idxs
+        while remaining:
+            row = ranks[remaining[0]]
+            balls.append([v for v in remaining if row[v] < diam])
+            remaining = [v for v in remaining if row[v] >= diam]
         levels.append(diam)
-        children.append(list(range(len(balls), len(balls) + len(groups))))
-        balls.extend(groups)
+        children.append(list(range(first, len(balls))))
+    return balls, levels, children
+
+
+def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int]]:
+    """The canonical dendrogram plus the point indices in canonical leaf order.
+
+    Each node sorts its children by canonical key (AHU canonization), and
+    the leaf order lists the children's leaves in that same order, so the
+    i-th leaves of two weakly similar spaces correspond. The splits are
+    those of :func:`_split_table`, so chains of any depth work.
+    """
+    balls, levels, children = _split_table(space)
     leaf = Dendrogram(0)
     built: list[Optional[Dendrogram]] = [None] * len(levels)
     for pos in reversed(range(len(levels))):  # children come after parents
@@ -806,31 +821,6 @@ def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int
         else:
             stack.extend(reversed(children[pos]))
     return built[0], order
-
-
-def _diameter_split(
-    space: FiniteUltrametricSpace, idxs: list[int]
-) -> tuple[int, list[list[int]]]:
-    """Split a ball (ascending indices, two or more points) at its diameter.
-
-    Returns the diameter's rank and the blocks of points closer than it,
-    each block ascending, in order of their smallest index. In an
-    ultrametric ball the row of any one point attains the diameter, and
-    the block of a point is the set of points closer to it than the
-    diameter. A zero diameter can only come from an unvalidated matrix
-    and raises NonpositiveOffDiagonal for the pair.
-    """
-    row = space.ranks[idxs[0]]
-    diam = max(map(row.__getitem__, idxs))
-    if diam == 0:
-        raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
-    groups: list[list[int]] = []
-    remaining = idxs
-    while remaining:
-        row = space.ranks[remaining[0]]
-        groups.append([v for v in remaining if row[v] < diam])
-        remaining = [v for v in remaining if row[v] >= diam]
-    return diam, groups
 
 
 class WeakSimilarityWitness(_Record):

@@ -13,9 +13,12 @@ The class enumeration on nested tuples and the campaign checks on each
 class's realized space are what the fold over interned dendrograms
 replaced; the walks over one class's dendrogram for its center size and
 its leaf-child criterion are what the per-subtree masks and flags of the
-enumerator replaced. The last section is the theorem suite through the public
-name-keyed API, which the suite on the rank matrix replaced; like that
-suite, it reads the ranks for its row-maximum check.
+enumerator replaced. ``is_ut_split_walk`` is ``is_ut`` as it walked the
+diameter splits top-down with a stack and a split of its own, before it
+read the table the canonical form is built from. The last section is the
+theorem suite through the public name-keyed API, which the suite on the
+rank matrix replaced; like that suite, it reads the ranks for its
+row-maximum check.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from ultratree.errors import (
     TooSmall,
 )
 from ultratree.metric import FiniteUltrametricSpace, WeakSimilarityWitness
-from ultratree.tree import LabeledTree, degenerate_edge
+from ultratree.tree import LabeledTree, degenerate_edge, validate_tree
 from ultratree.errors import DegenerateLabeling
 from ultratree.explorer import _leaf_runs
 
@@ -629,6 +632,55 @@ def has_leaf_children(dendro) -> bool:
             return False
         stack.extend(node.children)
     return True
+
+
+def _diameter_split(space, idxs: list[int]) -> tuple[Fraction, list[list[int]]]:
+    """Split a ball (ascending indices, two or more points) at its
+    diameter: the diameter and the blocks of points closer than it, each
+    ascending, in order of their smallest index."""
+    matrix = space.matrix
+    diam = max(matrix[idxs[0]][j] for j in idxs)
+    if diam == 0:
+        raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
+    groups: list[list[int]] = []
+    remaining = idxs
+    while remaining:
+        row = matrix[remaining[0]]
+        groups.append([v for v in remaining if row[v] < diam])
+        remaining = [v for v in remaining if row[v] >= diam]
+    return diam, groups
+
+
+def is_ut_split_walk(space) -> Optional[LabeledTree]:
+    """A labeled tree on the space's points realizing it, or None.
+
+    Walks the balls from the whole space down with a stack: a ball of two
+    or more points with no single-point block means None; otherwise its
+    lowest-index singleton is its hub, labeled with the ball's diameter,
+    and every other block hangs its own hub off it.
+    """
+    labels = [ZERO] * space.n
+    edges: list[tuple[int, int]] = []
+    stack: list[tuple[list[int], Optional[int]]] = [(list(range(space.n)), None)]
+    while stack:
+        idxs, parent = stack.pop()
+        hub = idxs[0]
+        if len(idxs) > 1:
+            diam, groups = _diameter_split(space, idxs)
+            singles = [g[0] for g in groups if len(g) == 1]
+            if not singles:
+                return None
+            hub = singles[0]
+            labels[hub] = diam
+            stack.extend((g, hub) for g in groups if g != [hub])
+        if parent is not None:
+            edges.append((parent, hub))
+    names = space.points
+    return validate_tree(
+        names,
+        [(names[i], names[j]) for i, j in edges],
+        dict(zip(names, labels)),
+    )
 
 
 # --- the name-keyed theorem suite ---------------------------------------------

@@ -30,6 +30,7 @@ from ultratree import (
     weak_similarity,
 )
 from ultratree.errors import EmptyPool, FewerThanTwoBlocks, TooLarge, TooSmall
+from ultratree.formats import matrix_csv_string, tree_json_string
 from ultratree.explorer import (
     _Subtrees,
     _all_subsets_spheres,
@@ -433,12 +434,11 @@ class TestCon3Campaign:
         assert json.loads(text)["check"] == "con3"
 
     def test_jobs_do_not_change_output(self):
-        # con3 runs in one process; the campaigns that still shard do not
-        # change a byte under a pool
-        for campaign in (check_hol, check_suite_enumerated):
-            sequential = campaign(5, jobs=1).to_json_dict()
-            parallel = campaign(5, jobs=2).to_json_dict()
-            assert sequential == parallel
+        # con3 and hol run in one process; the suite, the one campaign that
+        # still shards, does not change a byte under a pool
+        sequential = check_suite_enumerated(5, jobs=1).to_json_dict()
+        parallel = check_suite_enumerated(5, jobs=2).to_json_dict()
+        assert sequential == parallel
 
     def test_builds_only_the_witness(self, monkeypatch):
         # the sizes fold over per-subtree masks: the one dendrogram built
@@ -561,6 +561,57 @@ class TestClosedBallCampaign:
         with pytest.raises(ValueError):
             check_closed_balls("???")
 
+    def test_sweeps_each_space_once(self, monkeypatch):
+        # the closed balls are the open balls: one index-set sweep per
+        # realizable class, and no name-keyed enumeration
+        from ultratree import metric
+
+        calls = []
+        real_ball_sets = metric._ball_sets
+
+        def counting_ball_sets(space):
+            calls.append(space)
+            return real_ball_sets(space)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the campaign enumerated balls or spheres by name")
+
+        for module in (metric, explorer):
+            monkeypatch.setattr(module, "_ball_sets", counting_ball_sets)
+            for name in ("enumerate_balls", "enumerate_centered_spheres"):
+                monkeypatch.setattr(module, name, refused, raising=False)
+        report = check_closed_balls("enumerated", n=6)
+        assert report.instances == 28
+        assert len(calls) == 28
+        assert report.verdict == "CONSISTENT"
+
+    def test_a_failure_is_witnessed_for_open_and_closed_balls(self, monkeypatch):
+        # a space whose spheres are planted away fails both halves, and its
+        # witness is listed once for each, the open one first
+        real_sphere_family = explorer._sphere_family
+        planted = []
+
+        def sphere_family_missing_one(space):
+            if space.n == 4 and not planted:
+                planted.append(space)
+                return set()
+            return real_sphere_family(space)
+
+        monkeypatch.setattr(explorer, "_sphere_family", sphere_family_missing_one)
+        report = check_closed_balls("enumerated", n=4)
+        assert report.verdict == "FAIL"
+        assert report.results["open-balls-are-spheres"] == {"verdict": "FAIL", "failures": 1}
+        assert report.results["closed-balls-are-spheres"] == {
+            "verdict": "COUNTEREXAMPLE",
+            "status": "search evidence",
+            "failures": 1,
+        }
+        opened, closed = report.witnesses
+        assert opened["note"] == "open ball is not a sphere"
+        assert closed["note"] == "closed ball is not a sphere"
+        assert opened["label"] == closed["label"]
+        assert opened["matrix_csv"] == closed["matrix_csv"] == matrix_csv_string(planted[0])
+
 
 class TestTheoremSuite:
     def test_tree_generated_space_passes(self, path_space):
@@ -636,7 +687,6 @@ class TestTheoremSuite:
 
     def test_suite_witness_is_the_first_failing_class(self, monkeypatch):
         from ultratree import explorer
-        from ultratree.formats import matrix_csv_string
 
         classes = list(enumerate_dendrograms(5))
         failing = [dendrogram_to_space(classes[pos]) for pos in (7, 3)]
@@ -761,6 +811,55 @@ class TestIsUt:
         cert = is_ut(space)
         assert cert is not None
         assert distance_matrix(cert).matrix == space.matrix
+
+
+@st.composite
+def top_split_without_singleton(draw):
+    """Tree metrics on two or more blocks of two or more points, the
+    blocks at distance 4 from each other (every label is at most 3), the
+    points shuffled: the top split has no single-point block."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    blocks = [
+        distance_matrix(random_labeled_tree(size, [0, 1, 2, 3], seed=draw(st.integers(0, 2**32 - 1))))
+        for size in sizes
+    ]
+    order = draw(st.permutations(range(sum(sizes))))
+    where = []  # (block, index in block) of each shuffled point
+    for b, size in enumerate(sizes):
+        where.extend((b, i) for i in range(size))
+    where = [where[k] for k in order]
+    matrix = [
+        [blocks[b].matrix[i][j] if b == c else F(4) for c, j in where]
+        for b, i in where
+    ]
+    return validate_ultrametric([f"p{k}" for k in range(len(where))], matrix)
+
+
+def same_certificate(space) -> bool:
+    """``is_ut`` and the split-walk oracle give the same tree JSON bytes,
+    or both None."""
+    new, old = is_ut(space), oracles.is_ut_split_walk(space)
+    if new is None or old is None:
+        return new is old
+    return tree_json_string(new) == tree_json_string(old)
+
+
+class TestIsUtMatchesSplitWalk:
+    def test_every_class_up_to_eight_points(self):
+        for n in range(1, 9):
+            for dendro in enumerate_dendrograms(n):
+                assert same_certificate(dendrogram_to_space(dendro)), dendro.key()
+
+    @given(st.integers(1, 14), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_tree_metrics(self, n, seed):
+        assert same_certificate(distance_matrix(random_labeled_tree(n, [0, 1, 2, 3], seed=seed)))
+
+    @given(top_split_without_singleton())
+    @settings(max_examples=60, deadline=None)
+    def test_unrealizable_top_splits(self, space):
+        assert is_ut(space) is None
+        assert same_certificate(space)
 
 
 class TestMergeParts:

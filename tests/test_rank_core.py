@@ -345,6 +345,10 @@ def test_deep_chain_round_trips_without_recursion():
     assert back.n == n
     assert weak_similarity(space, back) is not None
     assert space_to_dendrogram(back).key() == dendro.key()
+    cert = is_ut(space)
+    assert cert is not None
+    again = distance_matrix(cert)
+    assert (again.points, again.ranks, again.values) == (space.points, space.ranks, space.values)
 
 
 def test_zero_diameter_ball_raises_instead_of_hanging():

@@ -3,8 +3,8 @@
 ``perfbench/spans.py`` wraps each function listed in ``GROUPS`` by its
 dotted name, so renaming one (``_center_size``, ``_sphere_family``,
 ``PathMaxIndex.__init__``, ...) would break ``perfbench/run.py --trace 1``. The package's public names
-are pinned too, and no module of the package keeps a name it imports but
-never uses.
+are pinned too, no module of the package keeps a name it imports but
+never uses, and no module-level function goes unused.
 """
 
 import ast
@@ -18,6 +18,7 @@ import ultratree.cli  # noqa: F401 - the harness traces cli.main too
 import ultratree.explorer  # noqa: F401 - the harness's campaign verbs import it before tracing
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE = sorted(Path(ultratree.__file__).resolve().parent.glob("*.py"))
 
 
 def load_spans():
@@ -80,9 +81,7 @@ def bound_name(node: ast.AST, alias: ast.alias) -> str:
     return alias.name.partition(".")[0]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(ultratree.__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_from_import_is_used(path):
     # plain and from-imports alike, at module level and inside functions:
     # a leftover import of a slow module (dataclasses pulls in inspect)
@@ -96,5 +95,36 @@ def test_every_from_import_is_used(path):
         or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
         for alias in node.names
         if bound_name(node, alias) not in used
+    ]
+    assert unused == []
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_function_is_used():
+    # a module-level function that nothing in the package reads, that is
+    # not public and that the harness does not trace is dead code
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    used = set().union(*map(referenced_names, trees.values()))
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+        and node.name not in ultratree.__all__
+        and f"{module}.{node.name}" not in spans.GROUPS
     ]
     assert unused == []
