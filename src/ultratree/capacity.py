@@ -15,7 +15,6 @@ ENV_VAR = "ULTRATREE_MAX_N"
 
 ENUMERATION_FENCE = 10     # weak-similarity class enumeration
 SUBSET_SCAN_FENCE = 20     # scans over all 2^n subsets
-ALL_SUBSETS_SPHERES_FENCE = 8   # per-class all-subset sphere campaigns
 
 
 def fence_limit(default: int) -> int:

@@ -19,7 +19,7 @@ from itertools import product
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .capacity import ALL_SUBSETS_SPHERES_FENCE, ENUMERATION_FENCE, require_within
+from .capacity import ENUMERATION_FENCE, require_within
 from .errors import FewerThanTwoBlocks, NotCompleteMultipartite, TooSmall
 from .formats import matrix_csv_string
 from .metric import (
@@ -80,30 +80,39 @@ def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
 class _Subtrees:
     """The enumerator's interned subtrees, one entry per int id.
 
-    Id 0 is the leaf. ``nodes[i]`` is (level, child id, ...), children
-    sorted by key, and ``keys[i]`` the canonical key. Two values fold
-    bottom-up: ``full[i]`` has bit L set when the nodes at level L cover
-    every leaf of the subtree (none for a leaf; a node adds its own level
-    to the AND of its children's), and ``leafy[i]`` says every internal
-    node of the subtree has a leaf child.
+    Id 0 is the leaf. ``nodes[i]`` is (level, child id, ...), children in
+    canonical order, and ``order[i]`` its sort key: (level, the children's
+    keys, ...) for a node, and for the leaf a one-tuple after every
+    node's. With one-digit levels, as under the enumeration fence, this
+    is the order of the key strings of :meth:`Dendrogram.key`.
+
+    Four values fold bottom-up. ``full[i]`` has bit L set when the nodes
+    at level L cover every leaf of the subtree (none for a leaf; a node
+    adds its own level to the AND of its children's), ``leafy[i]`` says
+    every internal node has a leaf child, and ``size[i]`` counts the
+    leaves. ``spheres[i]`` counts the distinct centered spheres of the
+    subtree as a class: 1 for a leaf; for a node v with m leaf children,
+    the children's sum plus size(v) − m, plus 1 if m > 0, because the
+    sphere {c} ∪ (leaves(v) − leaves(k)) of a leaf c under the child k
+    fixes v, and k and c too when k is internal, while every leaf child
+    gives leaves(v).
     """
 
     def __init__(self):
         self.nodes: list = [(0,)]
-        self.keys: list = ["L"]
+        self.order: list = [(float("inf"),)]
         self.full: list = [0]
         self.leafy: list = [True]
-        self.built: list = []  # a Dendrogram or None per id
+        self.size: list = [1]
+        self.spheres: list = [1]
+        self.built: dict = {}  # id -> Dendrogram, for the ids asked for
 
     def dendrogram(self, nid: int) -> Dendrogram:
         """The subtree as a ``Dendrogram``; each id is built once."""
-        built = self.built
-        if len(built) < len(self.nodes):
-            built.extend([None] * (len(self.nodes) - len(built)))
-        dendro = built[nid]
+        dendro = self.built.get(nid)
         if dendro is None:
             level, *children = self.nodes[nid]
-            dendro = built[nid] = Dendrogram(level, tuple(map(self.dendrogram, children)))
+            dendro = self.built[nid] = Dendrogram(level, tuple(map(self.dendrogram, children)))
         return dendro
 
 
@@ -114,8 +123,8 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
     one or more groups (of at least two current roots) into new nodes at
     the next level. Every canonical dendrogram has a unique merge
     history, so the walk needs no deduplication. A forest is a tuple of
-    ids sorted by key, so forests hash and compare ints and equal
-    subtrees sit side by side.
+    ids in canonical order (see :class:`_Subtrees`), so forests hash and
+    compare ints and equal subtrees sit side by side.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -124,24 +133,29 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
         yield 0
         return
 
-    nodes, keys, full, leafy = table.nodes, table.keys, table.full, table.leafy
+    nodes, order, full, leafy = table.nodes, table.order, table.full, table.leafy
+    size, spheres = table.size, table.spheres
     ids: dict[tuple[int, ...], int] = {}
     plans: dict[tuple[int, ...], list] = {}  # partitions by multiplicities
-    key_of = keys.__getitem__
+    order_of = order.__getitem__
 
     def intern(node: tuple[int, ...]) -> int:
         nid = ids.get(node)
         if nid is None:
-            nid = ids[node] = len(keys)
+            nid = ids[node] = len(nodes)
             nodes.append(node)
             level, *children = node
-            keys.append("(%d:%s)" % (level, ",".join(map(key_of, children))))
+            order.append((level, *map(order_of, children)))
             full.append(reduce(and_, map(full.__getitem__, children)) | 1 << level)
-            leafy.append(0 in children and all(map(leafy.__getitem__, children)))
+            m = children.count(0)  # leaf children
+            leafy.append(m > 0 and all(map(leafy.__getitem__, children)))
+            leaves = sum(map(size.__getitem__, children))
+            size.append(leaves)
+            spheres.append(sum(map(spheres.__getitem__, children)) + leaves - m + (m > 0))
         return nid
 
     def step(forest: tuple[int, ...], level: int) -> Iterator[int]:
-        distinct = list(dict.fromkeys(forest))  # the forest is sorted by key
+        distinct = list(dict.fromkeys(forest))  # the forest is in order
         counts = [forest.count(x) for x in distinct]
         for passive in product(*[range(c + 1) for c in counts]):
             active = tuple(c - p for c, p in zip(counts, passive))
@@ -155,7 +169,7 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
                     intern((level, *[x for x, t in zip(distinct, part) for _ in range(t)]))
                     for part in plan
                 ]
-                new_forest = tuple(sorted(kept + merged, key=key_of))
+                new_forest = tuple(sorted(kept + merged, key=order_of))
                 if len(new_forest) == 1:
                     yield new_forest[0]
                 else:
@@ -323,6 +337,7 @@ def check_con3(n: int) -> CampaignReport:
             max_size, best = size, root
     bound = 1 + (n.bit_length() - 1)
     verdict = "CONSISTENT" if max_size <= bound else "COUNTEREXAMPLE"
+    witness = table.dendrogram(best)
     return CampaignReport(
         check="con3",
         n=n,
@@ -338,8 +353,8 @@ def check_con3(n: int) -> CampaignReport:
         },
         witnesses=[
             _witness(
-                table.keys[best],
-                dendrogram_to_space(table.dendrogram(best)),
+                witness.key(),
+                dendrogram_to_space(witness),
                 f"center size {max_size} (bound {bound})",
             )
         ],
@@ -355,28 +370,10 @@ def _reference_three_point_space() -> FiniteUltrametricSpace:
     )
 
 
-def _sphere_masks(dendro: Dendrogram) -> tuple[int, set[int]]:
-    """The leaf count and the distinct centered spheres of the class.
-
-    Leaves are bits in depth-first order. The sphere of radius level(v)
-    around a leaf c under the child k of v is {c} ∪ (leaves(v) − leaves(k));
-    every other radius gives {c}.
-    """
-    n, nodes = _leaf_runs(dendro)
-    family = {1 << c for c in range(n)}
-    for _, start, end, runs in nodes:
-        whole = (1 << end) - (1 << start)
-        for a, b in runs:
-            rest = whole - ((1 << b) - (1 << a))
-            family.update(rest | (1 << c) for c in range(a, b))
-    return n, family
-
-
-def _all_subsets_spheres(dendro: Dendrogram) -> bool:
-    """Whether every non-empty subset of the class is a centered sphere:
-    the distinct spheres are counted against the 2^n − 1 subsets."""
-    n, family = _sphere_masks(dendro)
-    return len(family) == (1 << n) - 1
+def _all_subsets_spheres(n: int, spheres: int) -> bool:
+    """Whether every non-empty subset of an n-point class is a centered
+    sphere: the count of its distinct spheres is that of its subsets."""
+    return spheres == (1 << n) - 1
 
 
 def check_hol(n: int) -> CampaignReport:
@@ -384,17 +381,19 @@ def check_hol(n: int) -> CampaignReport:
 
     At n = 3 exactly one such class should exist (the one-short-side
     triple); for n > 3 the expectation is none. Any other outcome is
-    reported as a counterexample with a replayable witness.
+    reported as a counterexample with a replayable witness. A class's
+    sphere count is a lookup in the enumerator's table (see
+    :class:`_Subtrees`), so only the satisfying classes are built.
     """
     if n < 3:
         raise TooSmall("the all-subsets-spheres campaign needs n >= 3")
-    require_within("all-subsets-spheres campaign", n, ALL_SUBSETS_SPHERES_FENCE)
+    table = _Subtrees()
     instances = 0
     satisfying = []
-    for dendro in enumerate_dendrograms(n):
+    for root in _enumerate_ids(n, table):
         instances += 1
-        if _all_subsets_spheres(dendro):
-            satisfying.append(dendro)
+        if _all_subsets_spheres(n, table.spheres[root]):
+            satisfying.append(table.dendrogram(root))
     witnesses = []
     similar_to_reference = []
     reference = _reference_three_point_space()
@@ -468,8 +467,8 @@ def check_closed_balls(
         table = _Subtrees()
         for pos, root in enumerate(_enumerate_ids(n, table)):
             if table.leafy[root]:
-                space = dendrogram_to_space(table.dendrogram(root))
-                instances.append((f"class-{pos}:{table.keys[root]}", space))
+                dendro = table.dendrogram(root)
+                instances.append((f"class-{pos}:{dendro.key()}", dendrogram_to_space(dendro)))
     elif source == "random-trees":
         rng = random.Random(seed)
         for i in range(count):
@@ -519,7 +518,9 @@ def check_theorem_suite(
     checks additionally assume the space is generated by a labeled tree
     (pass ``is_ut_hint=True`` only for such spaces). The closed-ball
     check is recorded as search evidence, never as a failure of the
-    suite.
+    suite. ``center-contains-zero`` and ``pointwise-greatest-below``
+    cannot fail: every space has rank 0 on its diagonal, which is all
+    they test. They stay so that the report keeps its format.
     """
     n = space.n
     everyone = range(n)
@@ -647,7 +648,6 @@ def _suite_row(item: tuple[Dendrogram, bool]) -> tuple[str, bool, Optional[str]]
 
 def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
     """Run the theorem suite over every class of cardinality n."""
-    require_within("class enumeration", n, ENUMERATION_FENCE)
     table = _Subtrees()
     classes = [(table.dendrogram(root), table.leafy[root]) for root in _enumerate_ids(n, table)]
     rows = _parallel_map(_suite_row, classes, jobs)

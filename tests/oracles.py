@@ -606,6 +606,23 @@ def all_subsets_spheres(space) -> bool:
     return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1
 
 
+def sphere_masks(dendro) -> tuple[int, set[int]]:
+    """The leaf count and the distinct centered spheres of the class.
+
+    Leaves are bits in depth-first order. The sphere of radius level(v)
+    around a leaf c under the child k of v is {c} ∪ (leaves(v) − leaves(k));
+    every other radius gives {c}.
+    """
+    n, nodes = _leaf_runs(dendro)
+    family = {1 << c for c in range(n)}
+    for _, start, end, runs in nodes:
+        whole = (1 << end) - (1 << start)
+        for a, b in runs:
+            rest = whole - ((1 << b) - (1 << a))
+            family.update(rest | (1 << c) for c in range(a, b))
+    return n, family
+
+
 def dendrogram_center_size(dendro) -> int:
     """|center of distances| of the class, read off the dendrogram.
 

@@ -159,6 +159,13 @@ class TestCampaignVerbs:
         witness_space = parse_matrix_csv(report["witnesses"][0]["matrix_csv"])
         assert witness_space.n == 3
 
+    def test_enumerate_hol_runs_to_the_enumeration_fence(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "9", "--check", "hol")
+        assert code == 0
+        report = json.loads(out)
+        assert report["classes_checked"] == 20644
+        assert report["verdict"] == "CONSISTENT"
+
     def test_enumerate_con3(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4", "--check", "con3")
         assert code == 0

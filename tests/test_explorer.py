@@ -36,7 +36,6 @@ from ultratree.explorer import (
     _all_subsets_spheres,
     _center_size,
     _enumerate_ids,
-    _sphere_masks,
     check_suite_enumerated,
 )
 
@@ -361,31 +360,42 @@ class TestCampaignFold:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_fold_matches_space_oracles(self, n):
-        for dendro in enumerate_dendrograms(n):
+        table = _Subtrees()
+        for root in _enumerate_ids(n, table):
+            dendro = table.dendrogram(root)
             space = dendrogram_to_space(dendro)
             assert oracles.dendrogram_center_size(dendro) == oracles.center_size(space)
             assert oracles.has_leaf_children(dendro) == (is_ut(space) is not None)
             if n <= 7:
-                assert _all_subsets_spheres(dendro) == oracles.all_subsets_spheres(space)
+                assert _all_subsets_spheres(n, table.spheres[root]) == (
+                    oracles.all_subsets_spheres(space)
+                )
                 # leaf i of the depth-first numbering is the point x{i+1}
                 spheres = {
                     sum(1 << space.index_of(p) for p in subset)
                     for _, _, subset in oracles.enumerate_centered_spheres(space)
                 }
-                assert _sphere_masks(dendro) == (n, spheres)
+                assert oracles.sphere_masks(dendro) == (n, spheres)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_per_subtree_values_match_the_walks(self, n):
         table = _Subtrees()
-        roots = [table.keys[root] for root in _enumerate_ids(n, table)]
+        roots = [table.dendrogram(root).key() for root in _enumerate_ids(n, table)]
         assert roots == [dendro.key() for dendro in enumerate_dendrograms(n)]
         # every interned subtree, the inner ones included, against the
         # walks over its dendrogram
-        for nid, key in enumerate(table.keys):
+        ids = range(len(table.nodes))
+        keys = []
+        for nid in ids:
             dendro = table.dendrogram(nid)
-            assert dendro.key() == key
+            keys.append(dendro.key())
             assert _center_size(table.full[nid]) == oracles.dendrogram_center_size(dendro)
             assert table.leafy[nid] == oracles.has_leaf_children(dendro)
+            assert table.size[nid] == dendro.leaf_count()
+            assert table.spheres[nid] == len(oracles.sphere_masks(dendro)[1])
+        # the int order is the canonical key strings' order, with no ties
+        assert sorted(ids, key=table.order.__getitem__) == sorted(ids, key=keys.__getitem__)
+        assert len(set(table.order)) == len(ids)
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_a_finished_walk_leaves_no_garbage_cycle(self, n):
@@ -535,11 +545,45 @@ class TestHolCampaign:
         assert report.verdict == "CONSISTENT"
         assert report.results["all-subsets-spheres"]["satisfying_classes"] == 0
 
-    def test_bounds(self):
+    def test_nine_points_under_the_enumeration_fence(self):
+        report = check_hol(9)
+        assert report.instances == 20644
+        assert report.verdict == "CONSISTENT"
+        assert report.results["all-subsets-spheres"]["satisfying_classes"] == 0
+
+    def test_bounds(self, monkeypatch):
         with pytest.raises(TooSmall):
             check_hol(2)
         with pytest.raises(TooLarge):
+            check_hol(11)
+        monkeypatch.setenv("ULTRATREE_MAX_N", "8")
+        with pytest.raises(TooLarge):
             check_hol(9)
+
+    @pytest.mark.parametrize("n,satisfying", [(3, 1), (7, 0)])
+    def test_builds_only_the_witnesses(self, monkeypatch, n, satisfying):
+        # the sphere counts fold over the per-subtree table: the only
+        # dendrograms built are the satisfying classes', one node per
+        # distinct subtree
+        built = []
+        real_dendrogram = explorer.Dendrogram
+
+        def counting_dendrogram(*args, **kwargs):
+            node = real_dendrogram(*args, **kwargs)
+            built.append(node)
+            return node
+
+        monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
+        report = check_hol(n)
+        labels = [witness["label"] for witness in report.witnesses]
+        assert len(labels) == satisfying
+        distinct = set()
+        stack = [node for node in built if node.key() in labels]
+        while stack:
+            node = stack.pop()
+            distinct.add(node.key())
+            stack.extend(node.children)
+        assert len(built) == len(distinct)
 
 
 class TestClosedBallCampaign:

@@ -4,7 +4,7 @@
 dotted name, so renaming one (``_center_size``, ``_sphere_family``,
 ``PathMaxIndex.__init__``, ...) would break ``perfbench/run.py --trace 1``. The package's public names
 are pinned too, no module of the package keeps a name it imports but
-never uses, and no module-level function goes unused.
+never uses, and no module-level function, constant or class goes unused.
 """
 
 import ast
@@ -103,7 +103,7 @@ def referenced_names(tree: ast.AST) -> set[str]:
     """Every name a module reads, as a bare name, an attribute or an import."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -112,19 +112,40 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_every_module_function_is_used():
-    # a module-level function that nothing in the package reads, that is
-    # not public and that the harness does not trace is dead code
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level definition or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+    return [
+        node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)
+    ]
+
+
+def unused_module_names(kinds: tuple) -> list[str]:
+    """Module-level names bound by statements of ``kinds`` that nothing in
+    the package reads, that are not public, not dunders and not traced by
+    the harness: dead code."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
     used = set().union(*map(referenced_names, trees.values()))
-    unused = [
-        f"{module}.{node.name}"
+    return [
+        f"{module}.{name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used
-        and node.name not in ultratree.__all__
-        and f"{module}.{node.name}" not in spans.GROUPS
+        for statement in tree.body
+        if isinstance(statement, kinds)
+        for name in defined_names(statement)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in used
+        and name not in ultratree.__all__
+        and f"{module}.{name}" not in spans.GROUPS
     ]
-    assert unused == []
+
+
+def test_every_module_function_is_used():
+    assert unused_module_names((ast.FunctionDef, ast.AsyncFunctionDef)) == []
+
+
+def test_every_module_constant_and_class_is_used():
+    # a leftover constant, such as a fence no code applies any more, is
+    # caught like a leftover function
+    assert unused_module_names((ast.Assign, ast.AnnAssign, ast.ClassDef)) == []
