@@ -37,6 +37,46 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_diametrical(
+    points: tuple[str, ...], parts: list[list[int]], diameter, dot_path: str | None
+) -> None:
+    """Print the diametrical graph of a space from its diametrical parts
+    (ascending index lists, by least index; one part for a single point).
+
+    The edges are the C(n,2) - sum of C(|p|,2) pairs across parts, in
+    (i < j) order. They are written one row at a time, to whatever
+    ``sys.stdout`` is at the call, so that no edge list is ever held.
+    """
+    n = len(points)
+    part_of = [0] * n
+    for k, part in enumerate(parts):
+        for a in part:
+            part_of[a] = k
+    count = n * (n - 1) // 2 - sum(len(p) * (len(p) - 1) // 2 for p in parts)
+    out = sys.stdout
+    out.write(f"diameter: {format_rational(diameter)}\nedges ({count}): ")
+    sep = ""
+    for i, later in metric._cross_part_rows(part_of):
+        if later:
+            head = points[i] + "-"
+            out.write(sep + head + (", " + head).join(map(points.__getitem__, later)))
+            sep = ", "
+    out.write("\n")
+    named = star = None
+    if n >= 2:
+        named = metric.MultipartiteDecomposition(
+            tuple(tuple(points[a] for a in part) for part in parts)
+        )
+        print("parts: " + " | ".join("{" + ",".join(p) + "}" for p in named.parts))
+        singles = [part[0] for part in parts if len(part) == 1]
+        star = metric.StarCertificate(points[min(singles)]) if singles else None
+    print(f"star center: {star.center if star else 'none'}")
+    if dot_path:
+        rows = metric._cross_part_rows(part_of)
+        with open(dot_path, "w", encoding="utf-8") as fh:
+            fh.writelines(formats.diametrical_dot_chunks(points, named, star, rows))
+
+
 def _report_json(report) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -137,29 +177,25 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "center":
-        space, _ = _load_space(args.input)
-        print(metric.center_of_distances(space).format())
+        if args.input.endswith(".json"):  # read off the merge order, no matrix
+            center = tree._center_from_gaps(formats.read_tree_file(args.input))
+        else:
+            center = metric.center_of_distances(_load_space(args.input)[0])
+        print(center.format())
         return 0
 
     if args.verb == "diametrical":
-        space, _ = _load_space(args.input)
-        graph = metric.diametrical_graph(space)
-        print(f"diameter: {format_rational(metric.diameter(space))}")
-        print(
-            f"edges ({len(graph.edges)}): "
-            + ", ".join(f"{u}-{v}" for u, v in graph.edges)
-        )
-        parts = star = None
-        if space.n >= 2:
-            parts = metric.multipartite_parts(graph)
-            print(
-                "parts: " + " | ".join("{" + ",".join(p) + "}" for p in parts.parts)
-            )
-            star = metric.spanning_star(graph)
-        print(f"star center: {star.center if star else 'none'}")
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(formats.diametrical_dot_string(graph, parts, star))
+        if args.input.endswith(".json"):
+            t = formats.read_tree_file(args.input)
+            points = t.vertices
+            parts, diameter = tree._diametrical_parts(t)
+        else:
+            space = _load_space(args.input)[0]
+            points, diameter = space.points, space.values[-1]
+            top = len(space.values) - 1
+            # the root split of the canonical dendrogram
+            parts = metric._blocks(space.ranks, list(range(space.n)), top) if top else [[0]]
+        _write_diametrical(points, parts, diameter, args.dot)
         return 0
 
     if args.verb == "spheres":

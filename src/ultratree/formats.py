@@ -10,7 +10,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError
 from .metric import (
@@ -152,20 +152,36 @@ def diametrical_dot_string(
 ) -> str:
     """Render the diametrical graph; parts share a fill color, the star
     center (when present) is drawn with a double border."""
+    index = {p: i for i, p in enumerate(graph.points)}
+    rows = ((index[u], (index[v],)) for u, v in graph.edges)
+    return "".join(diametrical_dot_chunks(graph.points, parts, star, rows))
+
+
+def diametrical_dot_chunks(
+    points: Sequence[str],
+    parts: Optional[MultipartiteDecomposition],
+    star: Optional[StarCertificate],
+    rows: Iterable[tuple[int, Sequence[int]]],
+) -> Iterator[str]:
+    """:func:`diametrical_dot_string` in pieces, for writing as it goes:
+    the nodes first, then one piece per item of ``rows``, which pairs a
+    point's index with the indices of its later neighbours."""
     part_of: dict[str, int] = {}
     if parts is not None:
         for k, part in enumerate(parts.parts):
             for p in part:
                 part_of[p] = k + 1
+    quoted = [json.dumps(p) for p in points]
     lines = ["graph diametrical {", "  node [style=filled colorscheme=set19];"]
-    for p in graph.points:
+    for p, q in zip(points, quoted):
         attrs = [f"fillcolor={part_of.get(p, 9)}"]
         if star is not None and star.center == p:
             attrs.append("shape=doublecircle")
             attrs.append('xlabel="star center"')
-        lines.append(f"  {json.dumps(p)} [{' '.join(attrs)}];")
-    quoted = {p: json.dumps(p) for p in graph.points}
-    for u, v in graph.edges:
-        lines.append(f"  {quoted[u]} -- {quoted[v]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {q} [{' '.join(attrs)}];")
+    yield "\n".join(lines) + "\n"
+    for i, later in rows:
+        if later:
+            head = f"  {quoted[i]} -- "
+            yield head + (";\n" + head).join(map(quoted.__getitem__, later)) + ";\n"
+    yield "}\n"

@@ -570,6 +570,17 @@ def diametrical_graph(space: FiniteUltrametricSpace) -> DiametricalGraph:
     return DiametricalGraph(points, tuple(edges))
 
 
+def _cross_part_rows(part_of: Sequence[int]) -> Iterable[tuple[int, list[int]]]:
+    """The edges of the complete multipartite graph whose point i lies in
+    part ``part_of[i]``, one row at a time: each i with the later points
+    of other parts, ascending. A diametrical graph is read off its parts
+    this way without holding its edge list."""
+    n = len(part_of)
+    for i, k in enumerate(part_of):
+        later = i + 1
+        yield i, list(compress(range(later, n), map(k.__ne__, part_of[later:])))
+
+
 class MultipartiteDecomposition(_Record):
     """Partition of a graph's vertices with edges exactly across parts."""
 
@@ -785,14 +796,22 @@ def _split_table(
         if diam == 0:
             raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
         first = len(balls)
-        remaining = idxs
-        while remaining:
-            row = ranks[remaining[0]]
-            balls.append([v for v in remaining if row[v] < diam])
-            remaining = [v for v in remaining if row[v] >= diam]
+        balls.extend(_blocks(ranks, idxs, diam))
         levels.append(diam)
         children.append(list(range(first, len(balls))))
     return balls, levels, children
+
+
+def _blocks(ranks, idxs: list[int], diam: int) -> list[list[int]]:
+    """Split ascending point indices of a ball whose diameter rank is
+    ``diam`` (positive) into its blocks: the points closer than the
+    diameter to each other, each ascending, in order of least index."""
+    blocks = []
+    while idxs:
+        row = ranks[idxs[0]]
+        blocks.append([v for v in idxs if row[v] < diam])
+        idxs = [v for v in idxs if row[v] >= diam]
+    return blocks
 
 
 def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int]]:

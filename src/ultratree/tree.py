@@ -14,7 +14,9 @@ Both derived structures start from Kruskal's merge order: merging the
 edges by ascending weight (the larger endpoint label) and appending
 component to component lists the vertices so that the path maximum of
 any two is the largest gap between them. The index answers one pair by
-a range maximum over the gaps; the matrix is filled from the gaps.
+a range maximum over the gaps; the matrix is filled from the gaps; the
+center of distances and the diametrical parts are read off the gaps,
+with no matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     NotConnected,
     UnknownVertex,
 )
-from .metric import FiniteUltrametricSpace, _rank_entries, _ranks_from_gaps, _Record
+from .metric import DistanceSet, FiniteUltrametricSpace, _rank_entries, _ranks_from_gaps, _Record
 from .rationals import parse_rational
 
 
@@ -262,6 +264,19 @@ def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
     distance is the largest gap between them; the matrix is filled from
     those gaps in O(n²), the size of the output.
     """
+    order, gaps, values = _gap_form(tree)
+    return FiniteUltrametricSpace(tree.vertices, _ranks_from_gaps(order, gaps), values)
+
+
+def _gap_form(tree: LabeledTree) -> tuple[list[int], list[int], tuple[Fraction, ...]]:
+    """The tree's ultrametric as Kruskal's merge order: ``(order, gaps,
+    values)``, where the distance between ``order[i]`` and ``order[j]``
+    (i < j) is ``values[max(gaps[i:j])]``. ``values`` is the distance set
+    in ascending order, 0 included, so the top rank is the diameter.
+
+    Raises DegenerateLabeling (with the violating edge) when some edge
+    has both labels zero.
+    """
     bad = degenerate_edge(tree)
     if bad is not None:
         raise DegenerateLabeling(bad)
@@ -270,7 +285,64 @@ def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
     weights = [max(labels[i], labels[j]) for i, j in tree.edges]
     (levels,), values = _rank_entries([weights])
     order, gaps = _kruskal_order(tree.n, tree.edges, levels)
-    return FiniteUltrametricSpace(tree.vertices, _ranks_from_gaps(order, gaps), values)
+    return order, gaps, values
+
+
+def _center_from_gaps(tree: LabeledTree) -> DistanceSet:
+    """The center of distances of the tree's ultrametric, with no matrix.
+
+    The points within distance w of a point p are the run of the merge
+    order between the nearest gaps above w around p, and p realizes w
+    exactly when that run holds a gap equal to w. So w is in the center
+    unless some run, whose largest inner gap is L (0 for one point) and
+    whose smaller bounding gap is P, has L < w < P. Those runs are the
+    single points and, for each gap, the run up to its nearest larger
+    gaps on both sides, which one stack over the gaps finds in O(n).
+    """
+    _, gaps, values = _gap_form(tree)
+    top = len(values) - 1
+    # a difference array: its prefix sum at w counts the runs ruling out
+    # w; a sentinel gap above the top closes both ends of the order
+    cover = [0] * (top + 2)
+    bounds = [top + 1, *gaps, top + 1]
+    cover[1] += 1  # the single points, below the farthest nearest neighbour
+    cover[max(map(min, bounds, bounds[1:]))] -= 1
+    stack: list[int] = []  # strictly decreasing: the gaps still open to the right
+    for g in bounds[1:]:
+        while stack and stack[-1] < g:
+            low = stack.pop()
+            cover[low + 1] += 1
+            cover[min(g, stack[-1]) if stack else g] -= 1
+        if not stack or stack[-1] > g:  # an equal gap belongs to the same run
+            stack.append(g)
+    center = [values[0]]  # 0
+    excluded = 0
+    for w in range(1, top + 1):
+        excluded += cover[w]
+        if not excluded:
+            center.append(values[w])
+    return DistanceSet(tuple(center))
+
+
+def _diametrical_parts(tree: LabeledTree) -> tuple[list[list[int]], Fraction]:
+    """The parts of the diametrical graph and the diameter, with no matrix.
+
+    The parts are the runs of the merge order between its top gaps: each
+    sorted, ordered by least index, as ``multipartite_parts`` lists them.
+    A single point is one part.
+    """
+    order, gaps, values = _gap_form(tree)
+    top = len(values) - 1
+    parts = [[order[0]]]
+    for g, v in zip(gaps, order[1:]):
+        if g == top:
+            parts.append([v])
+        else:
+            parts[-1].append(v)
+    for part in parts:
+        part.sort()
+    parts.sort()
+    return parts, values[-1]
 
 
 def _kruskal_order(
