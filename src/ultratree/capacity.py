@@ -1,8 +1,8 @@
-"""Capacity fences for the exponential-cost operations.
+"""The capacity fence of class enumeration, the one exponential-cost operation.
 
-Each fence has a built-in ceiling. The environment variable
-``ULTRATREE_MAX_N`` may lower every fence (never raise one), so batch
-runs can cap work globally.
+The fence has a built-in ceiling. The environment variable
+``ULTRATREE_MAX_N`` may lower it (never raise it), so batch runs can cap
+work globally.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .errors import TooLarge, UltratreeError
 ENV_VAR = "ULTRATREE_MAX_N"
 
 ENUMERATION_FENCE = 10     # weak-similarity class enumeration
-SUBSET_SCAN_FENCE = 20     # scans over all 2^n subsets
 
 
 def fence_limit(default: int) -> int:

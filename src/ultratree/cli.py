@@ -201,8 +201,6 @@ def _run(args: argparse.Namespace) -> int:
     if args.verb == "spheres":
         space, _ = _load_space(args.input)
         spheres = metric.enumerate_centered_spheres(space)
-        # decided first, so that a fenced run refuses before printing anything
-        every = metric._spheres_are_all_subsets(space, spheres) if args.subsets else None
         for cert in spheres:
             members = ",".join(
                 sorted(cert.subset, key=space.index_of)
@@ -212,6 +210,7 @@ def _run(args: argparse.Namespace) -> int:
                 % (members, cert.center, format_rational(cert.radius))
             )
         if args.subsets:
+            every = len(spheres) == (1 << space.n) - 1
             print(f"all non-empty subsets are centered spheres: {'yes' if every else 'no'}")
         return 0
 

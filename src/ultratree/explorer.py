@@ -26,6 +26,7 @@ from .metric import (
     Dendrogram,
     FiniteUltrametricSpace,
     _ball_sets,
+    _merge_order,
     _ranks_from_gaps,
     _sphere_center,
     _sphere_sets,
@@ -192,55 +193,21 @@ def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
         yield table.dendrogram(root)
 
 
-def _leaf_runs(dendro: Dendrogram) -> tuple[int, list[tuple[int, int, int, list]]]:
-    """Number the leaves depth first; list each internal node's leaf runs.
-
-    Returns the leaf count and, per internal node, ``(level, first leaf,
-    end, child runs)``: the node holds leaves ``first..end-1`` and each
-    child's leaves are the contiguous run ``(a, b)``, in child order.
-    """
-    if dendro.is_leaf:
-        return 1, []
-    nodes = []
-    next_leaf = 0
-    # frames: [internal node, next child to visit, first leaf, child runs]
-    stack: list[list] = [[dendro, 0, 0, []]]
-    while stack:
-        frame = stack[-1]
-        node, child, start, runs = frame
-        if child < len(node.children):
-            frame[1] += 1
-            nxt = node.children[child]
-            if nxt.is_leaf:
-                runs.append((next_leaf, next_leaf + 1))
-                next_leaf += 1
-            else:
-                stack.append([nxt, 0, next_leaf, []])
-            continue
-        stack.pop()
-        nodes.append((node.level, start, next_leaf, runs))
-        if stack:
-            stack[-1][3].append((start, next_leaf))
-    return next_leaf, nodes
-
-
 def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     """Realize the dendrogram: leaves x1..xn, distances = ancestor levels.
 
-    Leaves are numbered in depth-first order, so two neighbouring leaves
-    part at the node where one child's run ends and the next begins, and
-    the distance of any two leaves is the largest such gap between them.
+    Leaves are numbered in depth-first order, the merge order of
+    :func:`~ultratree.metric._merge_order`, so the distance of any two
+    leaves is the largest level between them.
     """
-    n, nodes = _leaf_runs(dendro)
-    levels = sorted({level for level, _, _, _ in nodes})
+    leaves, gaps = _merge_order(dendro)
+    levels = sorted(set(gaps))
     level_rank = {level: r for r, level in enumerate(levels, 1)}
-    gaps = [0] * (n - 1)
-    for level, _, _, runs in nodes:
-        for _, end in runs[:-1]:
-            gaps[end - 1] = level_rank[level]
+    n = len(leaves)
     names = tuple(f"x{i + 1}" for i in range(n))
-    values = (ZERO,) + tuple(Fraction(level) for level in levels)
-    return FiniteUltrametricSpace(names, _ranks_from_gaps(range(n), gaps), values)
+    values = (ZERO,) + tuple(map(Fraction, levels))
+    ranks = _ranks_from_gaps(range(n), list(map(level_rank.__getitem__, gaps)))
+    return FiniteUltrametricSpace(names, ranks, values)
 
 
 # --- campaign reports -------------------------------------------------------------
@@ -327,7 +294,6 @@ def check_con3(n: int) -> CampaignReport:
     enumerator's per-subtree masks, so the only class built as a
     dendrogram is the witness.
     """
-    require_within("center-size campaign", n, ENUMERATION_FENCE)
     table = _Subtrees()
     instances = max_size = best = 0
     for root in _enumerate_ids(n, table):

@@ -102,26 +102,42 @@ def read_tree_file(path: str) -> LabeledTree:
 # --- distance matrices ----------------------------------------------------------
 
 def parse_matrix_csv(text: str) -> FiniteUltrametricSpace:
-    """Parse a matrix CSV: header of point names, then rows of rationals."""
-    try:
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    except csv.Error as exc:
-        raise FormatError(f"invalid CSV: {exc}") from None
-    if not rows:
-        raise FormatError("matrix CSV is empty")
-    points = [cell.strip() for cell in rows[0]]
-    n = len(points)
-    if len(rows) != n + 1:
-        raise FormatError(f"expected {n} matrix rows after the header, got {len(rows) - 1}")
+    """Parse a matrix CSV: header of point names, then rows of rationals.
+
+    Rows are converted as they are read, so no cell string outlives its
+    row. A CSV error comes first, then an empty file, then the row count,
+    then the first row with a wrong length or a cell that is no rational.
+    """
+    rows = (row for row in csv.reader(io.StringIO(text)) if row)
     parsed: dict[str, Fraction] = {}  # each distinct cell text is parsed once
     matrix = []
-    for row in rows[1:]:
-        if len(row) != n:
-            raise FormatError(f"row has {len(row)} entries, expected {n}")
-        for cell in row:
-            if cell not in parsed:
-                parsed[cell] = parse_rational(cell)
-        matrix.append(list(map(parsed.__getitem__, row)))
+    fault: Optional[FormatError] = None
+    count = 0
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise FormatError("matrix CSV is empty")
+        points = [cell.strip() for cell in header]
+        n = len(points)
+        for count, row in enumerate(rows, 1):
+            if fault:
+                continue  # the rows after a fault are still counted and read
+            try:
+                if len(row) != n:
+                    raise FormatError(f"row has {len(row)} entries, expected {n}")
+                for cell in row:
+                    if cell not in parsed:
+                        parsed[cell] = parse_rational(cell)
+            except FormatError as exc:
+                fault = exc
+            else:
+                matrix.append(tuple(map(parsed.__getitem__, row)))
+    except csv.Error as exc:
+        raise FormatError(f"invalid CSV: {exc}") from None
+    if count != n:
+        raise FormatError(f"expected {n} matrix rows after the header, got {count}")
+    if fault:
+        raise fault
     return validate_ultrametric(points, matrix)
 
 

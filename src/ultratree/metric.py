@@ -18,9 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter, neg
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
-from .capacity import SUBSET_SCAN_FENCE, require_within
 from .errors import (
     DuplicatePoint,
     EmptySubset,
@@ -533,19 +532,9 @@ def all_subsets_centered_spheres(space: FiniteUltrametricSpace) -> bool:
     """True iff every non-empty subset of the space is a centered sphere.
 
     There are at most n * |distance values| distinct spheres, so this just
-    compares that family's size against 2^n - 1. Fenced: the answer is
-    about all subsets, so n is capped.
+    compares that family's size against 2^n - 1.
     """
-    return _spheres_are_all_subsets(space, enumerate_centered_spheres(space))
-
-
-def _spheres_are_all_subsets(
-    space: FiniteUltrametricSpace, spheres: Sequence[SphereCertificate]
-) -> bool:
-    """:func:`all_subsets_centered_spheres` on the space's spheres, already
-    enumerated by :func:`enumerate_centered_spheres`."""
-    require_within("all-subsets sphere scan", space.n, SUBSET_SCAN_FENCE)
-    return len(spheres) == (1 << space.n) - 1
+    return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1
 
 
 class DiametricalGraph(_Record):
@@ -696,25 +685,11 @@ class Dendrogram(_Record):
         return self.level == 0
 
     def leaf_count(self) -> int:
-        count = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                count += 1
-            else:
-                stack.extend(node.children)
-        return count
+        return len(_merge_order(self)[0])
 
     def levels_used(self) -> frozenset[int]:
-        levels: set[int] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                levels.add(node.level)
-                stack.extend(node.children)
-        return frozenset(levels)
+        # an internal node has two children or more, so its level is a gap
+        return frozenset(_merge_order(self)[1])
 
     def key(self) -> str:
         """Canonical string encoding; equal keys mean the same class.
@@ -756,6 +731,33 @@ class Dendrogram(_Record):
                 return False
             stack.extend(node.children)
         return True
+
+
+def _merge_order(
+    root, split: Callable = attrgetter("level", "children")
+) -> tuple[list, list[int]]:
+    """The leaves under ``root`` in depth-first child order, and the level
+    between each two neighbouring leaves: the dendrogram's merge order.
+
+    ``split(node)`` gives the node's level and its children, none for a
+    leaf; the default reads a :class:`Dendrogram`. Two neighbouring leaves
+    part at the node where one child's leaves end and the next child's
+    begin, so the distance of any two leaves is the largest level between
+    them. Walked without recursion, so chains of any depth work.
+    """
+    leaves: list = []
+    gaps: list[int] = []
+    stack = [(root, 0)]  # a node and the level between it and the leaf before it
+    while stack:
+        node, gap = stack.pop()
+        level, children = split(node)
+        if children:
+            stack.extend((child, level) for child in reversed(children[1:]))
+            stack.append((children[0], gap))
+        else:
+            leaves.append(node)
+            gaps.append(gap)
+    return leaves, gaps[1:]
 
 
 def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
@@ -831,15 +833,8 @@ def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int
         else:
             children[pos].sort(key=lambda c: built[c].key())
             built[pos] = Dendrogram(levels[pos], tuple(built[c] for c in children[pos]))
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        pos = stack.pop()
-        if levels[pos] == 0:
-            order.append(balls[pos][0])
-        else:
-            stack.extend(reversed(children[pos]))
-    return built[0], order
+    leaves, _ = _merge_order(0, lambda pos: (levels[pos], children[pos]))
+    return built[0], [balls[pos][0] for pos in leaves]
 
 
 class WeakSimilarityWitness(_Record):

@@ -15,7 +15,10 @@ replaced; the walks over one class's dendrogram for its center size and
 its leaf-child criterion are what the per-subtree masks and flags of the
 enumerator replaced. ``is_ut_split_walk`` is ``is_ut`` as it walked the
 diameter splits top-down with a stack and a split of its own, before it
-read the table the canonical form is built from. The last section is the
+read the table the canonical form is built from. ``_leaf_runs`` numbers
+a dendrogram's leaves frame by frame, as ``dendrogram_to_space`` did before
+one depth-first walk of the merge order served every dendrogram reader.
+The oracles import no private name of the package. The last section is the
 theorem suite through the public name-keyed API, which the suite on the
 rank matrix replaced; like that suite, it reads the ranks for its
 row-maximum check.
@@ -38,10 +41,9 @@ from ultratree.errors import (
     StrongTriangleViolation,
     TooSmall,
 )
-from ultratree.metric import FiniteUltrametricSpace, WeakSimilarityWitness
+from ultratree.metric import Dendrogram, FiniteUltrametricSpace, WeakSimilarityWitness
 from ultratree.tree import LabeledTree, degenerate_edge, validate_tree
 from ultratree.errors import DegenerateLabeling
-from ultratree.explorer import _leaf_runs
 
 ZERO = Fraction(0)
 
@@ -478,7 +480,12 @@ def dendrogram_lca_levels(dendro):
                         levels[i][j] = levels[j][i] = node.level
         return [i for run in runs for i in run]
 
-    n = dendro.leaf_count()
+    n = 0
+    stack = [dendro]
+    while stack:
+        node = stack.pop()
+        n += node.is_leaf
+        stack.extend(node.children)
     levels = [[0] * n for _ in range(n)]
     leaves(dendro, 0)
     return levels
@@ -606,6 +613,38 @@ def all_subsets_spheres(space) -> bool:
     return len(enumerate_centered_spheres(space)) == (1 << space.n) - 1
 
 
+def _leaf_runs(dendro: Dendrogram) -> tuple[int, list[tuple[int, int, int, list]]]:
+    """Number the leaves depth first; list each internal node's leaf runs.
+
+    Returns the leaf count and, per internal node, ``(level, first leaf,
+    end, child runs)``: the node holds leaves ``first..end-1`` and each
+    child's leaves are the contiguous run ``(a, b)``, in child order.
+    """
+    if dendro.is_leaf:
+        return 1, []
+    nodes = []
+    next_leaf = 0
+    # frames: [internal node, next child to visit, first leaf, child runs]
+    stack: list[list] = [[dendro, 0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        node, child, start, runs = frame
+        if child < len(node.children):
+            frame[1] += 1
+            nxt = node.children[child]
+            if nxt.is_leaf:
+                runs.append((next_leaf, next_leaf + 1))
+                next_leaf += 1
+            else:
+                stack.append([nxt, 0, next_leaf, []])
+            continue
+        stack.pop()
+        nodes.append((node.level, start, next_leaf, runs))
+        if stack:
+            stack[-1][3].append((start, next_leaf))
+    return next_leaf, nodes
+
+
 def sphere_masks(dendro) -> tuple[int, set[int]]:
     """The leaf count and the distinct centered spheres of the class.
 
@@ -714,7 +753,8 @@ def theorem_suite(
     module's Fraction-matrix versions, since the library's now wrap the
     index cores the suite runs on; the rest is the library's API.
     """
-    from ultratree.explorer import CampaignReport, _witness
+    from ultratree.explorer import CampaignReport
+    from ultratree.formats import matrix_csv_string
     from ultratree.metric import (
         ball,
         center_of_distances,
@@ -832,7 +872,8 @@ def theorem_suite(
     witnesses = []
     if failures:
         name, note = failures[0]
-        witnesses.append(_witness(f"first-failure:{name}", space, note))
+        label = f"first-failure:{name}"
+        witnesses.append({"label": label, "matrix_csv": matrix_csv_string(space), "note": note})
     return CampaignReport(
         check="suite",
         n=n,

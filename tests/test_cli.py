@@ -86,13 +86,17 @@ class TestBasicVerbs:
         assert "{x3,x4}  center=x3 radius=1" in out
         assert "all non-empty subsets are centered spheres: no" in out
 
-    def test_spheres_subsets_fence_refuses_before_printing(self, capsys):
-        # the 30-point golden sample is past the 20-point all-subsets fence
-        padic = str(Path(__file__).resolve().parent / "golden" / "padic3.csv")
-        code, out, err = run(capsys, "spheres", padic, "--subsets")
-        assert code == 3
-        assert out == ""
-        assert "all-subsets sphere scan" in err and "fence 20" in err
+    def test_spheres_subsets_answers_past_twenty_points(self, capsys, monkeypatch):
+        # no fence: the 30-point golden sample gets its spheres and then the
+        # answer, which only compares their count with 2^n - 1; a lowered
+        # ULTRATREE_MAX_N changes nothing
+        golden = Path(__file__).resolve().parent / "golden"
+        padic = str(golden / "padic3.csv")
+        spheres = (golden / "spheres-padic.out").read_text()
+        answer = spheres + "all non-empty subsets are centered spheres: no\n"
+        assert run(capsys, "spheres", padic, "--subsets") == (0, answer, "")
+        monkeypatch.setenv("ULTRATREE_MAX_N", "2")
+        assert run(capsys, "spheres", padic, "--subsets") == (0, answer, "")
 
     def test_spheres_subsets_enumerates_once(self, capsys, tree_file, monkeypatch):
         from ultratree import metric

@@ -459,22 +459,22 @@ class TestCon3Campaign:
         built = []
         walks = []
         real_dendrogram = explorer.Dendrogram
-        real_leaf_runs = explorer._leaf_runs
+        real_merge_order = explorer._merge_order
 
         def counting_dendrogram(*args, **kwargs):
             node = real_dendrogram(*args, **kwargs)
             built.append(node)
             return node
 
-        def counting_leaf_runs(dendro):
-            walks.append(dendro)
-            return real_leaf_runs(dendro)
+        def counting_merge_order(root, *args):
+            walks.append(root)
+            return real_merge_order(root, *args)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("check_con3 started a process pool")
 
         monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
-        monkeypatch.setattr(explorer, "_leaf_runs", counting_leaf_runs)
+        monkeypatch.setattr(explorer, "_merge_order", counting_merge_order)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         report = check_con3(7)
         assert report.instances == 468

@@ -152,6 +152,47 @@ class TestMatrixCsv:
         assert space.values == (0, F(1, 2), 1)
         assert matrix_csv_string(space) == "a,b,c\n0,1/2,1\n1/2,0,1\n1,1,0\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "matrix CSV is empty"),
+            ("\n\n", "matrix CSV is empty"),
+            # a short row and a missing row: the row count is reported
+            ("a,b,c\n0,1\n1,0,1\n", "expected 3 matrix rows after the header, got 2"),
+            ("a,b\n0,x\n1,0\n1,0\n", "expected 2 matrix rows after the header, got 3"),
+            # otherwise the first fault in file order
+            ("a,b\n0,x\n1\n", "not an exact rational: 'x'"),
+            ("a,b\n0\n1,x\n", "row has 1 entries, expected 2"),
+            # a CSV error after another fault still comes first
+            ("a,b\n0\n1,0\r1\n", "invalid CSV"),
+            ("a,b\n0,x\n1,0\r1\n", "invalid CSV"),
+        ],
+    )
+    def test_fault_precedence(self, text, message):
+        with pytest.raises(FormatError) as err:
+            parse_matrix_csv(text)
+        assert str(err.value).startswith(message)
+
+    def test_parse_holds_no_cell_strings(self):
+        # each row is converted as it is read: a 500-point CSV (0.75 MB)
+        # peaks near 5 MB under tracemalloc, where holding every cell
+        # string peaked at 20 MB
+        import tracemalloc
+
+        from ultratree import distance_matrix, random_labeled_tree
+
+        pool = list(range(1, 16)) + [16] * 4
+        space = distance_matrix(random_labeled_tree(500, pool, seed=1))
+        text = matrix_csv_string(space)
+        tracemalloc.start()
+        try:
+            parsed = parse_matrix_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == space
+        assert peak <= 10 * 2**20
+
 
 class TestDotExport:
     def test_contents(self, path_space):

@@ -289,12 +289,17 @@ class TestCenteredSpheres:
         subsets = {tuple(sorted(c.subset)) for c in enumerate_centered_spheres(s)}
         assert subsets == {("p0",), ("p1",), ("p2",), ("p3",), tuple(sorted(s.points))}
 
-    def test_all_subsets_scan_fence(self):
-        from ultratree.errors import TooLarge
+    def test_all_subsets_scan_has_no_fence(self, monkeypatch):
+        # 21 singletons and the whole space are its only spheres; the answer
+        # compares their count with 2^21 - 1, under any ULTRATREE_MAX_N
         from ultratree.metric import all_subsets_centered_spheres
 
-        with pytest.raises(TooLarge):
-            all_subsets_centered_spheres(equidistant_space(21))
+        space = equidistant_space(21)
+        assert len(enumerate_centered_spheres(space)) == 22
+        assert all_subsets_centered_spheres(space) is False
+        monkeypatch.setenv("ULTRATREE_MAX_N", "2")
+        assert all_subsets_centered_spheres(space) is False
+        assert all_subsets_centered_spheres(equidistant_space(2)) is True
 
     def test_enumeration_agrees_with_subset_scan(self, path_space):
         # oracle: test every one of the 2^n - 1 subsets directly

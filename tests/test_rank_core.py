@@ -47,7 +47,12 @@ from ultratree.errors import (
     StrongTriangleViolation,
     UltratreeError,
 )
-from ultratree.metric import FiniteUltrametricSpace, _ranks_from_gaps
+from ultratree.metric import (
+    FiniteUltrametricSpace,
+    _canonical_form,
+    _merge_order,
+    _ranks_from_gaps,
+)
 from ultratree.tree import LabeledTree
 
 F = Fraction
@@ -321,6 +326,82 @@ def test_dendrogram_to_space_realizes_lca_levels_in_leaf_order():
             assert space.matrix == tuple(tuple(map(F, row)) for row in expected)
 
 
+# --- the depth-first merge order ------------------------------------------------------
+
+def leaf_runs_merge_order(dendro):
+    """The leaf count and the gap after each leaf but the last, read off
+    the oracle's runs: a gap lies where one child's run ends and the next
+    begins, at the level of their parent."""
+    n, nodes = oracles._leaf_runs(dendro)
+    gaps = [None] * (n - 1)
+    for level, _, _, runs in nodes:
+        for _, end in runs[:-1]:
+            assert gaps[end - 1] is None  # each gap belongs to one node
+            gaps[end - 1] = level
+    return n, gaps
+
+
+def assert_merge_order_matches_leaf_runs(dendro):
+    leaves, gaps = _merge_order(dendro)
+    n, expected = leaf_runs_merge_order(dendro)
+    assert all(leaf.is_leaf for leaf in leaves)
+    assert (len(leaves), gaps) == (n, expected)
+    assert dendro.leaf_count() == n
+    assert dendro.levels_used() == {level for level, _, _, _ in oracles._leaf_runs(dendro)[1]}
+
+
+def test_merge_order_matches_leaf_runs_on_every_class():
+    counts = []
+    for n in range(1, 10):
+        classes = list(enumerate_dendrograms(n))
+        for dendro in classes:
+            assert_merge_order_matches_leaf_runs(dendro)
+        counts.append(len(classes))
+    assert counts == [1, 1, 2, 6, 20, 90, 468, 2910, 20644]
+
+
+@st.composite
+def gapped_dendrograms(draw):
+    """Dendrograms merged bottom-up from random groups, each parent one to
+    three levels above its highest child, children in drawn order."""
+    forest = [Dendrogram(0)] * draw(st.integers(1, 12))
+    while len(forest) > 1:
+        picked = draw(st.permutations(range(len(forest))))[: draw(st.integers(2, len(forest)))]
+        children = tuple(forest[i] for i in picked)
+        level = max(child.level for child in children) + draw(st.integers(1, 3))
+        forest = [t for i, t in enumerate(forest) if i not in picked] + [Dendrogram(level, children)]
+    return forest[0]
+
+
+@given(gapped_dendrograms())
+@settings(max_examples=200, deadline=None)
+def test_merge_order_realizes_gapped_dendrograms(dendro):
+    assert_merge_order_matches_leaf_runs(dendro)
+    space = dendrogram_to_space(dendro)
+    expected = oracles.dendrogram_lca_levels(dendro)
+    assert space.points == tuple(f"x{i + 1}" for i in range(len(expected)))
+    assert space.matrix == tuple(tuple(map(F, row)) for row in expected)
+
+
+@given(st.integers(1, 30), label_pools, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_canonical_leaf_order_is_a_merge_order(n, pool, seed):
+    # every ball is one run of the canonical leaf order, and every distance
+    # is the largest distance of two neighbours between its points
+    space = distance_matrix(random_labeled_tree(n, pool, seed=seed))
+    _, order = _canonical_form(space)
+    assert sorted(order) == list(range(n))
+    place = {space.points[i]: k for k, i in enumerate(order)}
+    for kind in ("open", "closed"):
+        for _, _, members in oracles.enumerate_balls(space, kind):
+            spots = sorted(place[p] for p in members)
+            assert spots == list(range(spots[0], spots[0] + len(spots)))
+    gaps = [space.ranks[a][b] for a, b in zip(order, order[1:])]
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert space.ranks[order[i]][order[j]] == max(gaps[i:j])
+
+
 # --- deep chains and unvalidated zero entries -------------------------------------------
 
 def test_deep_chain_round_trips_without_recursion():
@@ -335,6 +416,8 @@ def test_deep_chain_round_trips_without_recursion():
     dendro = space_to_dendrogram(space)
     assert dendro.leaf_count() == n
     assert dendro.level == n - 1
+    assert dendro.levels_used() == frozenset(range(1, n))
+    assert dendro.is_canonical()
     node = dendro  # a chain: every internal node has one leaf child
     while not node.is_leaf:
         assert [c.is_leaf for c in node.children].count(True) >= 1

@@ -155,7 +155,7 @@ NAME_KEYED = (
     # the class's dendrogram: the suite reads only the space's ranks
     "space_to_dendrogram",
     "_canonical_form",
-    "_leaf_runs",
+    "_merge_order",
 )
 
 

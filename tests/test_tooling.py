@@ -18,6 +18,7 @@ import ultratree.cli  # noqa: F401 - the harness traces cli.main too
 import ultratree.explorer  # noqa: F401 - the harness's campaign verbs import it before tracing
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PACKAGE = sorted(Path(ultratree.__file__).resolve().parent.glob("*.py"))
 
 
@@ -149,3 +150,17 @@ def test_every_module_constant_and_class_is_used():
     # a leftover constant, such as a fence no code applies any more, is
     # caught like a leftover function
     assert unused_module_names((ast.Assign, ast.AnnAssign, ast.ClassDef)) == []
+
+
+def test_oracles_import_no_private_name():
+    # an oracle that calls the library's own private helpers is no longer
+    # an independent reference for them
+    module = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ultratree")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
