@@ -29,6 +29,16 @@ def _load_space(path: str) -> tuple[metric.FiniteUltrametricSpace, bool]:
     raise UltratreeError(f"cannot tell tree JSON from matrix CSV: {path!r}")
 
 
+def _load_gap_form(path: str) -> tuple:
+    """A space's points and merge order ``(order, gaps, values)``: Kruskal's
+    from a tree JSON, with no matrix, or the one a matrix CSV's validation lists."""
+    if path.endswith(".json"):
+        t = formats.read_tree_file(path)
+        return (t.vertices, *tree._gap_form(t))
+    space = _load_space(path)[0]
+    return (space.points, *space._gap_form)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -177,25 +187,14 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "center":
-        if args.input.endswith(".json"):  # read off the merge order, no matrix
-            center = tree._center_from_gaps(formats.read_tree_file(args.input))
-        else:
-            center = metric.center_of_distances(_load_space(args.input)[0])
-        print(center.format())
+        _, _, gaps, values = _load_gap_form(args.input)
+        print(metric._center_from_gaps(gaps, values).format())
         return 0
 
     if args.verb == "diametrical":
-        if args.input.endswith(".json"):
-            t = formats.read_tree_file(args.input)
-            points = t.vertices
-            parts, diameter = tree._diametrical_parts(t)
-        else:
-            space = _load_space(args.input)[0]
-            points, diameter = space.points, space.values[-1]
-            top = len(space.values) - 1
-            # the root split of the canonical dendrogram
-            parts = metric._blocks(space.ranks, list(range(space.n)), top) if top else [[0]]
-        _write_diametrical(points, parts, diameter, args.dot)
+        points, order, gaps, values = _load_gap_form(args.input)
+        parts = metric._diametrical_parts(order, gaps, values)
+        _write_diametrical(points, parts, values[-1], args.dot)
         return 0
 
     if args.verb == "spheres":

@@ -27,7 +27,7 @@ from .metric import (
     FiniteUltrametricSpace,
     _ball_sets,
     _merge_order,
-    _ranks_from_gaps,
+    _rank_entries,
     _sphere_center,
     _sphere_sets,
     _split_table,
@@ -198,16 +198,12 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
 
     Leaves are numbered in depth-first order, the merge order of
     :func:`~ultratree.metric._merge_order`, so the distance of any two
-    leaves is the largest level between them.
+    leaves is the largest level between them. The space keeps that order.
     """
-    leaves, gaps = _merge_order(dendro)
-    levels = sorted(set(gaps))
-    level_rank = {level: r for r, level in enumerate(levels, 1)}
-    n = len(leaves)
-    names = tuple(f"x{i + 1}" for i in range(n))
-    values = (ZERO,) + tuple(map(Fraction, levels))
-    ranks = _ranks_from_gaps(range(n), list(map(level_rank.__getitem__, gaps)))
-    return FiniteUltrametricSpace(names, ranks, values)
+    leaves, levels = _merge_order(dendro)
+    (gaps,), values = _rank_entries([levels])
+    names = tuple(f"x{i + 1}" for i in range(len(leaves)))
+    return FiniteUltrametricSpace._from_gaps(names, range(len(leaves)), gaps, values)
 
 
 # --- campaign reports -------------------------------------------------------------
@@ -648,30 +644,28 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
     canonical dendrogram has at least one leaf child: when every ball of
     two or more points, split at its diameter, has a single-point block.
     The tree is built along the same splits, read bottom-up from
-    :func:`~ultratree.metric._split_table`. The first single-point block
-    of each ball (its lowest-index singleton) is its hub and takes the
-    ball's diameter as its label; every other block hangs its own hub off
-    it, and a singleton block is its own hub with label 0. Every path
-    between two blocks of a ball then peaks at that ball's hub. Returns
-    None when some ball has no singleton block. Runs in polynomial time,
-    with no fence.
+    :func:`~ultratree.metric._split_table` (the space's merge order). The
+    first single-point block of each ball (its lowest-index singleton) is
+    its hub and takes the ball's diameter as its label; every other block
+    hangs its own hub off it, and a singleton block is its own hub with
+    label 0. Every path between two blocks of a ball then peaks at that
+    ball's hub. Returns None when some ball has no singleton block. Runs
+    in polynomial time, with no fence. An unvalidated matrix that is not
+    ultrametric raises StrongTriangleViolation naming a violating triple.
     """
     if not space.n:
         raise TooSmall("is_ut needs at least 1 point")
-    balls, levels, children = _split_table(space)
+    levels, children = _split_table(space)
     labels = [ZERO] * space.n
     edges: list[tuple[int, int]] = []
-    hubs = [0] * len(balls)
-    for pos in reversed(range(len(balls))):  # children come after parents
-        if not levels[pos]:
-            hubs[pos] = balls[pos][0]
-            continue
-        hub_block = next((c for c in children[pos] if not levels[c]), None)
-        if hub_block is None:
+    hubs = list(range(space.n))  # a single point is its own hub
+    for level, blocks in zip(levels[space.n :], children[space.n :]):  # blocks come first
+        hub = next((c for c in blocks if c < space.n), None)  # the least single point
+        if hub is None:
             return None
-        hub = hubs[pos] = hubs[hub_block]
-        labels[hub] = space.values[levels[pos]]
-        edges.extend((hub, hubs[c]) for c in children[pos] if c != hub_block)
+        hubs.append(hub)
+        labels[hub] = space.values[level]
+        edges.extend((hub, hubs[c]) for c in blocks if c != hub)
     names = space.points
     return validate_tree(
         names,

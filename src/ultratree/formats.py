@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -108,7 +109,10 @@ def parse_matrix_csv(text: str) -> FiniteUltrametricSpace:
     row. A CSV error comes first, then an empty file, then the row count,
     then the first row with a wrong length or a cell that is no rational.
     """
-    rows = (row for row in csv.reader(io.StringIO(text)) if row)
+    # the lines as a file gives them, so that a bare "\r" stays inside one for csv
+    # to refuse; a StringIO would hold the text again at four bytes a character
+    lines = (m[0] for m in re.finditer(r"[^\n]*\n|[^\n]+", text))
+    rows = (row for row in csv.reader(lines) if row)
     parsed: dict[str, Fraction] = {}  # each distinct cell text is parsed once
     matrix = []
     fault: Optional[FormatError] = None

@@ -8,6 +8,12 @@ distance. Every analysis result (ball, sphere, graph part, similarity
 witness) carries enough data to be re-checked independently. The
 canonical dendrogram (the diameter splits, children sorted by key) is the
 form of a space up to weak similarity.
+
+The diameter splits, the center and the diametrical parts are read off
+one merge order: the points listed so that every distance is the largest
+gap between them, from Kruskal for a tree (``tree._gap_form``), a
+depth-first walk for a dendrogram (:func:`_merge_order`) or Prim for a
+matrix (:func:`_check_strong_triangle`).
 """
 
 from __future__ import annotations
@@ -161,7 +167,8 @@ class FiniteUltrametricSpace(_Record):
     by some pair. Instances are produced by :func:`validate_ultrametric`
     (full check of the strong triangle inequality) or by
     construction-backed builders (tree metrics, dendrograms, restrictions),
-    either through ``from_trusted_matrix`` or directly from ranks.
+    either through ``from_trusted_matrix``, from a merge order
+    (``_from_gaps``) or directly from ranks.
     """
 
     __slots__ = ("points", "ranks", "values", "__dict__")
@@ -181,6 +188,21 @@ class FiniteUltrametricSpace(_Record):
         """Wrap a matrix whose validity the caller guarantees by construction."""
         ranks, values = _rank_entries([tuple(row) for row in matrix])
         return cls(tuple(points), ranks, values)
+
+    @classmethod
+    def _from_gaps(cls, points, order, gaps, values) -> "FiniteUltrametricSpace":
+        """The space in which the distance between ``order[i]`` and
+        ``order[j]`` (i < j) is ``values[max(gaps[i:j])]``, keeping that order."""
+        space = cls(points, _ranks_from_gaps(order, gaps), values)
+        space.__dict__["_gap_form"] = order, gaps, values
+        return space
+
+    @cached_property
+    def _gap_form(self) -> tuple[Sequence[int], Sequence[int], tuple[Fraction, ...]]:
+        """The merge order ``(order, gaps, values)`` as ``_from_gaps`` takes it;
+        a space neither built from one nor validated lists it on first use
+        by the strong triangle check, which raises for a non-ultrametric matrix."""
+        return (*_check_strong_triangle(self.points, self.ranks), self.values)
 
     @property
     def n(self) -> int:
@@ -217,7 +239,8 @@ def validate_ultrametric(
     (every triangle must attain its maximum side at least twice). The
     raised error names the repeated point, or the violating pair or
     triple. Runs in O(n²): the strong triangle inequality is checked
-    against a minimum spanning tree (see :func:`_check_strong_triangle`).
+    against a minimum spanning tree (see :func:`_check_strong_triangle`),
+    and the space keeps the merge order that check lists.
     """
     names = tuple(str(p) for p in points)
     n = len(names)
@@ -240,13 +263,16 @@ def validate_ultrametric(
                 raise NotSymmetric((names[i], names[j]))
             if r < positive:
                 raise NonpositiveOffDiagonal((names[i], names[j]))
-    _check_strong_triangle(names, ranks)
-    return FiniteUltrametricSpace(names, ranks, values)
+    space = FiniteUltrametricSpace(names, ranks, values)
+    space.__dict__["_gap_form"] = (*_check_strong_triangle(names, ranks), values)
+    return space
 
 
-def _check_strong_triangle(names: tuple[str, ...], ranks) -> None:
-    """Raise StrongTriangleViolation unless the symmetric rank matrix is
-    ultrametric.
+def _check_strong_triangle(names: tuple[str, ...], ranks) -> tuple[list[int], list[int]]:
+    """Prim's order of the points of a symmetric rank matrix and the rank
+    at which each later point joins, a merge order; raises
+    StrongTriangleViolation unless the matrix is ultrametric, and
+    NonpositiveOffDiagonal for two points at distance 0.
 
     A metric is ultrametric exactly when it equals its subdominant
     ultrametric, the largest edge on the minimum-spanning-tree path
@@ -258,19 +284,26 @@ def _check_strong_triangle(names: tuple[str, ...], ranks) -> None:
     d(v, x) is above both other sides, or d(p, x) is above both, because
     d(v, x) >= d(p, v) by the choice of v. The triple is reported with its
     unique longest side first.
+
+    Prim's order lists every closed ball as one run (the edges out of a
+    ball are longer than those inside), so the distance between
+    ``order[i]`` and ``order[j]`` (i < j) is ``max(gaps[i:j])``.
     """
     n = len(ranks)
-    if n < 3:
-        return
+    if not n:
+        return [], []
     best = list(ranks[0])  # shortest edge from the tree to each vertex
     parent = [0] * n
     inside = [0]
+    gaps = []
     outside = list(range(1, n))
     while outside:
         v = min(outside, key=best.__getitem__)
         outside.remove(v)
         p = parent[v]
         w = best[v]
+        if not w:  # two points at distance 0: only an unvalidated matrix has them
+            raise NonpositiveOffDiagonal((names[min(p, v)], names[max(p, v)]))
         row_v = ranks[v]
         row_p = ranks[p]
         for x in inside:
@@ -282,10 +315,12 @@ def _check_strong_triangle(names: tuple[str, ...], ranks) -> None:
                     a, b, c = min(p, x), max(p, x), v
                 raise StrongTriangleViolation((names[a], names[b], names[c]))
         inside.append(v)
+        gaps.append(w)
         for x in outside:
             if row_v[x] < best[x]:
                 best[x] = row_v[x]
                 parent[x] = v
+    return inside, gaps
 
 
 class DistanceSet(_Record):
@@ -358,6 +393,40 @@ def center_of_distances(space: FiniteUltrametricSpace) -> DistanceSet:
             break
     common.add(0)
     return _distances(space, common)
+
+
+def _center_from_gaps(gaps: Sequence[int], values: tuple[Fraction, ...]) -> DistanceSet:
+    """The center of distances of a space, read off its merge order.
+
+    The points within distance w of a point p are the run of the merge
+    order between the nearest gaps above w around p, and p realizes w
+    exactly when that run holds a gap equal to w. So w is in the center
+    unless some run, with largest inner gap L (0 for one point) and smaller
+    bounding gap P, has L < w < P: a single point, or a gap's run up to its
+    nearest larger gaps, which one stack over the gaps finds in O(n).
+    """
+    top = len(values) - 1
+    # a difference array: its prefix sum at w counts the runs ruling out
+    # w; a sentinel gap above the top closes both ends of the order
+    cover = [0] * (top + 2)
+    bounds = [top + 1, *gaps, top + 1]
+    cover[1] += 1  # the single points, below the farthest nearest neighbour
+    cover[max(map(min, bounds, bounds[1:]))] -= 1
+    stack: list[int] = []  # strictly decreasing: the gaps still open to the right
+    for g in bounds[1:]:
+        while stack and stack[-1] < g:
+            low = stack.pop()
+            cover[low + 1] += 1
+            cover[min(g, stack[-1]) if stack else g] -= 1
+        if not stack or stack[-1] > g:  # an equal gap belongs to the same run
+            stack.append(g)
+    center = [values[0]]  # 0
+    excluded = 0
+    for w in range(1, top + 1):
+        excluded += cover[w]
+        if not excluded:
+            center.append(values[w])
+    return DistanceSet(tuple(center))
 
 
 BallKind = Literal["open", "closed"]
@@ -570,6 +639,17 @@ def _cross_part_rows(part_of: Sequence[int]) -> Iterable[tuple[int, list[int]]]:
         yield i, list(compress(range(later, n), map(k.__ne__, part_of[later:])))
 
 
+def _diametrical_parts(
+    order: Sequence[int], gaps: Sequence[int], values: tuple[Fraction, ...]
+) -> list[list[int]]:
+    """The parts of a space's diametrical graph: the runs of its merge
+    order between the top gaps, each sorted, ordered by least index, as
+    ``multipartite_parts`` lists them. A single point is one part."""
+    top = len(values) - 1
+    cuts = [0, *(k for k, g in enumerate(gaps, 1) if g == top), len(order)]
+    return sorted(sorted(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
 class MultipartiteDecomposition(_Record):
     """Partition of a graph's vertices with edges exactly across parts."""
 
@@ -771,49 +851,38 @@ def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     return _canonical_form(space)[0]
 
 
-def _split_table(
-    space: FiniteUltrametricSpace,
-) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """Split the space recursively at its diameters, without recursion.
+def _split_table(space: FiniteUltrametricSpace) -> tuple[list[int], list]:
+    """Split the space recursively at its diameters, read off its merge order.
 
-    Returns three lists indexed by ball position, parents before children:
-    the ball's ascending point indices, its diameter rank (0 for a single
-    point) and the positions of its blocks. The blocks are the points
-    closer than the diameter to each other, in order of their smallest
-    index; in an ultrametric ball the row of any one point attains the
-    diameter. A zero diameter can only come from an unvalidated matrix and
-    raises NonpositiveOffDiagonal for the pair.
+    Returns two lists indexed by ball position: the single points first,
+    each at its own index, then every ball after its blocks and the whole
+    space last. They hold the ball's diameter rank (0 for a single point)
+    and its blocks' positions in order of least point (none for a single
+    point). A ball is a run of the merge order and its blocks are the runs
+    between its largest gaps: one stack of the balls still open to the
+    right finds them.
     """
-    ranks = space.ranks
-    balls: list[list[int]] = [list(range(space.n))]
-    levels: list[int] = []
-    children: list[list[int]] = []
-    for idxs in balls:  # grows while it is walked: each split appends its blocks
-        if len(idxs) == 1:
-            levels.append(0)
-            children.append([])
-            continue
-        row = ranks[idxs[0]]
-        diam = max(map(row.__getitem__, idxs))
-        if diam == 0:
-            raise NonpositiveOffDiagonal((space.points[idxs[0]], space.points[idxs[1]]))
-        first = len(balls)
-        balls.extend(_blocks(ranks, idxs, diam))
-        levels.append(diam)
-        children.append(list(range(first, len(balls))))
-    return balls, levels, children
-
-
-def _blocks(ranks, idxs: list[int], diam: int) -> list[list[int]]:
-    """Split ascending point indices of a ball whose diameter rank is
-    ``diam`` (positive) into its blocks: the points closer than the
-    diameter to each other, each ascending, in order of least index."""
-    blocks = []
-    while idxs:
-        row = ranks[idxs[0]]
-        blocks.append([v for v in idxs if row[v] < diam])
-        idxs = [v for v in idxs if row[v] >= diam]
-    return blocks
+    order, gaps, values = space._gap_form
+    least = list(range(space.n))  # each ball's least point
+    levels = [0] * space.n
+    children: list = [()] * space.n
+    spine: list[tuple[int, list[int]]] = []  # open balls, diameters descending: (diameter, blocks)
+    # ``last`` is the ball that ends at the point; a last gap above every
+    # rank closes every ball after the last point
+    for last, g in zip(order, [*gaps, len(values)]):
+        while spine and spine[-1][0] < g:
+            level, blocks = spine.pop()
+            blocks.append(last)
+            blocks.sort(key=least.__getitem__)
+            last = len(levels)
+            least.append(least[blocks[0]])
+            levels.append(level)
+            children.append(blocks)
+        if spine and spine[-1][0] == g:
+            spine[-1][1].append(last)
+        else:
+            spine.append((g, [last]))
+    return levels, children
 
 
 def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int]]:
@@ -824,17 +893,14 @@ def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int
     i-th leaves of two weakly similar spaces correspond. The splits are
     those of :func:`_split_table`, so chains of any depth work.
     """
-    balls, levels, children = _split_table(space)
-    leaf = Dendrogram(0)
-    built: list[Optional[Dendrogram]] = [None] * len(levels)
-    for pos in reversed(range(len(levels))):  # children come after parents
-        if levels[pos] == 0:
-            built[pos] = leaf
-        else:
-            children[pos].sort(key=lambda c: built[c].key())
-            built[pos] = Dendrogram(levels[pos], tuple(built[c] for c in children[pos]))
-    leaves, _ = _merge_order(0, lambda pos: (levels[pos], children[pos]))
-    return built[0], [balls[pos][0] for pos in leaves]
+    levels, children = _split_table(space)
+    built = [Dendrogram(0)] * space.n  # the single points
+    for level, blocks in zip(levels[space.n :], children[space.n :]):  # blocks come first
+        blocks.sort(key=lambda c: built[c].key())
+        built.append(Dendrogram(level, tuple(map(built.__getitem__, blocks))))
+    root = len(levels) - 1
+    leaves, _ = _merge_order(root, lambda pos: (levels[pos], children[pos]))
+    return built[root], leaves
 
 
 class WeakSimilarityWitness(_Record):

@@ -14,9 +14,10 @@ Both derived structures start from Kruskal's merge order: merging the
 edges by ascending weight (the larger endpoint label) and appending
 component to component lists the vertices so that the path maximum of
 any two is the largest gap between them. The index answers one pair by
-a range maximum over the gaps; the matrix is filled from the gaps; the
-center of distances and the diametrical parts are read off the gaps,
-with no matrix.
+a range maximum over the gaps; the matrix is filled from the gaps and
+keeps them. The merge order is the form every hierarchy reader of
+``metric`` takes, so the center of distances and the diametrical parts
+of a tree need no matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     NotConnected,
     UnknownVertex,
 )
-from .metric import DistanceSet, FiniteUltrametricSpace, _rank_entries, _ranks_from_gaps, _Record
+from .metric import FiniteUltrametricSpace, _rank_entries, _Record
 from .rationals import parse_rational
 
 
@@ -259,13 +260,10 @@ def distance_matrix(tree: LabeledTree) -> FiniteUltrametricSpace:
 
     Raises DegenerateLabeling (with the violating edge) when some edge has
     both labels zero; validity of the result is then guaranteed by
-    construction. Edges weighted by their larger endpoint label are
-    merged in Kruskal's order, which lists the vertices so that every
-    distance is the largest gap between them; the matrix is filled from
-    those gaps in O(n²), the size of the output.
+    construction. The matrix is filled from Kruskal's merge order in
+    O(n²), the size of the output, and keeps that order.
     """
-    order, gaps, values = _gap_form(tree)
-    return FiniteUltrametricSpace(tree.vertices, _ranks_from_gaps(order, gaps), values)
+    return FiniteUltrametricSpace._from_gaps(tree.vertices, *_gap_form(tree))
 
 
 def _gap_form(tree: LabeledTree) -> tuple[list[int], list[int], tuple[Fraction, ...]]:
@@ -286,63 +284,6 @@ def _gap_form(tree: LabeledTree) -> tuple[list[int], list[int], tuple[Fraction, 
     (levels,), values = _rank_entries([weights])
     order, gaps = _kruskal_order(tree.n, tree.edges, levels)
     return order, gaps, values
-
-
-def _center_from_gaps(tree: LabeledTree) -> DistanceSet:
-    """The center of distances of the tree's ultrametric, with no matrix.
-
-    The points within distance w of a point p are the run of the merge
-    order between the nearest gaps above w around p, and p realizes w
-    exactly when that run holds a gap equal to w. So w is in the center
-    unless some run, whose largest inner gap is L (0 for one point) and
-    whose smaller bounding gap is P, has L < w < P. Those runs are the
-    single points and, for each gap, the run up to its nearest larger
-    gaps on both sides, which one stack over the gaps finds in O(n).
-    """
-    _, gaps, values = _gap_form(tree)
-    top = len(values) - 1
-    # a difference array: its prefix sum at w counts the runs ruling out
-    # w; a sentinel gap above the top closes both ends of the order
-    cover = [0] * (top + 2)
-    bounds = [top + 1, *gaps, top + 1]
-    cover[1] += 1  # the single points, below the farthest nearest neighbour
-    cover[max(map(min, bounds, bounds[1:]))] -= 1
-    stack: list[int] = []  # strictly decreasing: the gaps still open to the right
-    for g in bounds[1:]:
-        while stack and stack[-1] < g:
-            low = stack.pop()
-            cover[low + 1] += 1
-            cover[min(g, stack[-1]) if stack else g] -= 1
-        if not stack or stack[-1] > g:  # an equal gap belongs to the same run
-            stack.append(g)
-    center = [values[0]]  # 0
-    excluded = 0
-    for w in range(1, top + 1):
-        excluded += cover[w]
-        if not excluded:
-            center.append(values[w])
-    return DistanceSet(tuple(center))
-
-
-def _diametrical_parts(tree: LabeledTree) -> tuple[list[list[int]], Fraction]:
-    """The parts of the diametrical graph and the diameter, with no matrix.
-
-    The parts are the runs of the merge order between its top gaps: each
-    sorted, ordered by least index, as ``multipartite_parts`` lists them.
-    A single point is one part.
-    """
-    order, gaps, values = _gap_form(tree)
-    top = len(values) - 1
-    parts = [[order[0]]]
-    for g, v in zip(gaps, order[1:]):
-        if g == top:
-            parts.append([v])
-        else:
-            parts[-1].append(v)
-    for part in parts:
-        part.sort()
-    parts.sort()
-    return parts, values[-1]
 
 
 def _kruskal_order(
@@ -416,20 +357,15 @@ def ball_subtree(tree: LabeledTree, ball: Iterable[str]) -> LabeledTree:
     members = {tree.index_of(v) for v in ball}
     if not members:
         raise NotABall(ball)
-    bad = degenerate_edge(tree)
-    if bad is not None:
-        raise DegenerateLabeling(bad)
-    index = PathMaxIndex(tree)
-
-    def dist(i: int, j: int) -> int:  # label ranks, with 0 ranked 0
-        return 0 if i == j else index._path_max_rank(i, j)
-
-    center = min(members)
-    if len(members) < tree.n:
-        inner = max(dist(center, i) for i in members)
-        outer = min(dist(center, j) for j in range(tree.n) if j not in members)
-        if not inner < outer:
-            raise NotABall([tree.vertices[m] for m in members])
+    order, gaps, _ = _gap_form(tree)
+    # an open ball is a run of the merge order whose inner gaps are all
+    # below the gaps that bound it
+    spots = [k for k, v in enumerate(order) if v in members]
+    a, b = spots[0], spots[-1]
+    inner = max(gaps[a:b], default=0)
+    bounds = gaps[a - 1 : a] + gaps[b : b + 1]  # none at an end of the order
+    if b - a >= len(spots) or not inner < min(bounds, default=inner + 1):
+        raise NotABall([tree.vertices[m] for m in members])
 
     keep = sorted(members)
     names = tuple(tree.vertices[i] for i in keep)

@@ -15,7 +15,9 @@ replaced; the walks over one class's dendrogram for its center size and
 its leaf-child criterion are what the per-subtree masks and flags of the
 enumerator replaced. ``is_ut_split_walk`` is ``is_ut`` as it walked the
 diameter splits top-down with a stack and a split of its own, before it
-read the table the canonical form is built from. ``_leaf_runs`` numbers
+read the table the canonical form is built from; ``canonical_form`` is
+the canonical dendrogram and leaf order on those same splits, before
+both were read off the merge order. ``_leaf_runs`` numbers
 a dendrogram's leaves frame by frame, as ``dendrogram_to_space`` did before
 one depth-first walk of the merge order served every dendrogram reader.
 The oracles import no private name of the package. The last section is the
@@ -705,6 +707,24 @@ def _diameter_split(space, idxs: list[int]) -> tuple[Fraction, list[list[int]]]:
         groups.append([v for v in remaining if row[v] < diam])
         remaining = [v for v in remaining if row[v] >= diam]
     return diam, groups
+
+
+def canonical_form(space) -> tuple[str, list[int]]:
+    """The canonical dendrogram's key and the point indices in canonical
+    leaf order, by recursive diameter splits of the matrix: a ball's blocks
+    in order of their smallest index, then stably sorted by key."""
+    rank = {v: r for r, v in enumerate(distance_set(space))}
+
+    def build(idxs: list[int]) -> tuple[Dendrogram, list[int]]:
+        if len(idxs) == 1:
+            return Dendrogram(0), idxs
+        diam, groups = _diameter_split(space, idxs)
+        subs = sorted(map(build, groups), key=lambda sub: sub[0].key())
+        leaves = [i for _, order in subs for i in order]
+        return Dendrogram(rank[diam], tuple(d for d, _ in subs)), leaves
+
+    dendro, leaves = build(list(range(space.n)))
+    return dendro.key(), leaves
 
 
 def is_ut_split_walk(space) -> Optional[LabeledTree]:

@@ -259,6 +259,27 @@ class TestBallSubtree:
             expected = restrict(space, b.members)
             assert distance_matrix(sub).matrix == expected.matrix
 
+    @given(st.integers(0, 10**9), st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_exactly_the_open_balls_are_accepted(self, seed, n):
+        # every non-empty vertex set, against the balls of the matrix oracle
+        import itertools
+
+        import oracles
+
+        tree = random_labeled_tree(n, [0, 1, 1, 2, 3], seed=seed)
+        space = distance_matrix(tree)
+        balls = {members for _, _, members in oracles.enumerate_balls(space, "open")}
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(tree.vertices, size):
+                if frozenset(subset) in balls:
+                    assert ball_subtree(tree, subset).vertices == tuple(
+                        v for v in tree.vertices if v in subset
+                    )
+                else:
+                    with pytest.raises(NotABall):
+                        ball_subtree(tree, subset)
+
 
 class TestUltrametricLaws:
     @given(st.integers(0, 10**9), st.integers(2, 12))
