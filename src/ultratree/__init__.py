@@ -5,6 +5,10 @@ of weak-similarity classes.
 
 Submodules are imported on first use of one of their names (PEP 562), so
 a command that needs only the tree layer never loads the campaign code.
+``is_ut``, which decides whether a space is generated by a labeled tree,
+belongs to the tree layer (``tree``). The campaigns (``explorer``) load
+``tree`` only for random trees, and the file formats only to write a
+witness.
 """
 
 from importlib import import_module
@@ -17,7 +21,7 @@ _EXPORTS = {
     "explorer": (
         "CampaignReport", "check_closed_balls", "check_con3", "check_hol",
         "check_theorem_suite", "dendrogram_to_space", "enumerate_dendrograms",
-        "is_ut", "merge_parts",
+        "merge_parts",
     ),
     "metric": (
         "Ball", "Dendrogram", "DiametricalGraph", "DistanceSet",
@@ -35,8 +39,8 @@ _EXPORTS = {
     ),
     "tree": (
         "LabeledTree", "PathMaxIndex", "ball_subtree", "canonical_labeling",
-        "distance_matrix", "is_nondegenerate", "label_distance", "random_labeled_tree",
-        "validate_tree",
+        "distance_matrix", "is_nondegenerate", "is_ut", "label_distance",
+        "random_labeled_tree", "validate_tree",
     ),
 }
 _SUBMODULES = ("capacity", "errors", "explorer", "formats", "metric", "padic", "rationals", "tree")

@@ -11,17 +11,23 @@ import argparse
 import json
 import sys
 
-# `explorer` is imported by the verbs that use it. `padic` stays here: the
-# span tracer in perfbench/ looks up the modules it wraps in sys.modules,
-# and the class-campaigns workload runs no verb that would import padic.
-from . import formats, metric, padic, tree
+# `explorer`, `formats` and `tree` are imported by the verbs that run them,
+# so that a process compiles no module it does not execute. `padic` stays
+# here: the span tracer in perfbench/ looks up every module it wraps in
+# sys.modules and raises KeyError for one that no operation of a workload
+# loaded, and the class-campaigns workload runs no verb that imports padic.
+from . import metric, padic
 from .errors import TooLarge, UltratreeError
 from .rationals import format_rational, parse_rational_list
 
 
 def _load_space(path: str) -> tuple[metric.FiniteUltrametricSpace, bool]:
     """Read a space from a tree JSON or matrix CSV; returns (space, tree_backed)."""
+    from . import formats
+
     if path.endswith(".json"):
+        from . import tree
+
         t = formats.read_tree_file(path)
         return tree.distance_matrix(t), True
     if path.endswith(".csv"):
@@ -33,6 +39,8 @@ def _load_gap_form(path: str) -> tuple:
     """A space's points and merge order ``(order, gaps, values)``: Kruskal's
     from a tree JSON, with no matrix, or the one a matrix CSV's validation lists."""
     if path.endswith(".json"):
+        from . import formats, tree
+
         t = formats.read_tree_file(path)
         return (t.vertices, *tree._gap_form(t))
     space = _load_space(path)[0]
@@ -82,6 +90,8 @@ def _write_diametrical(
         star = metric.StarCertificate(points[min(singles)]) if singles else None
     print(f"star center: {star.center if star else 'none'}")
     if dot_path:
+        from . import formats
+
         rows = metric._cross_part_rows(part_of)
         with open(dot_path, "w", encoding="utf-8") as fh:
             fh.writelines(formats.diametrical_dot_chunks(points, named, star, rows))
@@ -169,6 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     if args.verb == "validate":
+        from . import formats, tree
+
         t = formats.read_tree_file(args.tree)
         status = "non-degenerate" if tree.is_nondegenerate(t) else (
             "degenerate (edge %s-%s)" % tree.degenerate_edge(t)
@@ -177,11 +189,15 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "distances":
+        from . import formats, tree
+
         space = tree.distance_matrix(formats.read_tree_file(args.tree))
         _emit(formats.matrix_csv_string(space), args.output)
         return 0
 
     if args.verb == "canonical":
+        from . import formats, tree
+
         t = tree.canonical_labeling(formats.read_tree_file(args.tree))
         _emit(formats.tree_json_string(t), args.output)
         return 0
@@ -251,22 +267,26 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
     if args.verb == "padic":
+        from . import formats
+
         values = parse_rational_list(args.sample)
         space = padic.sample_space(values, padic.dp_metric(args.p))
         _emit(formats.matrix_csv_string(space), args.output)
         return 0
 
     if args.verb == "dplus":
+        from . import formats
+
         values = parse_rational_list(args.sample)
         space = padic.sample_space(values, padic.dplus)
         _emit(formats.matrix_csv_string(space), None)
         return 0
 
     if args.verb == "is-ut":
-        from . import explorer
+        from . import formats, tree
 
         space = formats.read_matrix_file(args.matrix)
-        cert = explorer.is_ut(space)
+        cert = tree.is_ut(space)
         if cert is None:
             print("none")
         else:
@@ -274,6 +294,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "random-tree":
+        from . import formats, tree
+
         pool = parse_rational_list(args.pool)
         t = tree.random_labeled_tree(args.n, pool, args.seed)
         sys.stdout.write(formats.tree_json_string(t))

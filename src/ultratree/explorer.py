@@ -7,12 +7,17 @@ set. Enumerating canonical dendrograms therefore enumerates those
 equivalence classes exactly once. On top of that sit verification
 campaigns for the structural theorems and searches probing the open
 questions (center-size bound, all-subsets-spheres, closed balls).
+
+Whether a space is generated by a labeled tree (``is_ut``) is decided by
+the tree layer, :mod:`ultratree.tree`; the name still resolves here. The
+tree layer and the file formats are imported only where they are used
+(random trees, witness CSVs), so a campaign loads neither unless it
+needs it.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -21,7 +26,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .capacity import ENUMERATION_FENCE, require_within
 from .errors import FewerThanTwoBlocks, NotCompleteMultipartite, TooSmall
-from .formats import matrix_csv_string
 from .metric import (
     Dendrogram,
     FiniteUltrametricSpace,
@@ -30,7 +34,6 @@ from .metric import (
     _rank_entries,
     _sphere_center,
     _sphere_sets,
-    _split_table,
     center_of_distances,
     diameter,
     diametrical_graph,
@@ -39,9 +42,18 @@ from .metric import (
     spanning_star,
     weak_similarity,
 )
-from .tree import LabeledTree, distance_matrix, random_labeled_tree, validate_tree
 
 ZERO = Fraction(0)
+
+
+def __getattr__(name: str):
+    # `is_ut` belongs to the tree layer. It is still found here, but only
+    # on first use (PEP 562), so that no campaign loads `tree` to get it.
+    if name == "is_ut":
+        from .tree import is_ut
+
+        return is_ut
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- dendrograms ---------------------------------------------------------------
@@ -257,6 +269,8 @@ class CampaignReport:
 
 
 def _witness(label: str, space: FiniteUltrametricSpace, note: str = "") -> dict:
+    from .formats import matrix_csv_string
+
     return {"label": label, "matrix_csv": matrix_csv_string(space), "note": note}
 
 
@@ -432,6 +446,10 @@ def check_closed_balls(
                 dendro = table.dendrogram(root)
                 instances.append((f"class-{pos}:{dendro.key()}", dendrogram_to_space(dendro)))
     elif source == "random-trees":
+        import random
+
+        from .tree import distance_matrix, random_labeled_tree
+
         rng = random.Random(seed)
         for i in range(count):
             size = rng.randint(n_min, n_max)
@@ -632,45 +650,6 @@ def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
             }
         },
         witnesses=witnesses,
-    )
-
-
-# --- labeled-tree realizability -----------------------------------------------------
-
-def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
-    """Find a labeled tree on exactly the space's points realizing it.
-
-    Such a tree exists exactly when every internal node of the space's
-    canonical dendrogram has at least one leaf child: when every ball of
-    two or more points, split at its diameter, has a single-point block.
-    The tree is built along the same splits, read bottom-up from
-    :func:`~ultratree.metric._split_table` (the space's merge order). The
-    first single-point block of each ball (its lowest-index singleton) is
-    its hub and takes the ball's diameter as its label; every other block
-    hangs its own hub off it, and a singleton block is its own hub with
-    label 0. Every path between two blocks of a ball then peaks at that
-    ball's hub. Returns None when some ball has no singleton block. Runs
-    in polynomial time, with no fence. An unvalidated matrix that is not
-    ultrametric raises StrongTriangleViolation naming a violating triple.
-    """
-    if not space.n:
-        raise TooSmall("is_ut needs at least 1 point")
-    levels, children = _split_table(space)
-    labels = [ZERO] * space.n
-    edges: list[tuple[int, int]] = []
-    hubs = list(range(space.n))  # a single point is its own hub
-    for level, blocks in zip(levels[space.n :], children[space.n :]):  # blocks come first
-        hub = next((c for c in blocks if c < space.n), None)  # the least single point
-        if hub is None:
-            return None
-        hubs.append(hub)
-        labels[hub] = space.values[level]
-        edges.extend((hub, hubs[c]) for c in blocks if c != hub)
-    names = space.points
-    return validate_tree(
-        names,
-        [(names[i], names[j]) for i, j in edges],
-        dict(zip(names, labels)),
     )
 
 

@@ -11,7 +11,7 @@ import io
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError
 from .metric import (
@@ -22,7 +22,9 @@ from .metric import (
     validate_ultrametric,
 )
 from .rationals import format_rational, parse_rational
-from .tree import LabeledTree, validate_tree
+
+if TYPE_CHECKING:  # the tree layer is loaded by the reader that builds trees
+    from .tree import LabeledTree
 
 
 # --- labeled trees ------------------------------------------------------------
@@ -45,6 +47,8 @@ def parse_tree_json(text: str) -> LabeledTree:
 
     A key repeated in any object, even one the parser ignores, is refused.
     """
+    from .tree import validate_tree
+
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting

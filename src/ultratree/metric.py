@@ -201,7 +201,9 @@ class FiniteUltrametricSpace(_Record):
     def _gap_form(self) -> tuple[Sequence[int], Sequence[int], tuple[Fraction, ...]]:
         """The merge order ``(order, gaps, values)`` as ``_from_gaps`` takes it;
         a space neither built from one nor validated lists it on first use
-        by the strong triangle check, which raises for a non-ultrametric matrix."""
+        by validation's checks, which raise for a non-ultrametric matrix and
+        name the same culprit as :func:`validate_ultrametric`."""
+        _check_entries(self.points, self.ranks, self.values)
         return (*_check_strong_triangle(self.points, self.ranks), self.values)
 
     @property
@@ -252,6 +254,17 @@ def validate_ultrametric(
     ranks, values = _rank_entries([tuple(row) for row in matrix])
     if len(ranks) != n or any(len(row) != n for row in ranks):
         raise NotSymmetric(("<shape>", "<shape>"))
+    _check_entries(names, ranks, values)
+    space = FiniteUltrametricSpace(names, ranks, values)
+    space.__dict__["_gap_form"] = (*_check_strong_triangle(names, ranks), values)
+    return space
+
+
+def _check_entries(names: tuple[str, ...], ranks, values: Sequence[Fraction]) -> None:
+    """Raise NonzeroDiagonal, NotSymmetric or NonpositiveOffDiagonal for the
+    first faulty point or pair in row order, unless the square rank matrix
+    has a zero diagonal and positive, symmetric entries off it."""
+    n = len(ranks)
     positive = bisect_right(values, ZERO)  # ranks >= this are positive values
     for i in range(n):
         row_i = ranks[i]
@@ -263,16 +276,13 @@ def validate_ultrametric(
                 raise NotSymmetric((names[i], names[j]))
             if r < positive:
                 raise NonpositiveOffDiagonal((names[i], names[j]))
-    space = FiniteUltrametricSpace(names, ranks, values)
-    space.__dict__["_gap_form"] = (*_check_strong_triangle(names, ranks), values)
-    return space
 
 
 def _check_strong_triangle(names: tuple[str, ...], ranks) -> tuple[list[int], list[int]]:
-    """Prim's order of the points of a symmetric rank matrix and the rank
-    at which each later point joins, a merge order; raises
-    StrongTriangleViolation unless the matrix is ultrametric, and
-    NonpositiveOffDiagonal for two points at distance 0.
+    """Prim's order of the points of a rank matrix that passed
+    :func:`_check_entries` and the rank at which each later point joins, a
+    merge order; raises StrongTriangleViolation unless the matrix is
+    ultrametric.
 
     A metric is ultrametric exactly when it equals its subdominant
     ultrametric, the largest edge on the minimum-spanning-tree path
@@ -302,8 +312,6 @@ def _check_strong_triangle(names: tuple[str, ...], ranks) -> tuple[list[int], li
         outside.remove(v)
         p = parent[v]
         w = best[v]
-        if not w:  # two points at distance 0: only an unvalidated matrix has them
-            raise NonpositiveOffDiagonal((names[min(p, v)], names[max(p, v)]))
         row_v = ranks[v]
         row_p = ranks[p]
         for x in inside:

@@ -18,6 +18,10 @@ a range maximum over the gaps; the matrix is filled from the gaps and
 keeps them. The merge order is the form every hierarchy reader of
 ``metric`` takes, so the center of distances and the diametrical parts
 of a tree need no matrix.
+
+The converse question, whether a finite ultrametric space is generated
+by some labeled tree on exactly its points, is answered by :func:`is_ut`
+from the space's diameter splits, which also give the tree.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .errors import (
     NegativeLabel,
     NotABall,
     NotConnected,
+    TooSmall,
     UnknownVertex,
 )
-from .metric import FiniteUltrametricSpace, _rank_entries, _Record
+from .metric import FiniteUltrametricSpace, _rank_entries, _Record, _split_table
 from .rationals import parse_rational
 
 
@@ -375,6 +380,46 @@ def ball_subtree(tree: LabeledTree, ball: Iterable[str]) -> LabeledTree:
     )
     labels = tuple(tree.labels[i] for i in keep)
     return LabeledTree(names, edges, labels)
+
+
+# --- labeled-tree realizability -----------------------------------------------------
+
+def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
+    """Find a labeled tree on exactly the space's points realizing it.
+
+    Such a tree exists exactly when every internal node of the space's
+    canonical dendrogram has at least one leaf child: when every ball of
+    two or more points, split at its diameter, has a single-point block.
+    The tree is built along the same splits, read bottom-up from
+    :func:`~ultratree.metric._split_table` (the space's merge order). The
+    first single-point block of each ball (its lowest-index singleton) is
+    its hub and takes the ball's diameter as its label; every other block
+    hangs its own hub off it, and a singleton block is its own hub with
+    label 0. Every path between two blocks of a ball then peaks at that
+    ball's hub. Returns None when some ball has no singleton block. Runs
+    in polynomial time, with no fence. An unvalidated matrix that is not
+    ultrametric raises the error, with the culprit, that
+    :func:`~ultratree.metric.validate_ultrametric` would raise.
+    """
+    if not space.n:
+        raise TooSmall("is_ut needs at least 1 point")
+    levels, children = _split_table(space)
+    labels = [Fraction(0)] * space.n
+    edges: list[tuple[int, int]] = []
+    hubs = list(range(space.n))  # a single point is its own hub
+    for level, blocks in zip(levels[space.n :], children[space.n :]):  # blocks come first
+        hub = next((c for c in blocks if c < space.n), None)  # the least single point
+        if hub is None:
+            return None
+        hubs.append(hub)
+        labels[hub] = space.values[level]
+        edges.extend((hub, hubs[c]) for c in blocks if c != hub)
+    names = space.points
+    return validate_tree(
+        names,
+        [(names[i], names[j]) for i, j in edges],
+        dict(zip(names, labels)),
+    )
 
 
 # --- random labeled trees ---------------------------------------------------------------

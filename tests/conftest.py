@@ -1,8 +1,14 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ultratree import distance_matrix, validate_tree
+# Set before the package is imported: a test run leaves no bytecode in
+# src/, so that a later CLI run from this checkout compiles from source,
+# as one from a fresh checkout does.
+sys.dont_write_bytecode = True
+
+from ultratree import distance_matrix, validate_tree  # noqa: E402
 
 
 @pytest.fixture(scope="session")

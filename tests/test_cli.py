@@ -338,7 +338,8 @@ class TestByteOrderMark:
 
 def loaded_modules(argv):
     """Run one CLI command in a fresh interpreter, so that no other test's
-    imports count, and list the modules it loaded."""
+    imports count, and list the modules it loaded. ``-B``: the environment
+    is replaced, and the command must leave no bytecode in ``src/``."""
     script = (
         "import contextlib, io, sys\n"
         "from ultratree import cli\n"
@@ -348,7 +349,7 @@ def loaded_modules(argv):
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-B", "-c", script],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": src, "PATH": ""},
@@ -389,8 +390,43 @@ class TestImports:
         assert "dataclasses" not in loaded
         assert "inspect" not in loaded
 
-    def test_suite_campaign_loads_no_dataclasses(self):
+    def test_suite_campaign_loads_no_dataclasses(self, tree_file):
         loaded = loaded_modules(["enumerate", "--n", "5", "--check", "suite"])
-        assert {"ultratree.explorer", "ultratree.padic", "ultratree.tree"} <= set(loaded)
         assert "dataclasses" not in loaded
         assert "inspect" not in loaded
+        # with `validate`, every module that defines a record has been loaded
+        records = {"ultratree.explorer", "ultratree.metric", "ultratree.padic", "ultratree.tree"}
+        assert records <= {*loaded, *loaded_modules(["validate", tree_file])}
+
+    # The ultratree modules each command loads, besides those every command
+    # loads (cli, errors, metric, padic, rationals). A process compiles each
+    # module it imports when it finds no bytecode, so a verb loads none that
+    # it does not run.
+    COMMANDS = {
+        "is-ut {csv}": "formats tree",
+        "check {csv}": "capacity explorer formats",
+        "center {csv}": "formats",
+        "padic --p 2 --sample 0,1,2": "formats",
+        "enumerate --n 5 --check con3": "capacity explorer formats",
+        "enumerate --n 5 --check hol": "capacity explorer",
+        "enumerate --n 5 --check suite": "capacity explorer",
+        "enumerate --n 5 --check closed-balls": "capacity explorer",
+        "validate {json}": "formats tree",
+        "distances {json}": "formats tree",
+        "canonical {json}": "formats tree",
+        "center {json}": "formats tree",
+        "diametrical {json} --dot {dot}": "formats tree",
+        "spheres {json}": "formats tree",
+        "random-tree --n 5 --seed 1 --pool 0,1": "formats tree",
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_verb_loads_only_the_modules_it_runs(self, tmp_path, tree_file, command):
+        csv_file = tmp_path / "m.csv"
+        csv_file.write_text("a,b,c\n0,2,1\n2,0,2\n1,2,0\n")
+        paths = {"{csv}": str(csv_file), "{json}": tree_file, "{dot}": str(tmp_path / "g.dot")}
+        loaded = loaded_modules([paths.get(a, a) for a in command.split()])
+        modules = {"cli", "errors", "metric", "padic", "rationals", *self.COMMANDS[command].split()}
+        assert {m for m in loaded if m.startswith("ultratree.")} == {
+            f"ultratree.{m}" for m in modules
+        }

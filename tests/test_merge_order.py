@@ -4,7 +4,8 @@ A merge order lists the points so that every distance is the largest
 gap between them. A space keeps the one its builder holds: Kruskal's for
 a tree metric, the depth-first walk for a dendrogram, Prim's from
 validation. Any other space (a trusted matrix, a restriction) lists
-Prim's on first use, and that pass is also the strong triangle check.
+Prim's on first use, after validation's diagonal and symmetry checks,
+and that pass is also the strong triangle check.
 The diameter splits, the center and the diametrical parts read the
 order; the Fraction-matrix oracles are checked against them here, and a
 CSV verb must run Prim's algorithm once, in validation.
@@ -36,7 +37,12 @@ from ultratree import (
     validate_ultrametric,
 )
 from ultratree.cli import main
-from ultratree.errors import StrongTriangleViolation
+from ultratree.errors import (
+    MetricValidationError,
+    NonzeroDiagonal,
+    NotSymmetric,
+    StrongTriangleViolation,
+)
 from ultratree.metric import _canonical_form
 from ultratree.formats import matrix_csv_string, parse_matrix_csv, tree_json_string
 from ultratree.rationals import format_rational
@@ -234,6 +240,23 @@ def test_unvalidated_violation_raises_instead_of_a_wrong_tree():
         assert err.value.triple == validated.value.triple == ("a", "c", "b")
 
 
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        (((5, 1, 2), (1, 0, 2), (2, 2, 0)), NonzeroDiagonal("a")),
+        (((0, 1, 2), (1, 0, 2), (2, 3, 0)), NotSymmetric(("b", "c"))),
+    ],
+)
+def test_unvalidated_entry_fault_names_its_culprit(rows, expected):
+    # Prim's pass reads the diagonal and one side of each pair only: alone,
+    # it reported these as strong-triangle violations with a wrong triple
+    space = FiniteUltrametricSpace.from_trusted_matrix(("a", "b", "c"), rows)
+    for reader in (is_ut, space_to_dendrogram):
+        with pytest.raises(type(expected)) as err:
+            reader(space)
+        assert str(err.value) == str(expected)
+
+
 @st.composite
 def symmetric_matrices(draw):
     n = draw(st.integers(3, 7))
@@ -261,3 +284,26 @@ def test_unvalidated_matrices_raise_as_validation_does(drawn):
         cert = is_ut(space)
         expected = oracles.is_ut_split_walk(space)
         assert (cert and tree_json_string(cert)) == (expected and tree_json_string(expected))
+
+
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_unvalidated_matrices_name_validations_culprit(drawn, data):
+    # one entry changed, on the diagonal or off it, on one side of a pair
+    points, rows = drawn
+    i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+    rows[i][j] = F(data.draw(st.integers(0, 5)))
+    try:
+        validate_ultrametric(points, rows)
+    except MetricValidationError as exc:
+        expected = exc
+    else:
+        expected = None
+    space = FiniteUltrametricSpace.from_trusted_matrix(points, rows)
+    for reader in (is_ut, space_to_dendrogram):
+        try:
+            reader(space)
+        except MetricValidationError as exc:
+            assert (type(exc), str(exc)) == (type(expected), str(expected))
+        else:
+            assert expected is None

@@ -15,7 +15,10 @@ import pytest
 
 import ultratree
 import ultratree.cli  # noqa: F401 - the harness traces cli.main too
-import ultratree.explorer  # noqa: F401 - the harness's campaign verbs import it before tracing
+# the CLI imports these per verb; the harness's verbs have imported them before tracing
+import ultratree.explorer  # noqa: F401
+import ultratree.formats  # noqa: F401
+import ultratree.tree  # noqa: F401
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
@@ -65,6 +68,19 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(ultratree.__all__) == PUBLIC_NAMES
+
+
+def test_every_export_is_defined_where_it_is_mapped():
+    # a name mapped to a module that only passes it on would load that
+    # module too, for nothing: `is_ut` through `explorer` loads the campaigns
+    misplaced = [
+        f"{module}.{name}"
+        for module, names in ultratree._EXPORTS.items()
+        for name in names
+        if getattr(importlib.import_module(f"ultratree.{module}"), name).__module__
+        != f"ultratree.{module}"
+    ]
+    assert misplaced == []
 
 
 def test_every_public_name_imports():
