@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for check verbs, all assertions passed),
-1 failed assertion or invalid input (the witness is printed),
+1 failed assertion or invalid input (the witness is printed), or a
+file that cannot be read or written,
 2 usage error, 3 capacity fence.
 """
 
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UltratreeError as exc:
+    except (UltratreeError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

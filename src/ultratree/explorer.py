@@ -62,13 +62,9 @@ def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
     """Partitions of a multiset into parts of two or more elements.
 
     The multiset is given by its multiplicities (element i occurs
-    ``counts[i]`` times) and so is each part. Every partition is listed
-    once, as its non-increasing part sequence, where parts compare as
-    their sorted element sequences.
+    ``counts[i]`` times); each part is its sorted element sequence. Every
+    partition is listed once, as its non-increasing part sequence.
     """
-
-    def elements(part: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(part) for _ in range(t))
 
     def rec(remaining: tuple[int, ...], bound, acc: list) -> Iterator[tuple]:
         if not any(remaining):
@@ -77,11 +73,11 @@ def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
         for part in product(*[range(r + 1) for r in remaining]):
             if sum(part) < 2:
                 continue
-            pk = elements(part)
-            if bound is not None and pk > bound:
+            elements = tuple(i for i, t in enumerate(part) for _ in range(t))
+            if bound is not None and elements > bound:
                 continue
-            acc.append(part)
-            yield from rec(tuple(r - t for r, t in zip(remaining, part)), pk, acc)
+            acc.append(elements)
+            yield from rec(tuple(r - t for r, t in zip(remaining, part)), elements, acc)
             acc.pop()
 
     try:
@@ -90,14 +86,50 @@ def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
         del rec  # it calls itself through its closure cell: a reference cycle
 
 
+def _merge_steps(counts: tuple[int, ...], leaf_last: bool, partitions: dict) -> list[tuple]:
+    """Every way to merge a forest one level up, for the forest's shape.
+
+    The forest is its distinct roots in canonical order, ``counts[i]``
+    copies of the i-th; ``leaf_last`` says the last of them is the leaf.
+    Each step keeps some copies and partitions the rest into groups of
+    two or more, which become the new nodes. A step is ``(kept, parts,
+    shape)``: the indices of the kept roots other than the leaf, the
+    distinct parts in the partition's order as indices into the roots,
+    and the new forest's ``(counts, leaf_last)``, or None when the step
+    leaves a single root. Steps are listed by kept copies, then partition.
+    ``partitions`` memoizes :func:`_partitions_ge2` by multiplicities.
+    """
+    steps = []
+    for passive in product(*[range(c + 1) for c in counts]):
+        active = tuple(c - p for c, p in zip(counts, passive))
+        if sum(active) < 2:
+            continue
+        leaves = passive[-1] if leaf_last else 0
+        kept = tuple(i for i, p in enumerate(passive[:-1] if leaf_last else passive) if p)
+        head = tuple(passive[i] for i in kept)
+        tail = (leaves,) if leaves else ()
+        plans = partitions.get(active)
+        if plans is None:
+            plans = partitions[active] = _partitions_ge2(active)
+        for plan in plans:
+            if len(plan) == 1 and not any(passive):
+                steps.append((kept, plan, None))
+                continue
+            parts = tuple(dict.fromkeys(plan))
+            merged = tuple(map(plan.count, reversed(parts)))
+            steps.append((kept, parts, (head + merged + tail, leaves > 0)))
+    return steps
+
+
 class _Subtrees:
     """The enumerator's interned subtrees, one entry per int id.
 
     Id 0 is the leaf. ``nodes[i]`` is (level, child id, ...), children in
-    canonical order, and ``order[i]`` its sort key: (level, the children's
-    keys, ...) for a node, and for the leaf a one-tuple after every
-    node's. With one-digit levels, as under the enumeration fence, this
-    is the order of the key strings of :meth:`Dendrogram.key`.
+    canonical order: the order of the key strings of
+    :meth:`Dendrogram.key` under the enumeration fence, where every level
+    is one digit. In that order a node sorts by level, then by its
+    children's keys, and the leaf after every node. The walk keeps its
+    forests in that order as it builds them and stores no sort key.
 
     Four values fold bottom-up. ``full[i]`` has bit L set when the nodes
     at level L cover every leaf of the subtree (none for a leaf; a node
@@ -113,7 +145,6 @@ class _Subtrees:
 
     def __init__(self):
         self.nodes: list = [(0,)]
-        self.order: list = [(float("inf"),)]
         self.full: list = [0]
         self.leafy: list = [True]
         self.size: list = [1]
@@ -128,6 +159,13 @@ class _Subtrees:
             dendro = self.built[nid] = Dendrogram(level, tuple(map(self.dendrogram, children)))
         return dendro
 
+    def space(self, nid: int) -> FiniteUltrametricSpace:
+        """The subtree realized as :func:`dendrogram_to_space` realizes its
+        ``Dendrogram``, read off the table without building one."""
+        nodes = self.nodes
+        leaves, levels = _merge_order(nid, lambda i: (nodes[i][0], nodes[i][1:]))
+        return _space_of_merge_order(len(leaves), levels)
+
 
 def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
     """Stream the root id of every n-point class exactly once.
@@ -135,9 +173,14 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
     Classes are built bottom-up: starting from n leaves, each step merges
     one or more groups (of at least two current roots) into new nodes at
     the next level. Every canonical dendrogram has a unique merge
-    history, so the walk needs no deduplication. A forest is a tuple of
-    ids in canonical order (see :class:`_Subtrees`), so forests hash and
-    compare ints and equal subtrees sit side by side.
+    history, so the walk needs no deduplication. A forest is held as its
+    distinct roots, ids in canonical order (see :class:`_Subtrees`), and
+    its shape: the copies of each, and whether the last is the leaf. It
+    needs no sort. Every old node is below the new level, so the new
+    forest is the kept nodes in their order, then the new nodes, which
+    :func:`_partitions_ge2` lists in non-increasing order, reversed, then
+    the kept leaves. The shape alone fixes the merge steps, so
+    :func:`_merge_steps` lists them once per shape.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -146,11 +189,11 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
         yield 0
         return
 
-    nodes, order, full, leafy = table.nodes, table.order, table.full, table.leafy
+    nodes, full, leafy = table.nodes, table.full, table.leafy
     size, spheres = table.size, table.spheres
     ids: dict[tuple[int, ...], int] = {}
-    plans: dict[tuple[int, ...], list] = {}  # partitions by multiplicities
-    order_of = order.__getitem__
+    steps_by_shape: dict[tuple, list] = {}
+    partitions: dict[tuple[int, ...], list] = {}
 
     def intern(node: tuple[int, ...]) -> int:
         nid = ids.get(node)
@@ -158,7 +201,6 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
             nid = ids[node] = len(nodes)
             nodes.append(node)
             level, *children = node
-            order.append((level, *map(order_of, children)))
             full.append(reduce(and_, map(full.__getitem__, children)) | 1 << level)
             m = children.count(0)  # leaf children
             leafy.append(m > 0 and all(map(leafy.__getitem__, children)))
@@ -167,32 +209,28 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
             spheres.append(sum(map(spheres.__getitem__, children)) + leaves - m + (m > 0))
         return nid
 
-    def step(forest: tuple[int, ...], level: int) -> Iterator[int]:
-        distinct = list(dict.fromkeys(forest))  # the forest is in order
-        counts = [forest.count(x) for x in distinct]
-        for passive in product(*[range(c + 1) for c in counts]):
-            active = tuple(c - p for c, p in zip(counts, passive))
-            if sum(active) < 2:
+    def step(roots: list[int], shape: tuple, level: int) -> Iterator[int]:
+        steps = steps_by_shape.get(shape)
+        if steps is None:
+            steps = steps_by_shape[shape] = _merge_steps(*shape, partitions)
+        root_at = roots.__getitem__
+        for kept, parts, new_shape in steps:
+            merged = [intern((level, *map(root_at, part))) for part in parts]
+            if new_shape is None:
+                yield merged[0]
                 continue
-            if active not in plans:
-                plans[active] = _partitions_ge2(active)
-            kept = [x for x, p in zip(distinct, passive) for _ in range(p)]
-            for plan in plans[active]:
-                merged = [
-                    intern((level, *[x for x, t in zip(distinct, part) for _ in range(t)]))
-                    for part in plan
-                ]
-                new_forest = tuple(sorted(kept + merged, key=order_of))
-                if len(new_forest) == 1:
-                    yield new_forest[0]
-                else:
-                    yield from step(new_forest, level + 1)
+            # the kept nodes (all below this level), the new nodes in
+            # ascending order, then the kept leaves: the canonical order
+            forest = [*map(root_at, kept), *reversed(merged)]
+            if new_shape[1]:
+                forest.append(0)
+            yield from step(forest, new_shape, level + 1)
 
     try:
-        yield from step((0,) * n, 1)
+        yield from step([0], ((n,), True), 1)
     finally:
         # ``step`` calls itself through its closure cell; breaking that
-        # cycle frees ``ids``, ``plans`` and the closures when the walk
+        # cycle frees ``ids``, the steps and the closures when the walk
         # ends, not at the next cyclic garbage collection
         del step
 
@@ -213,9 +251,14 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     leaves is the largest level between them. The space keeps that order.
     """
     leaves, levels = _merge_order(dendro)
+    return _space_of_merge_order(len(leaves), levels)
+
+
+def _space_of_merge_order(n: int, levels: list[int]) -> FiniteUltrametricSpace:
+    """The points x1..xn in merge order, ``levels`` between neighbours."""
     (gaps,), values = _rank_entries([levels])
-    names = tuple(f"x{i + 1}" for i in range(len(leaves)))
-    return FiniteUltrametricSpace._from_gaps(names, range(len(leaves)), gaps, values)
+    names = tuple(f"x{i + 1}" for i in range(n))
+    return FiniteUltrametricSpace._from_gaps(names, range(n), gaps, values)
 
 
 # --- campaign reports -------------------------------------------------------------
@@ -436,37 +479,47 @@ def check_closed_balls(
     The verdict is reported twice: for open balls, the established half,
     and for closed balls, as search evidence, not asserted.
     """
-    instances: list[tuple[str, FiniteUltrametricSpace]] = []
+    instances: Iterable[tuple]  # (tag, space); label(tag) names a failure
     if source == "enumerated":
         if n is None:
             raise ValueError("source='enumerated' needs n")
         table = _Subtrees()
-        for pos, root in enumerate(_enumerate_ids(n, table)):
-            if table.leafy[root]:
-                dendro = table.dendrogram(root)
-                instances.append((f"class-{pos}:{dendro.key()}", dendrogram_to_space(dendro)))
+        # each class is checked as the walk yields it; its label and its
+        # Dendrogram are built only for a failure
+        instances = (
+            ((pos, root), table.space(root))
+            for pos, root in enumerate(_enumerate_ids(n, table))
+            if table.leafy[root]
+        )
+
+        def label(tag: tuple[int, int]) -> str:
+            return f"class-{tag[0]}:{table.dendrogram(tag[1]).key()}"
+
     elif source == "random-trees":
         import random
 
         from .tree import distance_matrix, random_labeled_tree
 
         rng = random.Random(seed)
+        instances = []
         for i in range(count):
             size = rng.randint(n_min, n_max)
             tree = random_labeled_tree(size, pool, seed=rng.randrange(2**32))
             instances.append((f"tree-{i}(n={size})", distance_matrix(tree)))
+        label = str  # the tag is the label
     else:
         raise ValueError("source must be 'enumerated' or 'random-trees'")
 
-    failed = [
-        (label, space)
-        for label, space in instances
-        if not _ball_family(space) <= _sphere_family(space)
-    ]
+    checked = 0
+    failed = []
+    for tag, space in instances:
+        checked += 1
+        if not _ball_family(space) <= _sphere_family(space):
+            failed.append((label(tag), space))
     return CampaignReport(
         check="closed-balls",
         n=n,
-        instances=len(instances),
+        instances=checked,
         verdict="FAIL" if failed else "CONSISTENT",
         results={
             "closed-balls-are-spheres": {

@@ -11,9 +11,11 @@ that the canonical-dendrogram test replaced: it matches rank matrices, as
 it did in the library, and shares no code with the canonical form.
 The class enumeration on nested tuples and the campaign checks on each
 class's realized space are what the fold over interned dendrograms
-replaced; the walks over one class's dendrogram for its center size and
-its leaf-child criterion are what the per-subtree masks and flags of the
-enumerator replaced. ``is_ut_split_walk`` is ``is_ut`` as it walked the
+replaced; ``enumerate_ids_by_sort_keys`` is that id walk as it sorted
+every forest by nested sort keys, before forests were kept in canonical
+order as they were built; the walks over one class's dendrogram for its
+center size and its leaf-child criterion are what the per-subtree masks
+and flags of the enumerator replaced. ``is_ut_split_walk`` is ``is_ut`` as it walked the
 diameter splits top-down with a stack and a split of its own, before it
 read the table the canonical form is built from; ``canonical_form`` is
 the canonical dendrogram and leaf order on those same splits, before
@@ -28,6 +30,7 @@ row-maximum check.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -603,6 +606,62 @@ def dendrogram_keys(n: int) -> Iterator[str]:
 
     for struct in step(tuple([0] * n), 1):
         yield keyf(struct)
+
+
+def enumerate_ids_by_sort_keys(n: int, table) -> Iterator[int]:
+    """The enumerator's id walk as it was when it sorted every forest.
+
+    ``table`` is a fresh subtree table: lists ``nodes``, ``full``,
+    ``leafy``, ``size`` and ``spheres`` that hold the leaf's entries. Each
+    interned node also gets a sort key, (level, the children's keys, ...),
+    with the leaf's ``(inf,)`` after every node's, and each new forest is
+    the kept roots plus the merged nodes, sorted by those keys. Forests are
+    tuples of ids; their distinct roots and counts are read off by scans.
+    """
+    if n == 1:
+        yield 0
+        return
+    nodes, full, leafy = table.nodes, table.full, table.leafy
+    size, spheres = table.size, table.spheres
+    order = [(float("inf"),)]
+    ids: dict = {}
+
+    def intern(node: tuple) -> int:
+        nid = ids.get(node)
+        if nid is None:
+            nid = ids[node] = len(nodes)
+            nodes.append(node)
+            level, *children = node
+            order.append((level, *(order[c] for c in children)))
+            mask = ~0
+            for c in children:
+                mask &= full[c]
+            full.append(mask | 1 << level)
+            m = children.count(0)
+            leafy.append(m > 0 and all(leafy[c] for c in children))
+            leaves = sum(size[c] for c in children)
+            size.append(leaves)
+            spheres.append(sum(spheres[c] for c in children) + leaves - m + (m > 0))
+        return nid
+
+    def step(forest: tuple, level: int) -> Iterator[int]:
+        distinct = list(dict.fromkeys(forest))
+        counts = [forest.count(x) for x in distinct]
+        for passive in itertools.product(*[range(c + 1) for c in counts]):
+            active = [c - p for c, p in zip(counts, passive)]
+            if sum(active) < 2:
+                continue
+            kept = [x for x, p in zip(distinct, passive) for _ in range(p)]
+            elements = tuple(i for i, a in enumerate(active) for _ in range(a))
+            for plan in _multiset_partitions_ge2(elements, lambda i: i):
+                merged = [intern((level, *(distinct[i] for i in part))) for part in plan]
+                new_forest = tuple(sorted(kept + merged, key=order.__getitem__))
+                if len(new_forest) == 1:
+                    yield new_forest[0]
+                else:
+                    yield from step(new_forest, level + 1)
+
+    yield from step((0,) * n, 1)
 
 
 def center_size(space) -> int:

@@ -359,6 +359,34 @@ def loaded_modules(argv):
     return proc.stdout.split()
 
 
+class TestUnreadableInput:
+    """A file the CLI cannot read ends in one ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "verb,name",
+        [
+            ("center", "missing.json"),  # a tree-JSON verb
+            ("center", "missing.csv"),  # a matrix-CSV verb
+            ("is-ut", "dir.csv"),  # a directory where a file should be
+        ],
+    )
+    def test_error_line_and_exit_one(self, tmp_path, verb, name):
+        (tmp_path / "dir.csv").mkdir()
+        path = str(tmp_path / name)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "ultratree.cli", verb, path],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert path in proc.stderr
+
+
 class TestImports:
     def test_validate_loads_no_campaign_code(self, tree_file):
         loaded = loaded_modules(["validate", tree_file])

@@ -384,18 +384,38 @@ class TestCampaignFold:
         assert roots == [dendro.key() for dendro in enumerate_dendrograms(n)]
         # every interned subtree, the inner ones included, against the
         # walks over its dendrogram
-        ids = range(len(table.nodes))
-        keys = []
-        for nid in ids:
+        for nid in range(len(table.nodes)):
             dendro = table.dendrogram(nid)
-            keys.append(dendro.key())
             assert _center_size(table.full[nid]) == oracles.dendrogram_center_size(dendro)
             assert table.leafy[nid] == oracles.has_leaf_children(dendro)
             assert table.size[nid] == dendro.leaf_count()
             assert table.spheres[nid] == len(oracles.sphere_masks(dendro)[1])
-        # the int order is the canonical key strings' order, with no ties
-        assert sorted(ids, key=table.order.__getitem__) == sorted(ids, key=keys.__getitem__)
-        assert len(set(table.order)) == len(ids)
+            assert table.space(nid) == dendrogram_to_space(dendro)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_children_are_in_canonical_key_order(self, n):
+        # the walk builds forests in order instead of sorting them; every
+        # node's children come out in the order of their key strings
+        table = _Subtrees()
+        for _ in _enumerate_ids(n, table):
+            pass
+        nested = [0]  # id -> the subtree as nested tuples, leaf = 0
+        cache: dict = {}
+        for level, *children in table.nodes[1:]:
+            nested.append((level, *map(nested.__getitem__, children)))
+            keys = [oracles._struct_key(nested[c], cache) for c in children]
+            assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_walk_matches_the_sorting_walk(self, n):
+        # the same roots, and the same ids and per-subtree values, as the
+        # walk that sorted every forest by nested sort keys
+        table, expected = _Subtrees(), _Subtrees()
+        assert list(_enumerate_ids(n, table)) == list(
+            oracles.enumerate_ids_by_sort_keys(n, expected)
+        )
+        for name in ("nodes", "full", "leafy", "size", "spheres"):
+            assert getattr(table, name) == getattr(expected, name), name
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_a_finished_walk_leaves_no_garbage_cycle(self, n):
@@ -629,6 +649,38 @@ class TestClosedBallCampaign:
         assert len(calls) == 28
         assert report.verdict == "CONSISTENT"
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_streams_the_classes_and_builds_no_dendrogram(self, monkeypatch, n):
+        # every class is checked as the walk yields it, on a space read
+        # off the subtree table; with no failure no Dendrogram is built
+        checked = []
+        real_ball_family = explorer._ball_family
+
+        def ball_family_checked_in_walk(space):
+            checked.append(space)
+            return real_ball_family(space)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the campaign built a Dendrogram")
+
+        monkeypatch.setattr(explorer, "_ball_family", ball_family_checked_in_walk)
+        monkeypatch.setattr(explorer, "Dendrogram", refused)
+        realizable = []
+        walk = explorer._enumerate_ids
+
+        def watched_walk(n, table):
+            for root in walk(n, table):
+                # the class before this one has been checked already
+                assert len(checked) == len(realizable)
+                if table.leafy[root]:
+                    realizable.append(root)
+                yield root
+
+        monkeypatch.setattr(explorer, "_enumerate_ids", watched_walk)
+        report = check_closed_balls("enumerated", n=n)
+        assert report.verdict == "CONSISTENT"
+        assert report.instances == len(checked) == len(realizable)
+
     def test_a_failure_is_witnessed_for_open_and_closed_balls(self, monkeypatch):
         # a space whose spheres are planted away fails both halves, and its
         # witness is listed once for each, the open one first
@@ -654,6 +706,11 @@ class TestClosedBallCampaign:
         assert opened["note"] == "open ball is not a sphere"
         assert closed["note"] == "closed ball is not a sphere"
         assert opened["label"] == closed["label"]
+        table = _Subtrees()
+        pos, root = next(
+            (pos, root) for pos, root in enumerate(_enumerate_ids(4, table)) if table.leafy[root]
+        )
+        assert opened["label"] == f"class-{pos}:{table.dendrogram(root).key()}"
         assert opened["matrix_csv"] == closed["matrix_csv"] == matrix_csv_string(planted[0])
 
 

@@ -8,6 +8,12 @@ the Fraction-matrix one; regenerate them only for a deliberate output
 change, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+``enumerate-con3-10.out`` is not among those cases: a memory gate runs
+it in a child process. Regenerate it with
+
+    PYTHONPATH=src python -m ultratree.cli enumerate --n 10 --check con3 \
+        > tests/golden/enumerate-con3-10.out
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from test_tree_verbs import measured
 from ultratree.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -77,6 +84,17 @@ def test_campaign_output_independent_of_jobs(name, capsys):
     assert main(argv + ["--jobs", "2"]) == expected
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_con3_on_ten_points_within_66_mb():
+    # 165 874 classes. On 2 cores (CPython 3.11) the walk that sorted every
+    # forest by nested keys took 3.6 s and 75 MB; building the forests in
+    # order takes 1.4 s and 61 MB. The peak is read by a small starter
+    # process, since a child of pytest starts from pytest's own peak.
+    code, lines, _, rss = measured(["enumerate", "--n", "10", "--check", "con3"])
+    assert code == 0
+    assert b"".join(lines) == (GOLDEN / "enumerate-con3-10.out").read_bytes()
+    assert rss <= 66 * 1024
 
 
 if __name__ == "__main__":

@@ -224,7 +224,7 @@ def measured(argv: list) -> tuple[int, list[bytes], int, int]:
     its first 64 KiB or so, the number of '-' in the whole output, the
     child's peak RSS in KiB). The output is read in pieces, never whole."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    cli = [sys.executable, "-m", "ultratree.cli", *argv]
+    cli = [sys.executable, "-B", "-m", "ultratree.cli", *argv]  # no bytecode left in src/
     with subprocess.Popen(
         [sys.executable, "-c", STARTER, *cli], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=env,
