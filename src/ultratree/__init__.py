@@ -5,6 +5,9 @@ of weak-similarity classes.
 
 Submodules are imported on first use of one of their names (PEP 562), so
 a command that needs only the tree layer never loads the campaign code.
+The space itself and its merge-order readers (``metric``) are apart from
+matrix validation and the canonical dendrogram (``hierarchy``) and from
+the rank-row analyses, balls and spheres among them (``rankrows``).
 ``is_ut``, which decides whether a space is generated by a labeled tree,
 belongs to the tree layer (``tree``). The campaigns (``explorer``) load
 ``tree`` only for random trees, and the file formats only to write a
@@ -23,19 +26,23 @@ _EXPORTS = {
         "check_theorem_suite", "dendrogram_to_space", "enumerate_dendrograms",
         "merge_parts",
     ),
+    "hierarchy": (
+        "Dendrogram", "WeakSimilarityWitness", "space_to_dendrogram",
+        "validate_ultrametric", "weak_similarity",
+    ),
     "metric": (
-        "Ball", "Dendrogram", "DiametricalGraph", "DistanceSet",
-        "FiniteUltrametricSpace", "MultipartiteDecomposition", "SphereCertificate",
-        "StarCertificate", "WeakSimilarityWitness", "ball", "center_of_distances",
-        "diameter", "diametrical_graph", "distance_set", "enumerate_balls",
-        "enumerate_centered_spheres", "is_centered_sphere", "is_equidistant",
-        "multipartite_parts", "pointwise_distance_set", "restrict",
-        "space_to_dendrogram", "spanning_star", "validate_ultrametric",
-        "weak_similarity",
+        "DistanceSet", "FiniteUltrametricSpace", "MultipartiteDecomposition",
+        "StarCertificate",
     ),
     "padic": (
         "PadicNorm", "dp_metric", "dplus", "padic_distance", "padic_valuation",
         "sample_space",
+    ),
+    "rankrows": (
+        "Ball", "DiametricalGraph", "SphereCertificate", "ball", "center_of_distances",
+        "diameter", "diametrical_graph", "distance_set", "enumerate_balls",
+        "enumerate_centered_spheres", "is_centered_sphere", "is_equidistant",
+        "multipartite_parts", "pointwise_distance_set", "restrict", "spanning_star",
     ),
     "tree": (
         "LabeledTree", "PathMaxIndex", "ball_subtree", "canonical_labeling",
@@ -43,7 +50,10 @@ _EXPORTS = {
         "random_labeled_tree", "validate_tree",
     ),
 }
-_SUBMODULES = ("capacity", "errors", "explorer", "formats", "metric", "padic", "rationals", "tree")
+_SUBMODULES = (
+    "capacity", "errors", "explorer", "formats", "hierarchy", "metric", "padic", "rankrows",
+    "rationals", "tree",
+)
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_SOURCE, *_SUBMODULES])

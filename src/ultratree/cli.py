@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 
-# `explorer`, `formats` and `tree` are imported by the verbs that run them,
-# so that a process compiles no module it does not execute. `padic` stays
-# here: the span tracer in perfbench/ looks up every module it wraps in
-# sys.modules and raises KeyError for one that no operation of a workload
-# loaded, and the class-campaigns workload runs no verb that imports padic.
+# `explorer`, `formats`, `rankrows` and `tree` are imported by the verbs
+# that run them, so that a process compiles no module it does not
+# execute. `padic` stays here: the span tracer in perfbench/ looks up
+# every module it wraps in sys.modules and raises KeyError for one that no
+# operation of a workload loaded, and the class-campaigns workload runs no
+# verb that imports padic.
 from . import metric, padic
 from .errors import TooLarge, UltratreeError
 from .rationals import format_rational, parse_rational_list
@@ -215,8 +216,10 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "spheres":
+        from . import rankrows
+
         space, _ = _load_space(args.input)
-        spheres = metric.enumerate_centered_spheres(space)
+        spheres = rankrows.enumerate_centered_spheres(space)
         for cert in spheres:
             members = ",".join(
                 sorted(cert.subset, key=space.index_of)

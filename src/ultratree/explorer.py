@@ -10,9 +10,10 @@ questions (center-size bound, all-subsets-spheres, closed balls).
 
 Whether a space is generated by a labeled tree (``is_ut``) is decided by
 the tree layer, :mod:`ultratree.tree`; the name still resolves here. The
-tree layer and the file formats are imported only where they are used
-(random trees, witness CSVs), so a campaign loads neither unless it
-needs it.
+tree layer, the file formats and the rank-row analyses
+(:mod:`ultratree.rankrows`) are imported only where they are used
+(random trees, witness CSVs, the theorem suite and the closed-ball
+families), so a campaign loads none of them unless it needs it.
 """
 
 from __future__ import annotations
@@ -26,22 +27,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .capacity import ENUMERATION_FENCE, require_within
 from .errors import FewerThanTwoBlocks, NotCompleteMultipartite, TooSmall
-from .metric import (
-    Dendrogram,
-    FiniteUltrametricSpace,
-    _ball_sets,
-    _merge_order,
-    _rank_entries,
-    _sphere_center,
-    _sphere_sets,
-    center_of_distances,
-    diameter,
-    diametrical_graph,
-    is_equidistant,
-    multipartite_parts,
-    spanning_star,
-    weak_similarity,
-)
+from .hierarchy import Dendrogram, _merge_order, weak_similarity
+from .metric import FiniteUltrametricSpace, _rank_entries
 
 ZERO = Fraction(0)
 
@@ -247,7 +234,7 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     """Realize the dendrogram: leaves x1..xn, distances = ancestor levels.
 
     Leaves are numbered in depth-first order, the merge order of
-    :func:`~ultratree.metric._merge_order`, so the distance of any two
+    :func:`~ultratree.hierarchy._merge_order`, so the distance of any two
     leaves is the largest level between them. The space keeps that order.
     """
     leaves, levels = _merge_order(dendro)
@@ -450,10 +437,14 @@ def check_hol(n: int) -> CampaignReport:
 
 
 def _sphere_family(space: FiniteUltrametricSpace) -> set[frozenset[int]]:
+    from .rankrows import _sphere_sets
+
     return set(_sphere_sets(space))
 
 
 def _ball_family(space: FiniteUltrametricSpace) -> set[frozenset[int]]:
+    from .rankrows import _ball_sets
+
     # every open ball is a closed ball and back: one family of index sets
     return set(_ball_sets(space))
 
@@ -555,6 +546,18 @@ def check_theorem_suite(
     cannot fail: every space has rank 0 on its diagonal, which is all
     they test. They stay so that the report keeps its format.
     """
+    from .rankrows import (
+        _ball_sets,
+        _sphere_center,
+        _sphere_sets,
+        center_of_distances,
+        diameter,
+        diametrical_graph,
+        is_equidistant,
+        multipartite_parts,
+        spanning_star,
+    )
+
     n = space.n
     everyone = range(n)
     diam = diameter(space)

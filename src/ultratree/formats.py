@@ -6,7 +6,6 @@ is rejected on input. Writers are byte-deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
@@ -14,16 +13,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError
-from .metric import (
-    DiametricalGraph,
-    FiniteUltrametricSpace,
-    MultipartiteDecomposition,
-    StarCertificate,
-    validate_ultrametric,
-)
+from .metric import FiniteUltrametricSpace, MultipartiteDecomposition, StarCertificate
 from .rationals import format_rational, parse_rational
 
-if TYPE_CHECKING:  # the tree layer is loaded by the reader that builds trees
+if TYPE_CHECKING:  # each layer is loaded by the function that uses it
+    from .rankrows import DiametricalGraph
     from .tree import LabeledTree
 
 
@@ -113,6 +107,12 @@ def parse_matrix_csv(text: str) -> FiniteUltrametricSpace:
     row. A CSV error comes first, then an empty file, then the row count,
     then the first row with a wrong length or a cell that is no rational.
     """
+    # `csv` and validation are loaded by the verbs that read or write a
+    # matrix CSV only, not by those that read a tree
+    import csv
+
+    from .hierarchy import validate_ultrametric
+
     # the lines as a file gives them, so that a bare "\r" stays inside one for csv
     # to refuse; a StringIO would hold the text again at four bytes a character
     lines = (m[0] for m in re.finditer(r"[^\n]*\n|[^\n]+", text))
@@ -150,6 +150,8 @@ def parse_matrix_csv(text: str) -> FiniteUltrametricSpace:
 
 
 def matrix_csv_string(space: FiniteUltrametricSpace) -> str:
+    import csv
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(space.points)
     # each distinct value is formatted once; rationals never need CSV quoting

@@ -15,9 +15,9 @@ edges by ascending weight (the larger endpoint label) and appending
 component to component lists the vertices so that the path maximum of
 any two is the largest gap between them. The index answers one pair by
 a range maximum over the gaps; the matrix is filled from the gaps and
-keeps them. The merge order is the form every hierarchy reader of
-``metric`` takes, so the center of distances and the diametrical parts
-of a tree need no matrix.
+keeps them. The merge order is the form the readers in ``metric`` take,
+so the center of distances and the diametrical parts of a tree need no
+matrix.
 
 The converse question, whether a finite ultrametric space is generated
 by some labeled tree on exactly its points, is answered by :func:`is_ut`
@@ -44,7 +44,7 @@ from .errors import (
     TooSmall,
     UnknownVertex,
 )
-from .metric import FiniteUltrametricSpace, _rank_entries, _Record, _split_table
+from .metric import FiniteUltrametricSpace, _rank_entries, _Record
 from .rationals import parse_rational
 
 
@@ -391,7 +391,7 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
     canonical dendrogram has at least one leaf child: when every ball of
     two or more points, split at its diameter, has a single-point block.
     The tree is built along the same splits, read bottom-up from
-    :func:`~ultratree.metric._split_table` (the space's merge order). The
+    :func:`~ultratree.hierarchy._split_table` (the space's merge order). The
     first single-point block of each ball (its lowest-index singleton) is
     its hub and takes the ball's diameter as its label; every other block
     hangs its own hub off it, and a singleton block is its own hub with
@@ -399,8 +399,10 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
     ball's hub. Returns None when some ball has no singleton block. Runs
     in polynomial time, with no fence. An unvalidated matrix that is not
     ultrametric raises the error, with the culprit, that
-    :func:`~ultratree.metric.validate_ultrametric` would raise.
+    :func:`~ultratree.hierarchy.validate_ultrametric` would raise.
     """
+    from .hierarchy import _split_table
+
     if not space.n:
         raise TooSmall("is_ut needs at least 1 point")
     levels, children = _split_table(space)

@@ -15,7 +15,9 @@ replaced; ``enumerate_ids_by_sort_keys`` is that id walk as it sorted
 every forest by nested sort keys, before forests were kept in canonical
 order as they were built; the walks over one class's dendrogram for its
 center size and its leaf-child criterion are what the per-subtree masks
-and flags of the enumerator replaced. ``is_ut_split_walk`` is ``is_ut`` as it walked the
+and flags of the enumerator replaced. ``padic_distance`` is the p-adic
+distance on Fraction differences that the int valuations replaced.
+``is_ut_split_walk`` is ``is_ut`` as it walked the
 diameter splits top-down with a stack and a split of its own, before it
 read the table the canonical form is built from; ``canonical_form`` is
 the canonical dendrogram and leaf order on those same splits, before
@@ -46,7 +48,9 @@ from ultratree.errors import (
     StrongTriangleViolation,
     TooSmall,
 )
-from ultratree.metric import Dendrogram, FiniteUltrametricSpace, WeakSimilarityWitness
+from ultratree.hierarchy import Dendrogram, WeakSimilarityWitness
+from ultratree.metric import FiniteUltrametricSpace
+from ultratree.rationals import format_rational
 from ultratree.tree import LabeledTree, degenerate_edge, validate_tree
 from ultratree.errors import DegenerateLabeling
 
@@ -511,6 +515,31 @@ def dfs_path_max(tree, root):
     return best
 
 
+def padic_distance(t, w, p: int) -> Fraction:
+    """The p-adic distance of two rationals as ``dp_metric`` computed it
+    before its int path: the norm of their Fraction difference, the prime
+    divided out of its numerator and denominator one factor at a time."""
+    diff = Fraction(t) - Fraction(w)
+    if not diff:
+        return ZERO
+    num, den, exponent = abs(diff.numerator), diff.denominator, 0
+    while num % p == 0:
+        num //= p
+        exponent += 1
+    while den % p == 0:
+        den //= p
+        exponent -= 1
+    return Fraction(1, p**exponent) if exponent >= 0 else Fraction(p**-exponent)
+
+
+def padic_space(values, p: int) -> FiniteUltrametricSpace:
+    """The p-adic sample space of distinct values, one oracle distance per
+    pair, named as ``sample_space`` names its points."""
+    vals = [Fraction(v) for v in values]
+    matrix = [[padic_distance(t, w, p) for w in vals] for t in vals]
+    return FiniteUltrametricSpace.from_trusted_matrix([format_rational(v) for v in vals], matrix)
+
+
 # --- class enumeration and campaign checks on spaces ---------------------------
 
 def _struct_key(t, cache: dict) -> str:
@@ -834,7 +863,7 @@ def theorem_suite(
     """
     from ultratree.explorer import CampaignReport
     from ultratree.formats import matrix_csv_string
-    from ultratree.metric import (
+    from ultratree.rankrows import (
         ball,
         center_of_distances,
         diameter,

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -99,16 +100,16 @@ class TestBasicVerbs:
         assert run(capsys, "spheres", padic, "--subsets") == (0, answer, "")
 
     def test_spheres_subsets_enumerates_once(self, capsys, tree_file, monkeypatch):
-        from ultratree import metric
+        from ultratree import rankrows
 
         calls = []
-        real = metric.enumerate_centered_spheres
+        real = rankrows.enumerate_centered_spheres
 
         def counted(space):
             calls.append(space.n)
             return real(space)
 
-        monkeypatch.setattr(metric, "enumerate_centered_spheres", counted)
+        monkeypatch.setattr(rankrows, "enumerate_centered_spheres", counted)
         code, out, _ = run(capsys, "spheres", tree_file, "--subsets")
         assert code == 0 and "subsets are centered spheres: no" in out
         assert calls == [4]
@@ -224,6 +225,21 @@ class TestSamplerVerbs:
     def test_padic_composite_rejected(self, capsys):
         code, _, err = run(capsys, "padic", "--p", "4", "--sample", "0,1")
         assert code == 1 and "prime" in err
+
+    def test_padic_strong_pseudoprime_to_the_first_twelve_primes_rejected(self, capsys):
+        # 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+        code, out, err = run(capsys, "padic", "--p", "318665857834031151167461", "--sample", "0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: 318665857834031151167461 is not a prime number\n"
+
+    @pytest.mark.parametrize("p", ["3317044064679887385961981", "3317044064679887385961983"])
+    def test_padic_prime_beyond_the_exact_bound_refused(self, capsys, p):
+        # the bound itself is 1287836182261 * 2575672364521, a strong
+        # pseudoprime to every base the test tries: no p at or above it
+        # is taken, prime or not
+        code, out, err = run(capsys, "padic", "--p", p, "--sample", "0,1287836182261")
+        assert (code, out) == (3, "")
+        assert "3317044064679887385961981" in err and err.count("\n") == 1
 
     def test_dplus(self, capsys):
         code, out, _ = run(capsys, "dplus", "--sample", "0,1,2,3")
@@ -429,32 +445,82 @@ class TestImports:
     # The ultratree modules each command loads, besides those every command
     # loads (cli, errors, metric, padic, rationals). A process compiles each
     # module it imports when it finds no bytecode, so a verb loads none that
-    # it does not run.
+    # it does not run: matrix validation and the dendrogram forms
+    # (hierarchy) only where a matrix is read or a dendrogram built, the
+    # rank-row analyses (rankrows) only where they run.
     COMMANDS = {
-        "is-ut {csv}": "formats tree",
-        "check {csv}": "capacity explorer formats",
-        "center {csv}": "formats",
-        "padic --p 2 --sample 0,1,2": "formats",
-        "enumerate --n 5 --check con3": "capacity explorer formats",
-        "enumerate --n 5 --check hol": "capacity explorer",
-        "enumerate --n 5 --check suite": "capacity explorer",
-        "enumerate --n 5 --check closed-balls": "capacity explorer",
+        "is-ut {csv}": "formats hierarchy tree",
+        "check {csv}": "capacity explorer formats hierarchy rankrows",
+        "center {csv}": "formats hierarchy",
+        "padic --p 2 --sample 0,1,2": "formats hierarchy",
+        "dplus --sample 0,1,2": "formats hierarchy",
+        "enumerate --n 5 --check con3": "capacity explorer formats hierarchy",
+        "enumerate --n 5 --check hol": "capacity explorer hierarchy",
+        "enumerate --n 5 --check suite": "capacity explorer hierarchy rankrows",
+        "enumerate --n 5 --check closed-balls": "capacity explorer hierarchy rankrows",
         "validate {json}": "formats tree",
         "distances {json}": "formats tree",
         "canonical {json}": "formats tree",
         "center {json}": "formats tree",
         "diametrical {json} --dot {dot}": "formats tree",
-        "spheres {json}": "formats tree",
+        "spheres {json}": "formats rankrows tree",
         "random-tree --n 5 --seed 1 --pool 0,1": "formats tree",
     }
 
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_verb_loads_only_the_modules_it_runs(self, tmp_path, tree_file, command):
+    # The most statements (``ast.stmt`` nodes in the source of every
+    # ultratree module loaded) each command may compile: a count that
+    # repeats exactly, where start-up time from source does not. The tree
+    # verbs and random-tree stood at 1 468, padic and dplus at 1 181 and
+    # is-ut at 1 468 before the space was split from validation, the
+    # dendrogram forms and the rank-row analyses; every other command may
+    # compile at most 50 more than it did then, for the new modules' own
+    # headers and imports.
+    STATEMENT_CAPS = {
+        "is-ut {csv}": 1320,
+        "check {csv}": 1536 + 50,
+        "center {csv}": 1181 + 50,
+        "padic --p 2 --sample 0,1,2": 1050,
+        "dplus --sample 0,1,2": 1050,
+        "enumerate --n 5 --check con3": 1536 + 50,
+        "enumerate --n 5 --check hol": 1403 + 50,
+        "enumerate --n 5 --check suite": 1403 + 50,
+        "enumerate --n 5 --check closed-balls": 1403 + 50,
+        "validate {json}": 1150,
+        "distances {json}": 1150,
+        "canonical {json}": 1150,
+        "center {json}": 1150,
+        "diametrical {json} --dot {dot}": 1150,
+        "spheres {json}": 1468 + 50,
+        "random-tree --n 5 --seed 1 --pool 0,1": 1150,
+    }
+
+    def loaded_by(self, tmp_path, tree_file, command):
         csv_file = tmp_path / "m.csv"
         csv_file.write_text("a,b,c\n0,2,1\n2,0,2\n1,2,0\n")
         paths = {"{csv}": str(csv_file), "{json}": tree_file, "{dot}": str(tmp_path / "g.dot")}
-        loaded = loaded_modules([paths.get(a, a) for a in command.split()])
+        return loaded_modules([paths.get(a, a) for a in command.split()])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_verb_loads_only_the_modules_it_runs(self, tmp_path, tree_file, command):
+        loaded = self.loaded_by(tmp_path, tree_file, command)
         modules = {"cli", "errors", "metric", "padic", "rationals", *self.COMMANDS[command].split()}
         assert {m for m in loaded if m.startswith("ultratree.")} == {
             f"ultratree.{m}" for m in modules
         }
+
+    @pytest.mark.parametrize("command", list(STATEMENT_CAPS))
+    def test_verb_compiles_at_most_its_statement_cap(self, tmp_path, tree_file, command):
+        loaded = self.loaded_by(tmp_path, tree_file, command)
+        package = Path(__file__).resolve().parent.parent / "src" / "ultratree"
+        statements = 0
+        for name in loaded:
+            if name == "ultratree" or name.startswith("ultratree."):
+                stem = name.partition(".")[2] or "__init__"
+                source = (package / f"{stem}.py").read_text(encoding="utf-8")
+                statements += sum(isinstance(node, ast.stmt) for node in ast.walk(ast.parse(source)))
+        assert statements <= self.STATEMENT_CAPS[command]
+
+    # `csv` is loaded by the verbs that read or write a matrix CSV only
+    @pytest.mark.parametrize("verb", ["validate", "canonical", "center", "diametrical"])
+    def test_tree_verb_loads_no_csv(self, tree_file, verb):
+        assert "csv" not in loaded_modules([verb, tree_file])

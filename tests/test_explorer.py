@@ -628,10 +628,10 @@ class TestClosedBallCampaign:
     def test_sweeps_each_space_once(self, monkeypatch):
         # the closed balls are the open balls: one index-set sweep per
         # realizable class, and no name-keyed enumeration
-        from ultratree import metric
+        from ultratree import rankrows
 
         calls = []
-        real_ball_sets = metric._ball_sets
+        real_ball_sets = rankrows._ball_sets
 
         def counting_ball_sets(space):
             calls.append(space)
@@ -640,10 +640,10 @@ class TestClosedBallCampaign:
         def refused(*args, **kwargs):
             raise AssertionError("the campaign enumerated balls or spheres by name")
 
-        for module in (metric, explorer):
-            monkeypatch.setattr(module, "_ball_sets", counting_ball_sets)
-            for name in ("enumerate_balls", "enumerate_centered_spheres"):
-                monkeypatch.setattr(module, name, refused, raising=False)
+        # the campaign reads the index cores from their module when it runs
+        monkeypatch.setattr(rankrows, "_ball_sets", counting_ball_sets)
+        for name in ("enumerate_balls", "enumerate_centered_spheres"):
+            monkeypatch.setattr(rankrows, name, refused)
         report = check_closed_balls("enumerated", n=6)
         assert report.instances == 28
         assert len(calls) == 28

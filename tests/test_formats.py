@@ -199,20 +199,20 @@ class TestMatrixCsv:
         # line by line it peaks at the 7.9 MB of the rows themselves
         import tracemalloc
 
-        from ultratree import distance_matrix, formats, random_labeled_tree
+        from ultratree import distance_matrix, hierarchy, random_labeled_tree
 
         pool = list(range(1, 16)) + [16] * 4
         space = distance_matrix(random_labeled_tree(1000, pool, seed=1))
         text = matrix_csv_string(space)
         peaks = []
-        real = formats.validate_ultrametric
+        real = hierarchy.validate_ultrametric
 
         def validate(*args):  # the peak of the reading; validation runs untraced
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
             return real(*args)
 
-        monkeypatch.setattr(formats, "validate_ultrametric", validate)
+        monkeypatch.setattr(hierarchy, "validate_ultrametric", validate)
         tracemalloc.start()
         try:
             parsed = parse_matrix_csv(text)

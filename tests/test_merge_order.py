@@ -28,8 +28,8 @@ from ultratree import (
     distance_matrix,
     dp_metric,
     enumerate_dendrograms,
+    hierarchy,
     is_ut,
-    metric,
     random_labeled_tree,
     restrict,
     sample_space,
@@ -43,7 +43,7 @@ from ultratree.errors import (
     NotSymmetric,
     StrongTriangleViolation,
 )
-from ultratree.metric import _canonical_form
+from ultratree.hierarchy import _canonical_form
 from ultratree.formats import matrix_csv_string, parse_matrix_csv, tree_json_string
 from ultratree.rationals import format_rational
 
@@ -187,18 +187,18 @@ class TestOnePrimPass:
         if tree_space:
             space = distance_matrix(random_labeled_tree(12, [0, 1, 2, 3, 3], seed=4))
         else:  # a class with no realizing tree: two pairs at two scales
-            pair = metric.Dendrogram(1, (metric.Dendrogram(0), metric.Dendrogram(0)))
-            space = dendrogram_to_space(metric.Dendrogram(2, (pair, pair)))
+            pair = hierarchy.Dendrogram(1, (hierarchy.Dendrogram(0), hierarchy.Dendrogram(0)))
+            space = dendrogram_to_space(hierarchy.Dendrogram(2, (pair, pair)))
         path = tmp_path / "m.csv"
         path.write_text(matrix_csv_string(permuted(space, 1)), encoding="utf-8")
         calls = []
-        real = metric._check_strong_triangle
+        real = hierarchy._check_strong_triangle
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(metric, "_check_strong_triangle", counting)
+        monkeypatch.setattr(hierarchy, "_check_strong_triangle", counting)
         verb, *rest = argv
         dot = str(tmp_path / "g.dot")
         code, _, err = run([verb, str(path), *(dot if a == "{dot}" else a for a in rest)])
@@ -208,9 +208,9 @@ class TestOnePrimPass:
 
     def test_an_unvalidated_space_runs_prim_once_on_first_use(self, monkeypatch):
         calls = []
-        real = metric._check_strong_triangle
+        real = hierarchy._check_strong_triangle
         monkeypatch.setattr(
-            metric, "_check_strong_triangle", lambda *a: calls.append(a) or real(*a)
+            hierarchy, "_check_strong_triangle", lambda *a: calls.append(a) or real(*a)
         )
         space = distance_matrix(random_labeled_tree(9, [1, 2, 3], seed=2))
         trusted = FiniteUltrametricSpace.from_trusted_matrix(space.points, space.matrix)

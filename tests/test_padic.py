@@ -13,8 +13,9 @@ from ultratree import (
     sample_space,
     validate_ultrametric,
 )
-from ultratree.errors import DuplicateValue, NegativeInput, NotPrime
-from ultratree.padic import is_prime
+import oracles
+from ultratree.errors import DuplicateValue, NegativeInput, NotPrime, TooLarge
+from ultratree.padic import MR_BOUND, is_prime
 
 F = Fraction
 
@@ -38,6 +39,23 @@ class TestPrimality:
         assert is_prime(2**61 - 1)  # Mersenne prime
         assert not is_prime(2**61 + 1)
         assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+    def test_strong_pseudoprime_to_the_first_twelve_primes(self):
+        # the least one (OEIS A014233): the base 41 exposes it
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not is_prime(318665857834031151167461)
+
+    def test_bound_is_the_least_strong_pseudoprime_to_every_witness(self):
+        # composite, yet it passes the test: why no p at or above it is taken
+        assert 1287836182261 * 2575672364521 == MR_BOUND
+        assert is_prime(MR_BOUND)
+
+    @pytest.mark.parametrize("p", [MR_BOUND, MR_BOUND + 2, 2**89 - 1])  # 2**89 - 1 is prime
+    def test_no_prime_at_or_above_the_bound(self, p):
+        for call in (lambda: dp_metric(p), lambda: padic_valuation(F(3), p),
+                     lambda: padic_distance(F(0), F(1), p)):
+            with pytest.raises(TooLarge, match=str(MR_BOUND)):
+                call()
 
 
 class TestValuation:
@@ -96,6 +114,38 @@ class TestPadicDistance:
     def test_multiplicativity(self, t, w, p):
         norm = lambda x: padic_valuation(x, p).norm
         assert norm(t * w) == norm(t) * norm(w)
+
+
+# samples with negatives and with denominators divisible by the prime
+PRIMES = [2, 3, 5, 7, 2**61 - 1]
+
+
+@st.composite
+def padic_rationals(draw, p):
+    den = p ** draw(st.integers(0, 3)) * draw(st.integers(1, 12))
+    return F(draw(st.integers(-60, 60)), den)
+
+
+class TestIntPathAgainstFractionOracle:
+    @given(st.data(), st.sampled_from(PRIMES))
+    @settings(max_examples=150, deadline=None)
+    def test_sample_space(self, data, p):
+        values = data.draw(st.lists(padic_rationals(p), min_size=1, max_size=9, unique=True))
+        assert sample_space(values, dp_metric(p)) == oracles.padic_space(values, p)
+
+    @given(st.data(), st.sampled_from(PRIMES))
+    @settings(max_examples=300, deadline=None)
+    def test_padic_distance_pair_by_pair(self, data, p):
+        t = data.draw(padic_rationals(p))
+        w = data.draw(st.one_of(st.just(t), padic_rationals(p)))  # zero differences too
+        assert padic_distance(t, w, p) == oracles.padic_distance(t, w, p)
+
+    def test_one_shared_fraction_per_distance(self):
+        # `_rank_entries` groups the cells by object identity
+        space_values = [F(k, 4) for k in range(-8, 9)]
+        metric = dp_metric(2)
+        distances = [metric(t, w) for t in space_values for w in space_values]
+        assert len({id(d) for d in distances}) == len(set(distances))
 
 
 class TestDplus:

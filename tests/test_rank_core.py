@@ -47,12 +47,8 @@ from ultratree.errors import (
     StrongTriangleViolation,
     UltratreeError,
 )
-from ultratree.metric import (
-    FiniteUltrametricSpace,
-    _canonical_form,
-    _merge_order,
-    _ranks_from_gaps,
-)
+from ultratree.hierarchy import _canonical_form, _merge_order
+from ultratree.metric import FiniteUltrametricSpace, _ranks_from_gaps
 from ultratree.tree import LabeledTree
 
 F = Fraction

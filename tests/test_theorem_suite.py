@@ -1,7 +1,7 @@
 """The theorem suite on the rank matrix against the name-keyed oracle.
 
 ``explorer.check_theorem_suite`` reads ``space.ranks`` through the index
-cores ``metric._ball_sets``, ``_sphere_sets`` and ``_sphere_center``;
+cores ``rankrows._ball_sets``, ``_sphere_sets`` and ``_sphere_center``;
 ``oracles.theorem_suite`` asks the public API once per ball and once per
 point. Their reports must agree entry for entry, witnesses included: on
 every class with n <= 7, on tree-generated and p-adic spaces, and on
@@ -27,8 +27,9 @@ from ultratree import (
     restrict,
     sample_space,
 )
-from ultratree import explorer, metric
-from ultratree.metric import FiniteUltrametricSpace, _ball_sets, _sphere_center
+from ultratree import explorer, hierarchy, rankrows
+from ultratree.metric import FiniteUltrametricSpace
+from ultratree.rankrows import _ball_sets, _sphere_center
 
 
 def assert_suites_agree(space):
@@ -169,7 +170,9 @@ def test_suite_makes_no_name_keyed_or_dendrogram_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the suite called the name-keyed API")
 
-    for module in (metric, explorer):
+    # the defining modules: a name patched where it is only forwarded
+    # (``metric.ball``) would not reach the suite
+    for module in (hierarchy, rankrows, explorer):
         for name in NAME_KEYED:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
