@@ -21,14 +21,14 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import product, tee
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .capacity import ENUMERATION_FENCE, require_within
 from .errors import FewerThanTwoBlocks, NotCompleteMultipartite, TooSmall
 from .hierarchy import Dendrogram, _merge_order, weak_similarity
-from .metric import FiniteUltrametricSpace, _rank_entries
+from .metric import FiniteUltrametricSpace
 
 ZERO = Fraction(0)
 
@@ -146,12 +146,16 @@ class _Subtrees:
             dendro = self.built[nid] = Dendrogram(level, tuple(map(self.dendrogram, children)))
         return dendro
 
+    def levels(self, nid: int) -> list[int]:
+        """The levels between neighbours in the subtree's merge order (see
+        :func:`~ultratree.hierarchy._merge_order`), read off the table."""
+        nodes = self.nodes
+        return _merge_order(nid, lambda i: (nodes[i][0], nodes[i][1:]))[1]
+
     def space(self, nid: int) -> FiniteUltrametricSpace:
         """The subtree realized as :func:`dendrogram_to_space` realizes its
         ``Dendrogram``, read off the table without building one."""
-        nodes = self.nodes
-        leaves, levels = _merge_order(nid, lambda i: (nodes[i][0], nodes[i][1:]))
-        return _space_of_merge_order(len(leaves), levels)
+        return _space_of_merge_order(self.levels(nid))
 
 
 def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
@@ -237,15 +241,21 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     :func:`~ultratree.hierarchy._merge_order`, so the distance of any two
     leaves is the largest level between them. The space keeps that order.
     """
-    leaves, levels = _merge_order(dendro)
-    return _space_of_merge_order(len(leaves), levels)
+    return _space_of_merge_order(_merge_order(dendro)[1])
 
 
-def _space_of_merge_order(n: int, levels: list[int]) -> FiniteUltrametricSpace:
-    """The points x1..xn in merge order, ``levels`` between neighbours."""
-    (gaps,), values = _rank_entries([levels])
-    names = tuple(f"x{i + 1}" for i in range(n))
-    return FiniteUltrametricSpace._from_gaps(names, range(n), gaps, values)
+def _space_of_merge_order(levels: list[int]) -> FiniteUltrametricSpace:
+    """The points x1, x2, ... in merge order, ``levels`` between neighbours;
+    the distance set is the levels used, ranked."""
+    used = sorted({0, *levels})
+    rank = {level: r for r, level in enumerate(used)}
+    names = tuple(f"x{i + 1}" for i in range(len(levels) + 1))
+    # from a list, at its size: a tuple of a map is made with ten slots and
+    # shrunk, and a suite's worth of shrunk tuples fills the free lists
+    values = tuple([Fraction(level) for level in used])
+    return FiniteUltrametricSpace._from_gaps(
+        names, range(len(names)), [rank[g] for g in levels], values
+    )
 
 
 # --- campaign reports -------------------------------------------------------------
@@ -304,19 +314,22 @@ def _witness(label: str, space: FiniteUltrametricSpace, note: str = "") -> dict:
     return {"label": label, "matrix_csv": matrix_csv_string(space), "note": note}
 
 
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
+def _parallel_map(fn: Callable, items: Iterable, jobs: int) -> Iterable:
     """Order-preserving map; with jobs > 1 the work is sharded across
     processes but the fold order (hence every output byte) is unchanged.
-    A pool forks all its workers up front, so it gets no more of them
-    than there are CPUs or items."""
-    workers = min(jobs, os.cpu_count() or 1, len(items))
+    In one process the items are mapped lazily, as they are yielded. A
+    pool forks all its workers up front, so it gets no more of them than
+    there are CPUs or items, and the items are listed to count them."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        items = list(items)
+        workers = min(workers, len(items))
     if workers <= 1:
-        return [fn(item) for item in items]
+        return map(fn, items)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
 
 
 def _center_size(full: int) -> int:
@@ -343,7 +356,6 @@ def check_con3(n: int) -> CampaignReport:
             max_size, best = size, root
     bound = 1 + (n.bit_length() - 1)
     verdict = "CONSISTENT" if max_size <= bound else "COUNTEREXAMPLE"
-    witness = table.dendrogram(best)
     return CampaignReport(
         check="con3",
         n=n,
@@ -359,8 +371,8 @@ def check_con3(n: int) -> CampaignReport:
         },
         witnesses=[
             _witness(
-                witness.key(),
-                dendrogram_to_space(witness),
+                table.dendrogram(best).key(),
+                table.space(best),
                 f"center size {max_size} (bound {bound})",
             )
         ],
@@ -389,7 +401,8 @@ def check_hol(n: int) -> CampaignReport:
     triple); for n > 3 the expectation is none. Any other outcome is
     reported as a counterexample with a replayable witness. A class's
     sphere count is a lookup in the enumerator's table (see
-    :class:`_Subtrees`), so only the satisfying classes are built.
+    :class:`_Subtrees`), so only the satisfying classes are realized,
+    from their root ids.
     """
     if n < 3:
         raise TooSmall("the all-subsets-spheres campaign needs n >= 3")
@@ -399,26 +412,22 @@ def check_hol(n: int) -> CampaignReport:
     for root in _enumerate_ids(n, table):
         instances += 1
         if _all_subsets_spheres(n, table.spheres[root]):
-            satisfying.append(table.dendrogram(root))
-    witnesses = []
-    similar_to_reference = []
+            satisfying.append(root)
     reference = _reference_three_point_space()
-    for dendro in satisfying:
-        space = dendrogram_to_space(dendro)
-        similar = weak_similarity(space, reference) is not None
-        similar_to_reference.append(similar)
-        witnesses.append(
-            _witness(
-                dendro.key(),
-                space,
-                "all subsets are centered spheres"
-                + ("; weakly similar to the 3-point reference" if similar else ""),
-            )
+    similar_to_reference = [
+        weak_similarity(table.space(root), reference) is not None for root in satisfying
+    ]
+    witnesses = [
+        _witness(
+            table.dendrogram(root).key(),
+            table.space(root),
+            "all subsets are centered spheres"
+            + ("; weakly similar to the 3-point reference" if similar else ""),
         )
-    if n == 3:
-        consistent = len(satisfying) == 1 and similar_to_reference == [True]
-    else:
-        consistent = not satisfying
+        for root, similar in zip(satisfying, similar_to_reference)
+    ]
+    # the one satisfying class at n = 3 is the reference's
+    consistent = similar_to_reference == [True] if n == 3 else not satisfying
     verdict = "CONSISTENT" if consistent else "COUNTEREXAMPLE"
     return CampaignReport(
         check="hol",
@@ -670,34 +679,40 @@ def check_theorem_suite(
     )
 
 
-def _suite_row(item: tuple[Dendrogram, bool]) -> tuple[str, bool, Optional[str]]:
-    dendro, realizable = item
-    space = dendrogram_to_space(dendro)
-    report = check_theorem_suite(space, is_ut_hint=realizable)
-    first_fail = None
-    if report.verdict != "PASS":
-        first_fail = next(
-            name for name, res in report.results.items() if res.get("verdict") == "FAIL"
-        )
-    return (dendro.key(), report.verdict == "PASS", first_fail)
+def _suite_row(item: tuple[list[int], bool]) -> Optional[str]:
+    """The name of the first check the class fails, or None; the class is
+    its merge-order levels and whether a labeled tree generates it."""
+    levels, realizable = item
+    results = check_theorem_suite(_space_of_merge_order(levels), is_ut_hint=realizable).results
+    return next((name for name, res in results.items() if res["verdict"] == "FAIL"), None)
 
 
 def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
-    """Run the theorem suite over every class of cardinality n."""
+    """Run the theorem suite over every class of cardinality n.
+
+    Each class goes to the suite as the levels of its merge order, read
+    off the enumerator's table (see :class:`_Subtrees`); only the first
+    failing class, the witness, is built as a ``Dendrogram``.
+    """
     table = _Subtrees()
-    classes = [(table.dendrogram(root), table.leafy[root]) for root in _enumerate_ids(n, table)]
-    rows = _parallel_map(_suite_row, classes, jobs)
-    failures = [
-        (dendro, key, fail) for (dendro, _), (key, ok, fail) in zip(classes, rows) if not ok
+    # the roots once more, to name a failure: in one process the map takes
+    # the next class only when the fold does, so the tee holds one root
+    walked, roots = tee(_enumerate_ids(n, table))
+    rows = _parallel_map(_suite_row, ((table.levels(r), table.leafy[r]) for r in walked), jobs)
+    instances = 0
+    failures = []
+    for root, fail in zip(roots, rows):
+        instances += 1
+        if fail:
+            failures.append((root, fail))
+    witnesses = [
+        _witness(table.dendrogram(root).key(), table.space(root), f"failed {fail}")
+        for root, fail in failures[:1]
     ]
-    witnesses = []
-    if failures:
-        dendro, key, fail = failures[0]
-        witnesses.append(_witness(key, dendrogram_to_space(dendro), f"failed {fail}"))
     return CampaignReport(
         check="suite",
         n=n,
-        instances=len(classes),
+        instances=instances,
         verdict="PASS" if not failures else "FAIL",
         results={
             "theorem-suite": {

@@ -107,7 +107,8 @@ def validate_tree(
     Raises NotConnected, HasCycle, MissingLabel, NegativeLabel,
     DuplicateVertex or UnknownVertex (for an edge endpoint or a label
     key), each naming the offending vertex or edge. Label values may be
-    Fractions, ints, or exact rational strings ("3", "5/2").
+    Fractions, ints, or exact rational strings ("3", "5/2"); a float or
+    bool label raises FormatError.
     """
     names = [str(v) for v in vertices]
     if not names:
@@ -147,6 +148,8 @@ def validate_tree(
         value = labels[name]
         if type(value) is Fraction:
             frac = value  # the same object, so equal labels stay shared for ranking
+        elif isinstance(value, (bool, float)):
+            raise FormatError(f"label for {name!r} must be exact, got {value!r}")
         else:
             frac = parse_rational(value) if isinstance(value, str) else Fraction(value)
         if frac < 0:

@@ -473,7 +473,8 @@ class TestCon3Campaign:
     def test_builds_only_the_witness(self, monkeypatch):
         # the sizes fold over per-subtree masks: the one dendrogram built
         # is the witness's, one node per distinct subtree, and the one
-        # walk is its realization; no pool is started
+        # walk is its realization, read off the table by its root id; no
+        # pool is started
         import concurrent.futures
 
         built = []
@@ -507,7 +508,11 @@ class TestCon3Campaign:
             distinct.add(node.key())
             stack.extend(node.children)
         assert len(built) == len(distinct)
-        assert walks == [witness]
+        table = _Subtrees()
+        [witness_id] = [
+            root for root in _enumerate_ids(7, table) if table.dendrogram(root).key() == witness.key()
+        ]
+        assert walks == [witness_id]
 
     @pytest.mark.parametrize(
         "jobs,cpus,items,workers",
@@ -538,8 +543,21 @@ class TestCon3Campaign:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
-        assert explorer._parallel_map(abs, range(-items, 0), jobs) == list(range(items, 0, -1))
+        mapped = explorer._parallel_map(abs, range(-items, 0), jobs)
+        assert list(mapped) == list(range(items, 0, -1))
         assert started == ([] if workers is None else [workers])
+
+    def test_one_process_maps_each_item_as_it_is_yielded(self):
+        yielded = []
+
+        def items():
+            for item in range(3):
+                yielded.append(item)
+                yield item
+
+        mapped = explorer._parallel_map(lambda item: (item, len(yielded)), items(), 1)
+        assert yielded == []
+        assert list(mapped) == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestHolCampaign:
@@ -787,8 +805,8 @@ class TestTheoremSuite:
         assert sum(hint for _, hint in hints) == 28
 
     def test_suite_witness_is_the_first_failing_class(self, monkeypatch):
-        from ultratree import explorer
-
+        # only the witness is built as a Dendrogram, one node per distinct
+        # subtree; the other failing class is named by no key
         classes = list(enumerate_dendrograms(5))
         failing = [dendrogram_to_space(classes[pos]) for pos in (7, 3)]
         real_suite = explorer.check_theorem_suite
@@ -800,7 +818,16 @@ class TestTheoremSuite:
                 report.results["planted"] = {"verdict": "FAIL"}
             return report
 
+        built = []
+        real_dendrogram = explorer.Dendrogram
+
+        def counting_dendrogram(*args, **kwargs):
+            node = real_dendrogram(*args, **kwargs)
+            built.append(node)
+            return node
+
         monkeypatch.setattr(explorer, "check_theorem_suite", suite_failing_two_classes)
+        monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
         report = check_suite_enumerated(5, jobs=1)
         assert report.verdict == "FAIL"
         assert report.results["theorem-suite"]["failing_classes"] == 2
@@ -808,6 +835,99 @@ class TestTheoremSuite:
         assert witness["label"] == classes[3].key()
         assert witness["matrix_csv"] == matrix_csv_string(failing[1])
         assert witness["note"] == "failed planted"
+        distinct = set()
+        stack = [classes[3]]
+        while stack:
+            node = stack.pop()
+            distinct.add(node.key())
+            stack.extend(node.children)
+        assert sorted(node.key() for node in built) == sorted(distinct)
+
+    def test_suite_builds_no_dendrogram_for_a_passing_class(self, monkeypatch):
+        # each class reaches the suite as the levels of its merge order
+        def refused(*args, **kwargs):
+            raise AssertionError("the suite built a Dendrogram")
+
+        monkeypatch.setattr(explorer, "Dendrogram", refused)
+        report = check_suite_enumerated(6)
+        assert report.verdict == "PASS"
+        assert report.instances == 90
+        assert report.witnesses == []
+
+    def test_search_evidence_does_not_fail_a_row(self, monkeypatch):
+        # a counterexample to the closed-ball search is evidence, not a
+        # failing check: the class still passes
+        real_suite = explorer.check_theorem_suite
+        flagged = []
+
+        def suite_with_a_counterexample(space, is_ut_hint=False):
+            report = real_suite(space, is_ut_hint)
+            if is_ut_hint:
+                report.results["ut-closed-balls-are-spheres"]["verdict"] = "COUNTEREXAMPLE"
+                flagged.append(space)
+            return report
+
+        monkeypatch.setattr(explorer, "check_theorem_suite", suite_with_a_counterexample)
+        report = check_suite_enumerated(5)
+        assert len(flagged) == 10
+        assert report.verdict == "PASS"
+        assert report.results["theorem-suite"] == {"verdict": "PASS", "failing_classes": 0}
+        assert report.witnesses == []
+
+    def test_one_process_suite_holds_no_list_of_classes(self):
+        # with one worker each class is checked as the walk yields it. At
+        # n = 8 (2 910 classes) the suite peaked at 3.16 MB under
+        # tracemalloc while it held every class as a Dendrogram, and peaks
+        # at 1.46 MB streamed (CPython 3.11, run alone)
+        import tracemalloc
+
+        check_suite_enumerated(3)  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            report = check_suite_enumerated(8, jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.instances == 2910
+        assert report.verdict == "PASS"
+        assert peak <= 1.6 * 10**6
+
+
+class TestWitnessesFromTheTable:
+    # campaign -> (run it, n); each run yields at least one witness
+    CAMPAIGNS = {
+        "con3": (lambda: check_con3(6), 6),
+        "hol": (lambda: check_hol(3), 3),
+        "suite": (lambda: check_suite_enumerated(4), 4),
+        "closed-balls": (lambda: check_closed_balls("enumerated", n=4), 4),
+    }
+
+    @pytest.mark.parametrize("name", list(CAMPAIGNS))
+    def test_no_campaign_calls_dendrogram_to_space(self, monkeypatch, name):
+        # every witness is realized off the subtree table, and it is the
+        # class its label names
+        real_suite = explorer.check_theorem_suite
+
+        def failing_suite(space, is_ut_hint=False):
+            report = real_suite(space, is_ut_hint)
+            report.verdict = "FAIL"
+            report.results["planted"] = {"verdict": "FAIL"}
+            return report
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a campaign called dendrogram_to_space")
+
+        # the suite and closed-balls fail every class, so that each has a witness
+        monkeypatch.setattr(explorer, "check_theorem_suite", failing_suite)
+        monkeypatch.setattr(explorer, "_sphere_family", lambda space: set())
+        monkeypatch.setattr(explorer, "dendrogram_to_space", refused)
+        run, n = self.CAMPAIGNS[name]
+        report = run()
+        assert report.witnesses
+        classes = {dendro.key(): dendro for dendro in enumerate_dendrograms(n)}
+        for witness in report.witnesses:
+            key = witness["label"].partition(":")[2] if name == "closed-balls" else witness["label"]
+            assert witness["matrix_csv"] == matrix_csv_string(dendrogram_to_space(classes[key]))
 
 
 class TestIsUt:

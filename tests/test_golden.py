@@ -52,10 +52,12 @@ CASES = {
     "is-ut-padic": (["is-ut", PADIC], 0),
     "enumerate-suite-6": (["enumerate", "--n", "6", "--check", "suite"], 0),
     "enumerate-con3-6": (["enumerate", "--n", "6", "--check", "con3"], 0),
+    "enumerate-hol-3": (["enumerate", "--n", "3", "--check", "hol"], 0),
+    "enumerate-closed-balls-6": (["enumerate", "--n", "6", "--check", "closed-balls"], 0),
 }
 
 # the campaign reports must not depend on the number of workers
-JOBS_CASES = ["enumerate-suite-6", "enumerate-con3-6"]
+JOBS_CASES = ["enumerate-suite-6", "enumerate-con3-6", "enumerate-hol-3", "enumerate-closed-balls-6"]
 
 
 def run_case(name: str, dot_path: Path) -> tuple[int, str, str]:

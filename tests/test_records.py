@@ -196,7 +196,7 @@ def test_frozen(name):
 
 @frozen_cases()
 def test_pickle_and_copy_round_trip(name):
-    # campaigns with --jobs send dendrograms to worker processes
+    # a record pickles and copies to an equal twin of the same type
     cls, _, values, _, text = FROZEN[name]
     record = cls(*values)
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):

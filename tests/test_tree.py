@@ -18,6 +18,7 @@ from ultratree import (
 from ultratree.errors import (
     DegenerateLabeling,
     DuplicateVertex,
+    FormatError,
     HasCycle,
     MissingLabel,
     NegativeLabel,
@@ -107,6 +108,21 @@ class TestValidateTree:
     def test_label_strings_parse_exactly(self):
         t = validate_tree(["a", "b"], [("a", "b")], {"a": "5/2", "b": "3"})
         assert t.labels == (Fraction(5, 2), Fraction(3))
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+    def test_float_and_bool_labels_are_refused(self, value):
+        # no label passes through floating point: 0.1 would be read as
+        # 3602879701896397/36028797018963968 and True as 1
+        with pytest.raises(FormatError) as err:
+            validate_tree(["a", "b"], [("a", "b")], {"a": 1, "b": value})
+        assert str(err.value) == f"label for 'b' must be exact, got {value!r}"
+        with pytest.raises(FormatError, match="label for 'a'"):
+            validate_tree(["a", "b"], [("a", "b")], {"a": value, "b": 0.5})
+
+    def test_fraction_labels_are_kept_as_given(self):
+        half = Fraction(1, 2)
+        t = validate_tree(["a", "b"], [("a", "b")], {"a": half, "b": half})
+        assert t.labels[0] is half and t.labels[1] is half
 
 
 class TestNondegeneracy:
