@@ -39,7 +39,9 @@ def _unique_keys(pairs: list) -> dict:
 def parse_tree_json(text: str) -> LabeledTree:
     """Parse {"vertices": [...], "labels": {...}, "edges": [[a,b], ...]}.
 
-    A key repeated in any object, even one the parser ignores, is refused.
+    Checks the JSON shapes only; :func:`~ultratree.tree.validate_tree`
+    reads the labels as decoded. A key repeated in any object, even one
+    the parser ignores, is refused.
     """
     from .tree import validate_tree
 
@@ -49,35 +51,19 @@ def parse_tree_json(text: str) -> LabeledTree:
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError("tree file must hold a JSON object")
-    for field in ("vertices", "labels", "edges"):
-        if field not in data:
-            raise FormatError(f"tree file is missing the {field!r} field")
-    vertices = data["vertices"]
-    labels_raw = data["labels"]
-    edges = data["edges"]
+    try:
+        vertices, labels, edges = data["vertices"], data["labels"], data["edges"]
+    except KeyError as exc:
+        raise FormatError(f"tree file is missing the {exc.args[0]!r} field") from None
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise FormatError("'vertices' must be an array of strings")
-    if not isinstance(labels_raw, dict):
+    if not isinstance(labels, dict):
         raise FormatError("'labels' must be an object mapping vertex to rational string")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise FormatError("'edges' must be an array of 2-element vertex arrays")
     for edge in edges:
         if not all(isinstance(v, str) for v in edge):
             raise FormatError(f"edge {edge!r} must name its endpoints by vertex strings")
-    labels = {}
-    parsed: dict[str, Fraction] = {}  # each distinct label text is parsed once
-    for vertex, value in labels_raw.items():
-        if isinstance(value, bool) or isinstance(value, float):
-            raise FormatError(
-                f"label for {vertex!r} must be an exact rational string, got {value!r}"
-            )
-        if isinstance(value, int):
-            value = str(value)
-        if not isinstance(value, str):
-            raise FormatError(f"label for {vertex!r} must be a rational string")
-        if value not in parsed:
-            parsed[value] = parse_rational(value)
-        labels[vertex] = parsed[value]
     return validate_tree(vertices, edges, labels)
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import Callable, Optional, Sequence
 
 from .errors import (
     DuplicatePoint,
+    FormatError,
     NonpositiveOffDiagonal,
     NotSymmetric,
     NonzeroDiagonal,
@@ -27,6 +28,7 @@ from .errors import (
     TooSmall,
 )
 from .metric import ZERO, FiniteUltrametricSpace, _rank_entries, _Record
+from .rationals import parse_rational
 
 
 def validate_ultrametric(
@@ -40,29 +42,51 @@ def validate_ultrametric(
     raised error names the repeated point, or the violating pair or
     triple. Runs in O(n²): the strong triangle inequality is checked
     against a minimum spanning tree (see :func:`_check_strong_triangle`),
-    and the space keeps the merge order that check lists.
+    and the space keeps the merge order that check lists. An entry that
+    is no Fraction, int or exact rational string (a float, a bool, "0.1")
+    raises FormatError naming the first such pair in row order.
     """
     names = tuple(str(p) for p in points)
     n = len(names)
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicatePoint(name)
-        seen.add(name)
-    ranks, values = _rank_entries([tuple(row) for row in matrix])
-    if len(ranks) != n or any(len(row) != n for row in ranks):
+    if len(matrix) != n or any(len(row) != n for row in matrix):
         raise NotSymmetric(("<shape>", "<shape>"))
+    try:
+        ranks, values = _rank_entries([tuple(row) for row in matrix], _exact_entry)
+    except FormatError as exc:
+        # entries are converted in order of first appearance, so the first
+        # cell that holds the refused one is the first refused cell
+        bad = exc.args[0]
+        i, j = next((i, j) for i, row in enumerate(matrix) for j, v in enumerate(row) if v is bad)
+        raise FormatError(
+            f"entry for pair {(names[i], names[j])!r} is not an exact rational: {bad!r}"
+        ) from None
     _check_entries(names, ranks, values)
     space = FiniteUltrametricSpace(names, ranks, values)
     space.__dict__["_gap_form"] = (*_check_strong_triangle(names, ranks), values)
     return space
 
 
+# a Fraction, an int or an exact rational string as a Fraction; anything
+# else raises FormatError with the refused object itself as its argument
+def _exact_entry(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
+        raise FormatError(value)
+    try:
+        return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    except FormatError:
+        raise FormatError(value) from None
+
+
 def _check_entries(names: tuple[str, ...], ranks, values: Sequence[Fraction]) -> None:
-    """Raise NonzeroDiagonal, NotSymmetric or NonpositiveOffDiagonal for the
-    first faulty point or pair in row order, unless the square rank matrix
-    has a zero diagonal and positive, symmetric entries off it."""
+    """Raise DuplicatePoint for the first repeated name, then
+    NonzeroDiagonal, NotSymmetric or NonpositiveOffDiagonal for the first
+    faulty point or pair in row order, unless the names are distinct and
+    the square rank matrix has a zero diagonal and positive, symmetric
+    entries off it."""
     n = len(ranks)
+    first = {name: k for k, name in reversed(list(enumerate(names)))}  # first positions
+    if len(first) < len(names):
+        raise DuplicatePoint(next(name for k, name in enumerate(names) if first[name] != k))
     positive = bisect_right(values, ZERO)  # ranks >= this are positive values
     for i in range(n):
         row_i = ranks[i]
@@ -139,17 +163,17 @@ class Dendrogram(_Record):
     __slots__ = ("level", "children", "__dict__")
     level: int
     children: tuple["Dendrogram", ...]
+    # compared and hashed by the cached key, built without recursion for any depth
+    _compared = methodcaller("key")
 
     def __init__(self, level, children=()):
         if level == 0:
             if children:
                 raise ValueError("a leaf cannot have children")
-        else:
-            if len(children) < 2:
-                raise ValueError("an internal node needs at least 2 children")
-            for child in children:
-                if child.level >= level:
-                    raise ValueError("levels must strictly decrease downward")
+        elif len(children) < 2:
+            raise ValueError("an internal node needs at least 2 children")
+        elif any(child.level >= level for child in children):
+            raise ValueError("levels must strictly decrease downward")
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "children", children)
 
@@ -190,8 +214,6 @@ class Dendrogram(_Record):
 
     def is_canonical(self) -> bool:
         """Levels used are exactly 1..root level and children are sorted."""
-        if self.is_leaf:
-            return True
         if self.levels_used() != frozenset(range(1, self.level + 1)):
             return False
         stack = [self]

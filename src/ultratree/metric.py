@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter, itemgetter, neg
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import UnknownPoint
 
@@ -67,10 +67,11 @@ class _Record:
 
     A subclass lists its fields in ``__slots__`` (plus ``"__dict__"`` when
     it caches derived values). It gets construction by position or keyword,
-    equality and hashing by field values between records of the same type,
-    a ``Name(field=value, ...)`` repr, and no assignment or deletion after
-    construction. A record that validates or is built in a hot loop writes
-    its own ``__init__``, setting each field with ``object.__setattr__``.
+    equality and hashing by field values (or its own ``_compared``) between
+    records of one type, a ``Name(field=value, ...)`` repr, and no
+    assignment or deletion after construction. A record that validates or
+    is built in a hot loop writes its own ``__init__``, setting each field
+    with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -80,9 +81,9 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
         # what equality and hashing compare, read in one call: the field
-        # values (the value itself for a one-field record). An attrgetter
-        # is no descriptor, so ``self._compared`` is the getter unbound.
-        cls._compared = attrgetter(*cls._fields)
+        # values (the value itself for a one-field record) unless the class
+        # sets its own. A getter is no descriptor, so it is called unbound.
+        cls._compared = vars(cls).get("_compared") or attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -119,23 +120,25 @@ class _Record:
 
 
 def _rank_entries(
-    rows: Sequence[Sequence],
+    rows: Sequence[Sequence], exact: Callable[[object], Fraction] = Fraction
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
     """Rank every entry among the distinct values of the matrix (0 included).
 
     Entries are grouped by object identity first: the readers and builders
-    here share one object per distinct value, so each value is converted
-    and hashed once instead of once per cell. ``rows`` keeps every entry
-    alive for the duration, so identities cannot be reused meanwhile.
+    here share one object per distinct value, so ``exact`` converts each
+    value once, in order of first appearance, instead of once per cell.
+    ``rows`` keeps every entry alive, so identities cannot be reused.
     """
     by_id: dict[int, object] = {}
     for row in rows:
         by_id.update(zip(map(id, row), row))
-    exact = {key: Fraction(v) for key, v in by_id.items()}
-    values = sorted(set(exact.values()) | {ZERO})
+    fracs = {key: exact(v) for key, v in by_id.items()}
+    values = sorted(set(fracs.values()) | {ZERO})
     pos = {v: r for r, v in enumerate(values)}
-    rank_of = {key: pos[v] for key, v in exact.items()}
-    ranks = tuple(tuple(map(rank_of.__getitem__, map(id, row))) for row in rows)
+    rank_of = {key: pos[v] for key, v in fracs.items()}
+    # tuples from lists, at their size: a tuple of a map is made with ten
+    # slots and shrunk, and a campaign builds thousands of small spaces
+    ranks = tuple([tuple(list(map(rank_of.__getitem__, map(id, row)))) for row in rows])
     return ranks, tuple(values)
 
 
@@ -175,8 +178,8 @@ def _ranks_from_gaps(
     pos = [0] * n
     for k, v in enumerate(order):
         pos[v] = k
-    take = itemgetter(*pos)
-    return tuple(take(rows[k]) for k in pos)
+    take = itemgetter(*pos)  # rows at their size; the outer tuple from a list, as above
+    return tuple([take(rows[k]) for k in pos])
 
 
 class FiniteUltrametricSpace(_Record):

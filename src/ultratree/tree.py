@@ -44,7 +44,7 @@ from .errors import (
     TooSmall,
     UnknownVertex,
 )
-from .metric import FiniteUltrametricSpace, _rank_entries, _Record
+from .metric import ZERO, FiniteUltrametricSpace, _rank_entries, _Record
 from .rationals import parse_rational
 
 
@@ -104,12 +104,26 @@ def validate_tree(
 ) -> LabeledTree:
     """Check a raw vertex/edge/label description and freeze it into a tree.
 
-    Raises NotConnected, HasCycle, MissingLabel, NegativeLabel,
-    DuplicateVertex or UnknownVertex (for an edge endpoint or a label
-    key), each naming the offending vertex or edge. Label values may be
-    Fractions, ints, or exact rational strings ("3", "5/2"); a float or
-    bool label raises FormatError.
+    The one place where a tree label becomes a Fraction: labels are read
+    first, in the mapping's order, each distinct value once (a string by
+    :func:`~ultratree.rationals.parse_rational`), and a float, a bool or
+    any other non-rational raises FormatError naming the vertex. Then
+    raises DuplicateVertex, UnknownVertex (for an edge endpoint or a label
+    key), HasCycle, MissingLabel, NegativeLabel or NotConnected, each
+    naming the offending vertex or edge.
     """
+    exact: dict[object, Fraction] = {}
+    for key, value in labels.items():
+        if isinstance(value, (bool, float)):
+            raise FormatError(f"label for {key!r} must be an exact rational string, got {value!r}")
+        if not isinstance(value, (str, int, Fraction)):
+            raise FormatError(f"label for {key!r} must be a rational string")
+        if value not in exact:
+            exact[value] = (
+                parse_rational(value) if isinstance(value, str)
+                else Fraction(value) if isinstance(value, int) else value
+            )
+
     names = [str(v) for v in vertices]
     if not names:
         raise NotConnected("<empty vertex list>")
@@ -119,8 +133,7 @@ def validate_tree(
             raise DuplicateVertex(name)
         index[name] = pos
 
-    edge_set: set[tuple[int, int]] = set()
-    edge_list: list[tuple[int, int]] = []
+    pairs: dict[tuple[int, int], None] = {}  # in input order, for the DFS below
     for raw in edges:
         pair = tuple(raw)
         if len(pair) != 2:
@@ -133,10 +146,9 @@ def validate_tree(
         if a == b:
             raise HasCycle((a, b))
         i, j = sorted((index[a], index[b]))
-        if (i, j) in edge_set:
+        if (i, j) in pairs:
             raise HasCycle((names[i], names[j]))
-        edge_set.add((i, j))
-        edge_list.append((i, j))
+        pairs[i, j] = None
 
     for key in labels:
         if key not in index:
@@ -145,13 +157,7 @@ def validate_tree(
     for name in names:
         if name not in labels:
             raise MissingLabel(name)
-        value = labels[name]
-        if type(value) is Fraction:
-            frac = value  # the same object, so equal labels stay shared for ranking
-        elif isinstance(value, (bool, float)):
-            raise FormatError(f"label for {name!r} must be exact, got {value!r}")
-        else:
-            frac = parse_rational(value) if isinstance(value, str) else Fraction(value)
+        frac = exact[labels[name]]
         if frac < 0:
             raise NegativeLabel(name, frac)
         parsed.append(frac)
@@ -159,13 +165,12 @@ def validate_tree(
     # DFS: a back edge means a cycle; an unvisited vertex means disconnection.
     n = len(names)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edge_list:
+    for i, j in pairs:
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * n
+    seen = [True] + [False] * (n - 1)
     parent = [-1] * n
     stack = [0]
-    seen[0] = True
     while stack:
         u = stack.pop()
         for w in adj[u]:
@@ -175,11 +180,10 @@ def validate_tree(
                 stack.append(w)
             elif w != parent[u]:
                 raise HasCycle((names[min(u, w)], names[max(u, w)]))
-    for pos, ok in enumerate(seen):
-        if not ok:
-            raise NotConnected(names[pos])
+    if not all(seen):
+        raise NotConnected(names[seen.index(False)])
 
-    return LabeledTree(tuple(names), tuple(sorted(edge_list)), tuple(parsed))
+    return LabeledTree(tuple(names), tuple(sorted(pairs)), tuple(parsed))
 
 
 def degenerate_edge(tree: LabeledTree) -> Optional[tuple[str, str]]:
@@ -409,7 +413,7 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
     if not space.n:
         raise TooSmall("is_ut needs at least 1 point")
     levels, children = _split_table(space)
-    labels = [Fraction(0)] * space.n
+    labels = [ZERO] * space.n
     edges: list[tuple[int, int]] = []
     hubs = list(range(space.n))  # a single point is its own hub
     for level, blocks in zip(levels[space.n :], children[space.n :]):  # blocks come first
@@ -418,13 +422,8 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
             return None
         hubs.append(hub)
         labels[hub] = space.values[level]
-        edges.extend((hub, hubs[c]) for c in blocks if c != hub)
-    names = space.points
-    return validate_tree(
-        names,
-        [(names[i], names[j]) for i, j in edges],
-        dict(zip(names, labels)),
-    )
+        edges.extend((min(hub, h), max(hub, h)) for h in map(hubs.__getitem__, blocks) if h != hub)
+    return LabeledTree(space.points, tuple(sorted(edges)), tuple(labels))
 
 
 # --- random labeled trees ---------------------------------------------------------------
@@ -447,9 +446,7 @@ def _prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+    edges.append(tuple(sorted(leaves)))  # the last two
     return sorted(edges)
 
 
@@ -477,23 +474,12 @@ def random_labeled_tree(n: int, label_pool: Sequence, seed: int) -> LabeledTree:
         raise EmptyPool("label pool needs a positive value for n >= 2")
 
     rng = random.Random(seed)
-    names = [f"v{i + 1}" for i in range(n)]
-    if n == 1:
-        edges: list[tuple[int, int]] = []
-    elif n == 2:
-        edges = [(0, 1)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        edges = _prufer_to_edges(seq, n)
+    edges = _prufer_to_edges([rng.randrange(n) for _ in range(n - 2)], n) if n > 1 else []
 
     labels = [rng.choice(pool) for _ in range(n)]
     for i, j in edges:
         if labels[i] == 0 and labels[j] == 0:
             labels[i] = rng.choice(positive)
-    tree = validate_tree(
-        names,
-        [(names[i], names[j]) for i, j in edges],
-        {names[i]: labels[i] for i in range(n)},
-    )
+    tree = LabeledTree(tuple(f"v{i + 1}" for i in range(n)), tuple(edges), tuple(labels))
     assert is_nondegenerate(tree)
     return tree

@@ -326,6 +326,40 @@ class TestNonAsciiDigits:
         assert repr("\u0663") in err
 
 
+class TestMultiFaultTreeJson:
+    """A tree file with several faults is refused for the first one the
+    reader meets; the label values come before the vertices and edges."""
+
+    @pytest.mark.parametrize(
+        "text, stderr",
+        [
+            (  # a float label and a repeated vertex
+                '{"vertices": ["a", "a", "b"], "labels": {"a": 0.5, "b": "1"},'
+                ' "edges": [["a", "b"]]}',
+                "error: label for 'a' must be an exact rational string, got 0.5\n",
+            ),
+            (  # a bad label on a key that names no vertex
+                '{"vertices": ["a", "b"], "labels": {"a": "1", "b": "1", "zz": null},'
+                ' "edges": [["a", "b"]]}',
+                "error: label for 'zz' must be a rational string\n",
+            ),
+            (  # a non-ASCII digit and a cycle
+                '{"vertices": ["a", "b", "c"], "labels": {"a": "\u0663", "b": "1", "c": "1"},'
+                ' "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}',
+                "error: not an exact rational: '\u0663' (expected 'p/q' or an integer string)\n",
+            ),
+            (  # a negative label and an unknown edge endpoint
+                '{"vertices": ["a", "b"], "labels": {"a": -1, "b": "1"}, "edges": [["a", "c"]]}',
+                "error: unknown vertex 'c'\n",
+            ),
+        ],
+    )
+    def test_stderr_names_the_first_fault(self, capsys, tmp_path, text, stderr):
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, "validate", str(path)) == (1, "", stderr)
+
+
 class TestByteOrderMark:
     """Spreadsheets start a CSV with a UTF-8 byte-order mark; the readers
     drop it instead of keeping it in the first name."""
@@ -474,7 +508,9 @@ class TestImports:
     # is-ut at 1 468 before the space was split from validation, the
     # dendrogram forms and the rank-row analyses; every other command may
     # compile at most 50 more than it did then, for the new modules' own
-    # headers and imports.
+    # headers and imports. The tree-JSON verbs and random-tree compiled
+    # 1 082 once labels were read only by validate_tree; their cap is that
+    # plus 10.
     STATEMENT_CAPS = {
         "is-ut {csv}": 1320,
         "check {csv}": 1536 + 50,
@@ -485,13 +521,13 @@ class TestImports:
         "enumerate --n 5 --check hol": 1403 + 50,
         "enumerate --n 5 --check suite": 1403 + 50,
         "enumerate --n 5 --check closed-balls": 1403 + 50,
-        "validate {json}": 1150,
-        "distances {json}": 1150,
-        "canonical {json}": 1150,
-        "center {json}": 1150,
-        "diametrical {json} --dot {dot}": 1150,
+        "validate {json}": 1082 + 10,
+        "distances {json}": 1082 + 10,
+        "canonical {json}": 1082 + 10,
+        "center {json}": 1082 + 10,
+        "diametrical {json} --dot {dot}": 1082 + 10,
         "spheres {json}": 1468 + 50,
-        "random-tree --n 5 --seed 1 --pool 0,1": 1150,
+        "random-tree --n 5 --seed 1 --pool 0,1": 1082 + 10,
     }
 
     def loaded_by(self, tmp_path, tree_file, command):

@@ -38,6 +38,7 @@ from ultratree import (
 )
 from ultratree.cli import main
 from ultratree.errors import (
+    DuplicatePoint,
     MetricValidationError,
     NonzeroDiagonal,
     NotSymmetric,
@@ -255,6 +256,18 @@ def test_unvalidated_entry_fault_names_its_culprit(rows, expected):
         with pytest.raises(type(expected)) as err:
             reader(space)
         assert str(err.value) == str(expected)
+
+
+def test_unvalidated_repeated_point_is_refused():
+    # is_ut builds its tree straight from the points: a repeated name gave a
+    # tree with a repeated vertex, and the canonical form never looked
+    space = FiniteUltrametricSpace.from_trusted_matrix(
+        ("a", "b", "a"), ((0, 1, 2), (1, 0, 2), (2, 2, 0))
+    )
+    for reader in (is_ut, space_to_dendrogram):
+        with pytest.raises(DuplicatePoint) as err:
+            reader(space)
+        assert err.value.point == "a"
 
 
 @st.composite

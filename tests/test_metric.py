@@ -26,6 +26,7 @@ from ultratree import (
 from ultratree.errors import (
     DuplicatePoint,
     EmptySubset,
+    FormatError,
     NonpositiveOffDiagonal,
     NonpositiveRadius,
     NotCompleteMultipartite,
@@ -35,6 +36,8 @@ from ultratree.errors import (
     TooSmall,
     UnknownPoint,
 )
+
+from ultratree.rationals import parse_rational
 
 F = Fraction
 
@@ -86,6 +89,38 @@ class TestValidation:
     def test_nonpositive_off_diagonal(self):
         with pytest.raises(NonpositiveOffDiagonal):
             validate_ultrametric(["a", "b"], [[0, 0], [0, 0]])
+
+    @pytest.mark.parametrize("entry", [0.5, 2.0, True, False, None, "0.1", "x", [1], b"1"])
+    def test_inexact_entry_names_the_first_pair_in_row_order(self, entry):
+        # a float or bool passed through floating point or became 1, "0.1"
+        # was read as 1/10 and None raised a bare TypeError
+        matrix = [[0, F(1, 2), 1], [F(1, 2), 0, entry], [1, entry, 0]]
+        with pytest.raises(FormatError) as err:
+            validate_ultrametric(["a", "b", "c"], matrix)
+        assert str(err.value) == f"entry for pair ('b', 'c') is not an exact rational: {entry!r}"
+
+    def test_an_equal_exact_entry_is_not_the_culprit(self):
+        # 1 == True and 1/2 == 0.5: the culprit is found by identity
+        with pytest.raises(FormatError, match=r"\('b', 'a'\)"):
+            validate_ultrametric(["a", "b"], [[0, 1], [True, 0]])
+        with pytest.raises(FormatError, match=r"\('a', 'a'\)"):
+            validate_ultrametric(["a", "b"], [[0.0, F(1, 2)], [0.5, 0]])
+
+    def test_rational_strings_are_read_once_per_object(self, monkeypatch):
+        from ultratree import hierarchy
+
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_rational(text)
+
+        monkeypatch.setattr(hierarchy, "parse_rational", counting)
+        zero, half = "0", " 1/2"
+        space = validate_ultrametric(["a", "b", "c"], [[zero, half, 1], [half, zero, 1], [1, 1, zero]])
+        assert sorted(texts) == [" 1/2", "0"]
+        assert space.values == (0, F(1, 2), 1)
+        assert space.distance("a", "b") == F(1, 2)
 
     def test_isosceles_check_matches_brute_force(self):
         # every valid space passes the oracle; a crafted near-miss fails both

@@ -220,6 +220,21 @@ def test_dendrogram_key_memo_leaves_equality_and_hash_alone():
     assert pickle.loads(pickle.dumps(first)).key() == "(2:L,(1:L,L))"
 
 
+def test_deep_chains_compare_and_hash_by_their_keys():
+    # equality and hashing through the fields recursed once per level and
+    # raised RecursionError on a chain this deep, while key() worked
+    first = second = LEAF
+    other = Dendrogram(1, (LEAF, LEAF, LEAF))
+    for level in range(1, 3001):
+        first = Dendrogram(level, (first, Dendrogram(0)))
+        second = Dendrogram(level, (second, Dendrogram(0)))
+        other = Dendrogram(level + 1, (other, Dendrogram(0)))
+    assert first == second and hash(first) == hash(second)
+    assert first != other and first != first.children[0]
+    assert len({first, second, other}) == 2
+    assert first.__eq__(first.key()) is NotImplemented
+
+
 def test_space_views_survive_the_frozen_fields():
     space = FiniteUltrametricSpace(("a", "b"), ((0, 1), (1, 0)), (F(0), F(2)))
     assert space.matrix == ((F(0), F(2)), (F(2), F(0)))

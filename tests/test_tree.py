@@ -10,6 +10,7 @@ from ultratree import (
     canonical_labeling,
     distance_matrix,
     is_nondegenerate,
+    is_ut,
     label_distance,
     random_labeled_tree,
     validate_tree,
@@ -26,6 +27,7 @@ from ultratree.errors import (
     NotConnected,
     UnknownVertex,
 )
+from ultratree.rationals import parse_rational
 from ultratree.tree import degenerate_edge
 
 from conftest import PATH_MATRIX
@@ -115,7 +117,7 @@ class TestValidateTree:
         # 3602879701896397/36028797018963968 and True as 1
         with pytest.raises(FormatError) as err:
             validate_tree(["a", "b"], [("a", "b")], {"a": 1, "b": value})
-        assert str(err.value) == f"label for 'b' must be exact, got {value!r}"
+        assert str(err.value) == f"label for 'b' must be an exact rational string, got {value!r}"
         with pytest.raises(FormatError, match="label for 'a'"):
             validate_tree(["a", "b"], [("a", "b")], {"a": value, "b": 0.5})
 
@@ -123,6 +125,109 @@ class TestValidateTree:
         half = Fraction(1, 2)
         t = validate_tree(["a", "b"], [("a", "b")], {"a": half, "b": half})
         assert t.labels[0] is half and t.labels[1] is half
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "must be a rational string"),
+            ([1], "must be a rational string"),
+            (b"1", "must be a rational string"),
+            ({"p": 1}, "must be a rational string"),
+            (0.5, "must be an exact rational string, got 0.5"),
+            (True, "must be an exact rational string, got True"),
+        ],
+    )
+    def test_non_rational_labels_name_their_vertex(self, value, message):
+        # each raised a bare TypeError, or passed through floating point
+        with pytest.raises(FormatError) as err:
+            validate_tree(["a", "b"], [("a", "b")], {"a": 1, "b": value})
+        assert str(err.value) == f"label for 'b' {message}"
+
+    def test_a_bad_label_is_named_before_any_other_fault(self):
+        # labels are read first, in the mapping's order, as a tree JSON's are
+        with pytest.raises(FormatError, match="label for 'zz'"):
+            validate_tree(["a", "a"], [("a", "q")], {"zz": None, "a": 0.5})
+
+    def test_each_distinct_label_is_converted_once_and_shared(self, monkeypatch):
+        import ultratree.tree as tree_module
+
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_rational(text)
+
+        monkeypatch.setattr(tree_module, "parse_rational", counting)
+        t = validate_tree(
+            ["a", "b", "c", "d", "e"],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
+            {"a": "5/2", "b": "5/2", "c": 3, "d": 3, "e": Fraction(3)},
+        )
+        assert texts == ["5/2"]
+        assert t.labels == (Fraction(5, 2), Fraction(5, 2), 3, 3, 3)
+        assert all(type(label) is Fraction for label in t.labels)
+        assert t.labels[0] is t.labels[1]
+        assert t.labels[2] is t.labels[3] is t.labels[4]
+
+
+def revalidated(tree: LabeledTree) -> LabeledTree:
+    """The tree passed through validate_tree as its own names and labels."""
+    return validate_tree(tree.vertices, tree.edge_names(), dict(zip(tree.vertices, tree.labels)))
+
+
+class TestLibraryTreesSkipValidation:
+    """is_ut and random_labeled_tree build trees that are valid by
+    construction; they do not pass them through validate_tree again."""
+
+    @pytest.fixture
+    def no_validation(self, monkeypatch):
+        import ultratree.tree as tree_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate_tree was called")
+
+        monkeypatch.setattr(tree_module, "validate_tree", refuse)
+
+    def assert_well_formed(self, tree: LabeledTree) -> None:
+        assert tree == revalidated(tree)
+        assert type(tree.vertices) is tuple and type(tree.edges) is tuple
+        assert all(type(label) is Fraction for label in tree.labels)
+        assert all(type(e) is tuple and e[0] < e[1] for e in tree.edges)
+
+    def test_is_ut_on_every_realizable_class_up_to_seven_points(self, monkeypatch, no_validation):
+        from ultratree import dendrogram_to_space, enumerate_dendrograms
+
+        certs = []
+        for n in range(1, 8):
+            for dendro in enumerate_dendrograms(n):
+                cert = is_ut(dendrogram_to_space(dendro))
+                if cert is not None:
+                    certs.append(cert)
+        assert len(certs) == 1 + 1 + 2 + 4 + 10 + 28 + 94
+        monkeypatch.undo()
+        for cert in certs:
+            self.assert_well_formed(cert)
+
+    @given(
+        st.integers(1, 60),
+        st.lists(st.integers(0, 5) | st.fractions(0, 5), min_size=1, max_size=5).filter(any),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_and_realized_trees(self, n, pool, seed):
+        import ultratree.tree as tree_module
+
+        real = tree_module.validate_tree
+        tree_module.validate_tree = None  # any call would raise TypeError
+        try:
+            made = random_labeled_tree(n, pool, seed=seed)
+            cert = is_ut(distance_matrix(made))
+        finally:
+            tree_module.validate_tree = real
+        assert cert is not None
+        self.assert_well_formed(made)
+        self.assert_well_formed(cert)
+        assert distance_matrix(cert).ranks == distance_matrix(made).ranks
 
 
 class TestNondegeneracy:
