@@ -2,14 +2,15 @@
 
 The fence has a built-in ceiling. The environment variable
 ``ULTRATREE_MAX_N`` may lower it (never raise it), so batch runs can cap
-work globally.
+work globally. Its value is written in the ASCII digits 0-9 only.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import TooLarge, UltratreeError
+from .errors import FormatError, TooLarge, UltratreeError
+from .rationals import parse_integer
 
 ENV_VAR = "ULTRATREE_MAX_N"
 
@@ -21,8 +22,8 @@ def fence_limit(default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
-    except ValueError:
+        value = parse_integer(raw)
+    except FormatError:
         value = 0  # rejected below, naming the raw text
     if value < 1:
         raise UltratreeError(f"{ENV_VAR} must be an integer >= 1, got {raw!r}")

@@ -19,8 +19,8 @@ import sys
 # operation of a workload loaded, and the class-campaigns workload runs no
 # verb that imports padic.
 from . import metric, padic
-from .errors import TooLarge, UltratreeError
-from .rationals import format_rational, parse_rational_list
+from .errors import FormatError, TooLarge, UltratreeError
+from .rationals import format_rational, parse_integer, parse_rational_list
 
 
 def _load_space(path: str) -> tuple[metric.FiniteUltrametricSpace, bool]:
@@ -99,6 +99,14 @@ def _write_diametrical(
             fh.writelines(formats.diametrical_dot_chunks(points, named, star, rows))
 
 
+# an integer flag: a sign and the ASCII digits 0-9, as every number here
+def _integer(text: str) -> int:
+    try:
+        return parse_integer(text)
+    except FormatError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _report_json(report) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -145,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("enumerate", help="run a campaign over all n-point classes")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument(
         "--check",
         required=True,
@@ -154,14 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_integer,
         default=1,
         help="worker processes for suite (at most the CPU count); "
         "con3, hol and closed-balls always run in one process",
     )
 
     p = sub.add_parser("padic", help="p-adic distance matrix of a rational sample")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p.add_argument("--sample", required=True, help='comma list, e.g. "0,1,2,3"')
     p.add_argument("-o", "--output")
 
@@ -172,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
 
     p = sub.add_parser("random-tree", help="seeded random labeled tree, as JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--pool", required=True, help='comma list of labels, e.g. "0,1,2,3"')
 
     return parser
@@ -270,20 +278,13 @@ def _run(args: argparse.Namespace) -> int:
             print(f"witness: {w['label']}", file=sys.stderr)
         return 1
 
-    if args.verb == "padic":
+    if args.verb in ("padic", "dplus"):
         from . import formats
 
-        values = parse_rational_list(args.sample)
-        space = padic.sample_space(values, padic.dp_metric(args.p))
-        _emit(formats.matrix_csv_string(space), args.output)
-        return 0
-
-    if args.verb == "dplus":
-        from . import formats
-
-        values = parse_rational_list(args.sample)
-        space = padic.sample_space(values, padic.dplus)
-        _emit(formats.matrix_csv_string(space), None)
+        values = parse_rational_list(args.sample)  # read before the prime is checked
+        chosen = padic.dp_metric(args.p) if args.verb == "padic" else padic.dplus
+        space = padic.sample_space(values, chosen)
+        _emit(formats.matrix_csv_string(space), getattr(args, "output", None))  # dplus has no -o
         return 0
 
     if args.verb == "is-ut":

@@ -135,8 +135,7 @@ class NotCompleteMultipartite(UltratreeError):
 
 
 class TooSmall(UltratreeError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass
 
 
 # --- p-adic -------------------------------------------------------------------

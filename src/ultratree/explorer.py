@@ -28,9 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .capacity import ENUMERATION_FENCE, require_within
 from .errors import FewerThanTwoBlocks, NotCompleteMultipartite, TooSmall
 from .hierarchy import Dendrogram, _merge_order, weak_similarity
-from .metric import FiniteUltrametricSpace
-
-ZERO = Fraction(0)
+from .metric import ZERO, FiniteUltrametricSpace
 
 
 def __getattr__(name: str):
@@ -381,10 +379,8 @@ def check_con3(n: int) -> CampaignReport:
 
 def _reference_three_point_space() -> FiniteUltrametricSpace:
     """The non-equidistant three-point shape: one short side, two long."""
-    one, two = Fraction(1), Fraction(2)
     return FiniteUltrametricSpace.from_trusted_matrix(
-        ("x1", "x2", "x3"),
-        ((ZERO, two, one), (two, ZERO, two), (one, two, ZERO)),
+        ("x1", "x2", "x3"), ((0, 2, 1), (2, 0, 2), (1, 2, 0))
     )
 
 

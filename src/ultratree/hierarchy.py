@@ -28,7 +28,7 @@ from .errors import (
     TooSmall,
 )
 from .metric import ZERO, FiniteUltrametricSpace, _rank_entries, _Record
-from .rationals import parse_rational
+from .rationals import exact_rational
 
 
 def validate_ultrametric(
@@ -43,38 +43,28 @@ def validate_ultrametric(
     triple. Runs in O(n²): the strong triangle inequality is checked
     against a minimum spanning tree (see :func:`_check_strong_triangle`),
     and the space keeps the merge order that check lists. An entry that
-    is no Fraction, int or exact rational string (a float, a bool, "0.1")
-    raises FormatError naming the first such pair in row order.
+    :func:`~ultratree.rationals.exact_rational` refuses (a float, a bool,
+    "0.1") raises FormatError naming the first such pair in row order.
     """
     names = tuple(str(p) for p in points)
     n = len(names)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise NotSymmetric(("<shape>", "<shape>"))
     try:
-        ranks, values = _rank_entries([tuple(row) for row in matrix], _exact_entry)
-    except FormatError as exc:
-        # entries are converted in order of first appearance, so the first
-        # cell that holds the refused one is the first refused cell
-        bad = exc.args[0]
-        i, j = next((i, j) for i, row in enumerate(matrix) for j, v in enumerate(row) if v is bad)
-        raise FormatError(
-            f"entry for pair {(names[i], names[j])!r} is not an exact rational: {bad!r}"
-        ) from None
+        ranks, values = _rank_entries([tuple(row) for row in matrix])
+    except FormatError:  # named by the first pair in row order that holds a refused entry
+        for i, row in enumerate(matrix):
+            for j, v in enumerate(row):
+                try:
+                    exact_rational(v)
+                except FormatError:
+                    raise FormatError(
+                        f"entry for pair {(names[i], names[j])!r} is not an exact rational: {v!r}"
+                    ) from None
     _check_entries(names, ranks, values)
     space = FiniteUltrametricSpace(names, ranks, values)
     space.__dict__["_gap_form"] = (*_check_strong_triangle(names, ranks), values)
     return space
-
-
-# a Fraction, an int or an exact rational string as a Fraction; anything
-# else raises FormatError with the refused object itself as its argument
-def _exact_entry(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
-        raise FormatError(value)
-    try:
-        return parse_rational(value) if isinstance(value, str) else Fraction(value)
-    except FormatError:
-        raise FormatError(value) from None
 
 
 def _check_entries(names: tuple[str, ...], ranks, values: Sequence[Fraction]) -> None:

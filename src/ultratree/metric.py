@@ -26,9 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter, itemgetter, neg
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import UnknownPoint
+from .rationals import exact_rational, format_rational
 
 ZERO = Fraction(0)
 
@@ -120,19 +121,19 @@ class _Record:
 
 
 def _rank_entries(
-    rows: Sequence[Sequence], exact: Callable[[object], Fraction] = Fraction
+    rows: Sequence[Sequence],
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
     """Rank every entry among the distinct values of the matrix (0 included).
 
     Entries are grouped by object identity first: the readers and builders
-    here share one object per distinct value, so ``exact`` converts each
-    value once, in order of first appearance, instead of once per cell.
+    here share one object per distinct value, so ``exact_rational`` converts
+    each value once, in order of first appearance, instead of once per cell.
     ``rows`` keeps every entry alive, so identities cannot be reused.
     """
     by_id: dict[int, object] = {}
     for row in rows:
         by_id.update(zip(map(id, row), row))
-    fracs = {key: exact(v) for key, v in by_id.items()}
+    fracs = {key: exact_rational(v) for key, v in by_id.items()}
     values = sorted(set(fracs.values()) | {ZERO})
     pos = {v: r for r, v in enumerate(values)}
     rank_of = {key: pos[v] for key, v in fracs.items()}
@@ -209,7 +210,7 @@ class FiniteUltrametricSpace(_Record):
     def from_trusted_matrix(
         cls, points: Sequence[str], matrix: Sequence[Sequence[Fraction]]
     ) -> "FiniteUltrametricSpace":
-        """Wrap a matrix whose validity the caller guarantees by construction."""
+        """Wrap a matrix whose validity (not exactness) the caller guarantees."""
         ranks, values = _rank_entries([tuple(row) for row in matrix])
         return cls(tuple(points), ranks, values)
 
@@ -291,8 +292,6 @@ class DistanceSet(_Record):
         return best
 
     def format(self) -> str:
-        from .rationals import format_rational
-
         return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
 
 

@@ -8,6 +8,7 @@ non-negative rationals that returns the maximum of two distinct values
 and 0 on the diagonal. ``sample_space`` turns a finite list of values
 into a validated distance matrix under either metric.
 
+Every value and the prime must be exact (a float raises FormatError).
 Primality is decided exactly by Miller-Rabin below a fixed bound; a
 prime is refused at or above it, where the test could pass a composite.
 """
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DuplicateValue, NegativeInput, NotPrime, TooLarge
 from .metric import ZERO, FiniteUltrametricSpace, _Record
-from .rationals import format_rational
+from .rationals import exact_rational, format_rational
 
 # Strong-pseudoprime witnesses: the first 13 primes. Miller-Rabin with them
 # is exact below MR_BOUND, the least odd composite that is a strong
@@ -58,14 +59,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> int:
-    """p as an int, if it is a prime that :func:`is_prime` decides exactly."""
-    p = int(p)
-    if p >= MR_BOUND:  # may be prime, but the test cannot tell
-        raise TooLarge(f"p-adic prime (primality is exact below {MR_BOUND})", p, MR_BOUND - 1)
-    if not is_prime(p):
+def _require_prime(p) -> int:
+    """p as an int, if it is an exact prime that :func:`is_prime` decides exactly."""
+    p = exact_rational(p)
+    if p >= MR_BOUND and p.denominator == 1:  # may be prime, but the test cannot tell
+        raise TooLarge(
+            f"p-adic prime (primality is exact below {MR_BOUND})", p.numerator, MR_BOUND - 1
+        )
+    if p.denominator != 1 or not is_prime(p.numerator):
         raise NotPrime(p)
-    return p
+    return p.numerator
 
 
 class PadicNorm(_Record):
@@ -80,10 +83,6 @@ class PadicNorm(_Record):
     prime: int
     exponent: Optional[int]
 
-    def __init__(self, prime, exponent):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "exponent", exponent)
-
     @property
     def is_zero(self) -> bool:
         return self.exponent is None
@@ -91,10 +90,8 @@ class PadicNorm(_Record):
     @property
     def norm(self) -> Fraction:
         if self.exponent is None:
-            return Fraction(0)
-        if self.exponent >= 0:
-            return Fraction(1, self.prime**self.exponent)
-        return Fraction(self.prime ** (-self.exponent))
+            return ZERO
+        return Fraction(self.prime) ** -self.exponent
 
 
 def _valuation(value: int, p: int) -> int:
@@ -106,16 +103,13 @@ def _valuation(value: int, p: int) -> int:
     return count
 
 
-def _norm(t: Fraction, p: int) -> PadicNorm:
-    """p-adic norm of t for a prime p the caller has already checked."""
+def padic_valuation(t: Fraction, p: int) -> PadicNorm:
+    """Norm of t under prime p: p^(−γ) where t = p^γ · m/n, or zero for t = 0."""
+    t = exact_rational(t)
+    p = _require_prime(p)
     if t == 0:
         return PadicNorm(p, None)
     return PadicNorm(p, _valuation(t.numerator, p) - _valuation(t.denominator, p))
-
-
-def padic_valuation(t: Fraction, p: int) -> PadicNorm:
-    """Norm of t under prime p: p^(−γ) where t = p^γ · m/n, or zero for t = 0."""
-    return _norm(Fraction(t), _require_prime(p))
 
 
 def padic_distance(t: Fraction, w: Fraction, p: int) -> Fraction:
@@ -125,8 +119,8 @@ def padic_distance(t: Fraction, w: Fraction, p: int) -> Fraction:
 
 def dplus(a: Fraction, b: Fraction) -> Fraction:
     """Ultrametric on non-negative rationals: max of distinct values, else 0."""
-    a = Fraction(a)
-    b = Fraction(b)
+    a = exact_rational(a)
+    b = exact_rational(b)
     if a < 0:
         raise NegativeInput(a)
     if b < 0:
@@ -149,10 +143,8 @@ def dp_metric(p: int) -> Callable[[Fraction, Fraction], Fraction]:
     norms: dict[int, Fraction] = {}
 
     def metric(t: Fraction, w: Fraction) -> Fraction:
-        if type(t) is not Fraction:
-            t = Fraction(t)
-        if type(w) is not Fraction:
-            w = Fraction(w)
+        t = exact_rational(t)
+        w = exact_rational(w)
         b, d = t.denominator, w.denominator
         diff = t.numerator * d - w.numerator * b
         if not diff:
@@ -172,13 +164,14 @@ def sample_space(
 ) -> FiniteUltrametricSpace:
     """Distance matrix of a finite sample under a chosen ultrametric.
 
-    Point identifiers are the values themselves in "p/q" form. The result
-    goes through full ultrametric validation, so a bad metric cannot leak
-    an invalid space downstream.
+    The values must be exact (a float raises FormatError). Point
+    identifiers are the values themselves in "p/q" form. The result goes
+    through full ultrametric validation, so a bad metric cannot leak an
+    invalid space downstream.
     """
     from .hierarchy import validate_ultrametric
 
-    vals = [Fraction(v) for v in values]
+    vals = [exact_rational(v) for v in values]
     seen = set()
     for v in vals:
         if v in seen:

@@ -25,6 +25,7 @@ from .metric import (
     StarCertificate,
     _Record,
 )
+from .rationals import exact_rational
 
 
 def _distances(space: FiniteUltrametricSpace, ranks: Iterable[int]) -> DistanceSet:
@@ -84,9 +85,9 @@ class Ball(_Record):
 def ball(
     space: FiniteUltrametricSpace, center: str, radius: Fraction, kind: BallKind = "open"
 ) -> Ball:
-    """The open ball {x : d(c,x) < r} or closed ball {x : d(c,x) <= r}."""
+    """The open ball {x : d(c,x) < r} or closed ball {x : d(c,x) <= r}, r exact."""
     ci = space.index_of(center)
-    radius = Fraction(radius)
+    radius = exact_rational(radius)
     if kind == "open":
         if radius <= 0:
             raise NonpositiveRadius(radius, "open")

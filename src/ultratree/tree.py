@@ -26,7 +26,7 @@ from the space's diameter splits, which also give the tree.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -45,7 +45,7 @@ from .errors import (
     UnknownVertex,
 )
 from .metric import ZERO, FiniteUltrametricSpace, _rank_entries, _Record
-from .rationals import parse_rational
+from .rationals import exact_rational
 
 
 class LabeledTree(_Record):
@@ -104,25 +104,26 @@ def validate_tree(
 ) -> LabeledTree:
     """Check a raw vertex/edge/label description and freeze it into a tree.
 
-    The one place where a tree label becomes a Fraction: labels are read
-    first, in the mapping's order, each distinct value once (a string by
-    :func:`~ultratree.rationals.parse_rational`), and a float, a bool or
-    any other non-rational raises FormatError naming the vertex. Then
-    raises DuplicateVertex, UnknownVertex (for an edge endpoint or a label
-    key), HasCycle, MissingLabel, NegativeLabel or NotConnected, each
-    naming the offending vertex or edge.
+    Labels are read first, in the mapping's order, each distinct value once
+    by :func:`~ultratree.rationals.exact_rational` (equal ones share one
+    Fraction); a value it refuses (a float, a bool, "0.5") raises
+    FormatError naming the vertex. Then raises DuplicateVertex,
+    UnknownVertex (for an edge endpoint or a label key), HasCycle,
+    MissingLabel, NegativeLabel or NotConnected, each naming the offending
+    vertex or edge.
     """
-    exact: dict[object, Fraction] = {}
+    # typed, as 1, 1.0 and True are equal keys; an unhashable value raises TypeError
+    exact = lru_cache(maxsize=None, typed=True)(exact_rational)
+    shared: dict[Fraction, Fraction] = {}  # equal values of any type share one
     for key, value in labels.items():
-        if isinstance(value, (bool, float)):
-            raise FormatError(f"label for {key!r} must be an exact rational string, got {value!r}")
-        if not isinstance(value, (str, int, Fraction)):
-            raise FormatError(f"label for {key!r} must be a rational string")
-        if value not in exact:
-            exact[value] = (
-                parse_rational(value) if isinstance(value, str)
-                else Fraction(value) if isinstance(value, int) else value
-            )
+        try:
+            frac = exact(value)
+        except (FormatError, TypeError) as exc:  # a string keeps the parser's detail
+            raise FormatError(
+                f"label for {key!r}: {exc}" if isinstance(value, str)
+                else f"label for {key!r} must be an exact rational string, got {value!r}"
+            ) from None
+        shared.setdefault(frac, frac)
 
     names = [str(v) for v in vertices]
     if not names:
@@ -157,7 +158,7 @@ def validate_tree(
     for name in names:
         if name not in labels:
             raise MissingLabel(name)
-        frac = exact[labels[name]]
+        frac = shared[exact(labels[name])]
         if frac < 0:
             raise NegativeLabel(name, frac)
         parsed.append(frac)
@@ -353,8 +354,7 @@ def canonical_labeling(tree: LabeledTree) -> LabeledTree:
         raise DegenerateLabeling(bad)
     labels = tree.labels
     realized = {max(labels[i], labels[j]) for i, j in tree.edges}
-    zero = Fraction(0)
-    new_labels = tuple(lab if lab in realized else zero for lab in labels)
+    new_labels = tuple(lab if lab in realized else ZERO for lab in labels)
     return LabeledTree(tree.vertices, tree.edges, new_labels)
 
 
@@ -453,6 +453,7 @@ def _prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 def random_labeled_tree(n: int, label_pool: Sequence, seed: int) -> LabeledTree:
     """Uniformly random tree shape with labels drawn from the pool.
 
+    Pool values are exact rationals (a float raises FormatError).
     Degenerate edges (both endpoint labels zero) are repaired in a single
     deterministic pass by redrawing the lower endpoint from the positive
     pool values; repairs only ever raise labels, so the result is always
@@ -463,7 +464,7 @@ def random_labeled_tree(n: int, label_pool: Sequence, seed: int) -> LabeledTree:
 
     if n < 1:
         raise ValueError("n must be at least 1")
-    pool = [Fraction(v) for v in label_pool]
+    pool = [exact_rational(v) for v in label_pool]
     if not pool:
         raise EmptyPool()
     for v in pool:

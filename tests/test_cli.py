@@ -186,12 +186,39 @@ class TestCampaignVerbs:
         code, _, _ = run(capsys, "enumerate", "--n", "3", "--check", "con3")
         assert code == 3
 
-    @pytest.mark.parametrize("value", ["banana", "-5"])
+    # int() also read other scripts' digits, "_" separators and spaces
+    @pytest.mark.parametrize("value", ["banana", "-5", "\u0663", "1_0", " 8 "])
     def test_env_var_must_be_a_positive_integer(self, capsys, monkeypatch, value):
         monkeypatch.setenv("ULTRATREE_MAX_N", value)
         code, _, err = run(capsys, "enumerate", "--n", "1", "--check", "con3")
         assert code == 1
-        assert "ULTRATREE_MAX_N" in err and repr(value) in err
+        assert err == f"error: ULTRATREE_MAX_N must be an integer >= 1, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["enumerate", "--n", "{}", "--check", "con3"], "--n"),
+            (["enumerate", "--n", "3", "--check", "con3", "--jobs", "{}"], "--jobs"),
+            (["random-tree", "--n", "3", "--seed", "{}", "--pool", "1"], "--seed"),
+            (["padic", "--p", "{}", "--sample", "0,1"], "--p"),
+        ],
+        ids=["n", "jobs", "seed", "p"],
+    )
+    @pytest.mark.parametrize(
+        "value",
+        ["\u0663", "1_0", " 8 ", "banana", "9" * 5000],
+        ids=["other-script-digit", "separator", "spaces", "word", "too-long"],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv, flag, value):
+        # int() read "\u0663" as 3, "1_0" as 10 and " 8 " as 8
+        with pytest.raises(SystemExit) as exit_:
+            main([value if arg == "{}" else arg for arg in argv])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_a_signed_seed_is_accepted(self, capsys):
+        assert run(capsys, "random-tree", "--n", "3", "--seed", "-3", "--pool", "1")[0] == 0
+        assert run(capsys, "random-tree", "--n", "3", "--seed", "+3", "--pool", "1")[0] == 0
 
     def test_jobs_flag_changes_nothing(self, capsys):
         code1, out1, _ = run(capsys, "enumerate", "--n", "4", "--check", "con3")
@@ -341,12 +368,13 @@ class TestMultiFaultTreeJson:
             (  # a bad label on a key that names no vertex
                 '{"vertices": ["a", "b"], "labels": {"a": "1", "b": "1", "zz": null},'
                 ' "edges": [["a", "b"]]}',
-                "error: label for 'zz' must be a rational string\n",
+                "error: label for 'zz' must be an exact rational string, got None\n",
             ),
             (  # a non-ASCII digit and a cycle
                 '{"vertices": ["a", "b", "c"], "labels": {"a": "\u0663", "b": "1", "c": "1"},'
                 ' "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}',
-                "error: not an exact rational: '\u0663' (expected 'p/q' or an integer string)\n",
+                "error: label for 'a': not an exact rational: '\u0663'"
+                " (expected 'p/q' or an integer string)\n",
             ),
             (  # a negative label and an unknown edge endpoint
                 '{"vertices": ["a", "b"], "labels": {"a": -1, "b": "1"}, "edges": [["a", "c"]]}',

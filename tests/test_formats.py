@@ -13,7 +13,7 @@ from ultratree.formats import (
     parse_tree_json,
     tree_json_string,
 )
-from ultratree.rationals import format_rational, parse_rational
+from ultratree.rationals import format_rational, parse_integer, parse_rational
 
 F = Fraction
 
@@ -38,6 +38,16 @@ class TestRationals:
         with pytest.raises(FormatError) as err:
             parse_rational(bad)
         assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize("text,value", [("7", 7), ("-3", -3), ("+3", 3), ("0", 0)])
+    def test_parse_integer(self, text, value):
+        assert parse_integer(text) == value and type(parse_integer(text)) is int
+
+    @pytest.mark.parametrize("bad", ["\u0663", "1_0", " 8 ", "8\n", "", "1/2", "0x10", "9" * 5000])
+    def test_parse_integer_takes_ascii_digits_only(self, bad):
+        # int() reads "\u0663" as 3, "1_0" as 10 and " 8 " as 8
+        with pytest.raises(FormatError):
+            parse_integer(bad)
 
     def test_format_roundtrip(self):
         for value in (F(3), F(-7, 3), F(0), F(10, 4)):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,6 +87,25 @@ def test_campaign_output_independent_of_jobs(name, capsys):
     assert main(argv + ["--jobs", "2"]) == expected
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# Nothing in the package may depend on string hashing: each of these runs
+# in a child process under two hash seeds and must print its golden bytes.
+HASH_SEED_CASES = ["center-tree", "check-padic", "is-ut-matrix", "enumerate-suite-6"]
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_output_independent_of_hash_seed(seed):
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "PYTHONHASHSEED": seed, "PATH": ""}
+    for name in HASH_SEED_CASES:
+        argv, expected = CASES[name]
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "ultratree.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (expected, b"")
+        assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_con3_on_ten_points_within_66_mb():

@@ -37,7 +37,7 @@ from ultratree.errors import (
     UnknownPoint,
 )
 
-from ultratree.rationals import parse_rational
+from ultratree.rationals import exact_rational
 
 F = Fraction
 
@@ -107,18 +107,18 @@ class TestValidation:
             validate_ultrametric(["a", "b"], [[0.0, F(1, 2)], [0.5, 0]])
 
     def test_rational_strings_are_read_once_per_object(self, monkeypatch):
-        from ultratree import hierarchy
+        from ultratree import metric
 
-        texts = []
+        values = []
 
-        def counting(text):
-            texts.append(text)
-            return parse_rational(text)
+        def counting(value):
+            values.append(value)
+            return exact_rational(value)
 
-        monkeypatch.setattr(hierarchy, "parse_rational", counting)
+        monkeypatch.setattr(metric, "exact_rational", counting)
         zero, half = "0", " 1/2"
         space = validate_ultrametric(["a", "b", "c"], [[zero, half, 1], [half, zero, 1], [1, 1, zero]])
-        assert sorted(texts) == [" 1/2", "0"]
+        assert values == ["0", " 1/2", 1]
         assert space.values == (0, F(1, 2), 1)
         assert space.distance("a", "b") == F(1, 2)
 

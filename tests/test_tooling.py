@@ -232,3 +232,30 @@ def test_oracles_import_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_one_module_decides_exactness():
+    # `rationals.exact_rational` is the one rule for what counts as an exact
+    # rational: no other module tells a float or a bool apart itself, reads
+    # the digit patterns, or (but the CSV reader) parses rational text
+    forked, parsers = [], []
+    for path in PACKAGE:
+        if path.stem == "rationals":
+            continue
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = {n.id for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                if kinds & {"bool", "float"}:
+                    forked.append(f"{path.stem}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef):
+                uses = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                if "parse_rational" in uses and f"{path.stem}.{node.name}" != "formats.parse_matrix_csv":
+                    parsers.append(f"{path.stem}.{node.name}")
+            if isinstance(node, (ast.Name, ast.alias, ast.Attribute)):
+                name = getattr(node, "id", None) or getattr(node, "name", None) or node.attr
+                if name in ("_INTEGER_RE", "_RATIONAL_RE"):
+                    forked.append(f"{path.stem}:{getattr(node, 'lineno', 0)}")
+            if isinstance(node, ast.ImportFrom) and path.stem != "formats":
+                parsers += [f"{path.stem} imports it" for a in node.names if a.name == "parse_rational"]
+    assert forked == [] and parsers == []

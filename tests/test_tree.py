@@ -27,7 +27,7 @@ from ultratree.errors import (
     NotConnected,
     UnknownVertex,
 )
-from ultratree.rationals import parse_rational
+from ultratree.rationals import exact_rational
 from ultratree.tree import degenerate_edge
 
 from conftest import PATH_MATRIX
@@ -129,10 +129,10 @@ class TestValidateTree:
     @pytest.mark.parametrize(
         "value, message",
         [
-            (None, "must be a rational string"),
-            ([1], "must be a rational string"),
-            (b"1", "must be a rational string"),
-            ({"p": 1}, "must be a rational string"),
+            (None, "must be an exact rational string, got None"),
+            ([1], "must be an exact rational string, got [1]"),
+            (b"1", "must be an exact rational string, got b'1'"),
+            ({"p": 1}, "must be an exact rational string, got {'p': 1}"),
             (0.5, "must be an exact rational string, got 0.5"),
             (True, "must be an exact rational string, got True"),
         ],
@@ -143,6 +143,30 @@ class TestValidateTree:
             validate_tree(["a", "b"], [("a", "b")], {"a": 1, "b": value})
         assert str(err.value) == f"label for 'b' {message}"
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("0.5", "not an exact rational: '0.5' (expected 'p/q' or an integer string)"),
+            ("\u0663", "not an exact rational: '\u0663' (expected 'p/q' or an integer string)"),
+            ("9" * 5000, "rational with 5000 characters is too long"),
+        ],
+        ids=["decimal", "other-script-digit", "too-long"],
+    )
+    def test_a_label_string_that_is_no_rational_names_its_vertex(self, text, detail):
+        # the parser's message alone named no vertex
+        with pytest.raises(FormatError) as err:
+            validate_tree(["a", "b"], [("a", "b")], {"a": 1, "b": text})
+        assert str(err.value) == f"label for 'b': {detail}"
+
+    @pytest.mark.parametrize(
+        "first, second", [(Fraction(1), True), (Fraction(1, 2), 0.5), (2, 2.0)]
+    )
+    def test_an_equal_exact_label_lets_no_inexact_one_pass(self, first, second):
+        # the two are equal keys: a memo keyed by the value alone would hand
+        # the second label the first one's Fraction
+        with pytest.raises(FormatError, match="label for 'b' must be an exact rational string"):
+            validate_tree(["a", "b"], [("a", "b")], {"a": first, "b": second})
+
     def test_a_bad_label_is_named_before_any_other_fault(self):
         # labels are read first, in the mapping's order, as a tree JSON's are
         with pytest.raises(FormatError, match="label for 'zz'"):
@@ -151,23 +175,26 @@ class TestValidateTree:
     def test_each_distinct_label_is_converted_once_and_shared(self, monkeypatch):
         import ultratree.tree as tree_module
 
-        texts = []
+        values = []
 
-        def counting(text):
-            texts.append(text)
-            return parse_rational(text)
+        def counting(value):
+            values.append(value)
+            return exact_rational(value)
 
-        monkeypatch.setattr(tree_module, "parse_rational", counting)
+        monkeypatch.setattr(tree_module, "exact_rational", counting)
+        three = Fraction(3)
         t = validate_tree(
-            ["a", "b", "c", "d", "e"],
-            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
-            {"a": "5/2", "b": "5/2", "c": 3, "d": 3, "e": Fraction(3)},
+            ["a", "b", "c", "d", "e", "f"],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")],
+            {"a": "5/2", "b": "5/2", "c": 3, "d": 3, "e": three, "f": Fraction(3)},
         )
-        assert texts == ["5/2"]
-        assert t.labels == (Fraction(5, 2), Fraction(5, 2), 3, 3, 3)
+        # each distinct value of each type once; equal values share one Fraction
+        assert values == ["5/2", 3, three]
+        assert t.labels == (Fraction(5, 2), Fraction(5, 2), 3, 3, 3, 3)
         assert all(type(label) is Fraction for label in t.labels)
         assert t.labels[0] is t.labels[1]
         assert t.labels[2] is t.labels[3] is t.labels[4]
+        assert t.labels[4] is t.labels[5]
 
 
 def revalidated(tree: LabeledTree) -> LabeledTree:
