@@ -4,12 +4,27 @@ Exit codes: 0 success (and, for check verbs, all assertions passed),
 1 failed assertion or invalid input (the witness is printed), or a
 file that cannot be read or written,
 2 usage error, 3 capacity fence.
+
+:func:`main` parses ``argv``, runs the verb and returns its exit code; it
+never ends the interpreter, so library callers and tests can call it in
+process. The ``ultratree`` command and ``python -m ultratree.cli`` enter
+through :func:`run` instead: after a normal return it flushes stdout and
+stderr and ends the process with ``os._exit``, so the process spends no
+time on interpreter teardown (freeing objects the kernel reclaims anyway).
+A usage error or ``--help`` (argparse's ``SystemExit``) and an exception
+that escapes :func:`main` take the normal exit instead. A flush that fails
+(the reader of a pipe has closed it) is reported as the interpreter reports
+a failed final flush, with its exit code 120: the failed flush may have
+dropped the bytes, and a normal exit would then end with 0. Every file a
+verb writes is closed by its ``with`` block and the ``--jobs`` pool is shut
+down before :func:`main` returns, so nothing is left for the teardown to do.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # `explorer`, `formats`, `rankrows` and `tree` are imported by the verbs
@@ -196,34 +211,24 @@ def _run(args: argparse.Namespace) -> int:
             "degenerate (edge %s-%s)" % tree.degenerate_edge(t)
         )
         print(f"OK: {t.n} vertices, {len(t.edges)} edges, labeling {status}")
-        return 0
-
-    if args.verb == "distances":
+    elif args.verb == "distances":
         from . import formats, tree
 
         space = tree.distance_matrix(formats.read_tree_file(args.tree))
         _emit(formats.matrix_csv_string(space), args.output)
-        return 0
-
-    if args.verb == "canonical":
+    elif args.verb == "canonical":
         from . import formats, tree
 
         t = tree.canonical_labeling(formats.read_tree_file(args.tree))
         _emit(formats.tree_json_string(t), args.output)
-        return 0
-
-    if args.verb == "center":
+    elif args.verb == "center":
         _, _, gaps, values = _load_gap_form(args.input)
         print(metric._center_from_gaps(gaps, values).format())
-        return 0
-
-    if args.verb == "diametrical":
+    elif args.verb == "diametrical":
         points, order, gaps, values = _load_gap_form(args.input)
         parts = metric._diametrical_parts(order, gaps, values)
         _write_diametrical(points, parts, values[-1], args.dot)
-        return 0
-
-    if args.verb == "spheres":
+    elif args.verb == "spheres":
         from . import rankrows
 
         space, _ = _load_space(args.input)
@@ -239,9 +244,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.subsets:
             every = len(spheres) == (1 << space.n) - 1
             print(f"all non-empty subsets are centered spheres: {'yes' if every else 'no'}")
-        return 0
-
-    if args.verb == "check":
+    elif args.verb == "check":
         from . import explorer
 
         space, tree_backed = _load_space(args.input)
@@ -258,9 +261,7 @@ def _run(args: argparse.Namespace) -> int:
                 print(f"witness: {w['label']}")
                 print(w["matrix_csv"], end="")
             return 1
-        return 0
-
-    if args.verb == "enumerate":
+    elif args.verb == "enumerate":
         from . import explorer
 
         if args.check == "con3":
@@ -272,22 +273,18 @@ def _run(args: argparse.Namespace) -> int:
         else:
             report = explorer.check_suite_enumerated(args.n, jobs=args.jobs)
         _emit(_report_json(report), args.output)
-        if report.verdict in ("PASS", "CONSISTENT"):
-            return 0
-        for w in report.witnesses:
-            print(f"witness: {w['label']}", file=sys.stderr)
-        return 1
-
-    if args.verb in ("padic", "dplus"):
+        if report.verdict not in ("PASS", "CONSISTENT"):
+            for w in report.witnesses:
+                print(f"witness: {w['label']}", file=sys.stderr)
+            return 1
+    elif args.verb in ("padic", "dplus"):
         from . import formats
 
         values = parse_rational_list(args.sample)  # read before the prime is checked
         chosen = padic.dp_metric(args.p) if args.verb == "padic" else padic.dplus
         space = padic.sample_space(values, chosen)
         _emit(formats.matrix_csv_string(space), getattr(args, "output", None))  # dplus has no -o
-        return 0
-
-    if args.verb == "is-ut":
+    elif args.verb == "is-ut":
         from . import formats, tree
 
         space = formats.read_matrix_file(args.matrix)
@@ -296,17 +293,15 @@ def _run(args: argparse.Namespace) -> int:
             print("none")
         else:
             sys.stdout.write(formats.tree_json_string(cert))
-        return 0
-
-    if args.verb == "random-tree":
+    elif args.verb == "random-tree":
         from . import formats, tree
 
         pool = parse_rational_list(args.pool)
         t = tree.random_labeled_tree(args.n, pool, args.seed)
         sys.stdout.write(formats.tree_json_string(t))
-        return 0
-
-    raise AssertionError(f"unhandled verb {args.verb!r}")
+    else:
+        raise AssertionError(f"unhandled verb {args.verb!r}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -326,5 +321,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:  # the entry point; see the module docstring
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError as exc:  # as the interpreter reports a failed final flush
+        print(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

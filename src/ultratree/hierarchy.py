@@ -44,10 +44,14 @@ def validate_ultrametric(
     against a minimum spanning tree (see :func:`_check_strong_triangle`),
     and the space keeps the merge order that check lists. An entry that
     :func:`~ultratree.rationals.exact_rational` refuses (a float, a bool,
-    "0.1") raises FormatError naming the first such pair in row order.
+    "0.1") raises FormatError naming the first such pair in row order, and
+    so does a row given as a string, naming its point.
     """
     names = tuple(str(p) for p in points)
     n = len(names)
+    for name, row in zip(names, matrix):
+        if isinstance(row, str):  # not read as its characters
+            raise FormatError(f"row for point {name!r} is a string, not a sequence: {row!r}")
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise NotSymmetric(("<shape>", "<shape>"))
     try:

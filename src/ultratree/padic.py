@@ -67,7 +67,7 @@ def _require_prime(p) -> int:
             f"p-adic prime (primality is exact below {MR_BOUND})", p.numerator, MR_BOUND - 1
         )
     if p.denominator != 1 or not is_prime(p.numerator):
-        raise NotPrime(p)
+        raise NotPrime(p.numerator if p.denominator == 1 else p)
     return p.numerator
 
 

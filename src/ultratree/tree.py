@@ -107,7 +107,9 @@ def validate_tree(
     Labels are read first, in the mapping's order, each distinct value once
     by :func:`~ultratree.rationals.exact_rational` (equal ones share one
     Fraction); a value it refuses (a float, a bool, "0.5") raises
-    FormatError naming the vertex. Then raises DuplicateVertex,
+    FormatError naming the vertex. An edge that is not two endpoints (a
+    string is one vertex name, not read as its characters) raises
+    FormatError naming the edge. Then raises DuplicateVertex,
     UnknownVertex (for an edge endpoint or a label key), HasCycle,
     MissingLabel, NegativeLabel or NotConnected, each naming the offending
     vertex or edge.
@@ -136,7 +138,7 @@ def validate_tree(
 
     pairs: dict[tuple[int, int], None] = {}  # in input order, for the DFS below
     for raw in edges:
-        pair = tuple(raw)
+        pair = (raw,) if isinstance(raw, str) else tuple(raw)  # a string names one vertex
         if len(pair) != 2:
             raise FormatError(f"an edge needs exactly 2 endpoints: {pair!r}")
         a, b = (str(pair[0]), str(pair[1]))

@@ -76,3 +76,21 @@ def test_a_float_prime_is_refused_not_truncated():
     for p in (F(7, 2), F(2 * MR_BOUND + 1, 2)):
         with pytest.raises(NotPrime):
             dp_metric(p)
+
+
+def test_a_non_prime_names_itself_as_given():
+    # an integral prime is reported as the int, not its Fraction; the text is the same
+    with pytest.raises(NotPrime, match=r"^4 is not a prime number$") as info:
+        dp_metric(4)
+    assert type(info.value.value) is int and info.value.value == 4
+    with pytest.raises(NotPrime, match=r"^7/2 is not a prime number$") as info:
+        dp_metric(F(7, 2))
+    assert type(info.value.value) is F and info.value.value == F(7, 2)
+
+
+def test_a_string_is_no_sequence_of_entries_or_endpoints():
+    # "10" was read as the cells "1" and "0", and "ab" as the edge a-b
+    with pytest.raises(FormatError, match=r"row for point 'b'.*'10'"):
+        validate_ultrametric(["a", "b"], [[0, 1], "10"])
+    with pytest.raises(FormatError, match=r"edge.*'ab'"):
+        validate_tree(["a", "b"], ["ab"], {"a": 1, "b": 1})

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +91,129 @@ def test_campaign_output_independent_of_jobs(name, capsys):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+# A child's environment. It holds no PYTHONUNBUFFERED, so a stdout that is
+# not a terminal is block-buffered: bytes the process did not flush before
+# it ended would be missing.
+ENV = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PATH": ""}
+
+
+def cli_process(argv: list, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python -m ultratree.cli argv`` in a child process, as the
+    installed command runs it; usage text wrapped at 80 columns."""
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "ultratree.cli", *argv],
+        capture_output=True, cwd=cwd, env={**ENV, "COLUMNS": "80"}, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_process_writes_golden_bytes(name, tmp_path):
+    argv, expected = CASES[name]
+    dot_path = tmp_path / "g.dot"
+    proc = cli_process([arg.replace("{dot}", str(dot_path)) for arg in argv])
+    assert (proc.returncode, proc.stderr) == (expected, b"")
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
+    dot_file = GOLDEN / f"{name}.dot"
+    if dot_file.exists():
+        assert dot_path.read_bytes() == dot_file.read_bytes()
+
+
+# one case per nonzero exit code: a file that cannot be read, a usage error
+# (argparse's own exit) and a capacity fence
+ERROR_CASES = {
+    1: (["center", "missing.json"],
+        b"error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    2: (["enumerate", "--n", "0", "--check", "con3"],
+        b"usage: ultratree [-h]\n"
+        b"                 {validate,distances,canonical,center,diametrical,spheres,check,enumerate,padic,dplus,is-ut,random-tree}\n"
+        b"                 ...\n"
+        b"ultratree: error: argument --n: must be at least 1, got 0\n"),
+    3: (["enumerate", "--n", "11", "--check", "con3"],
+        b"error: class enumeration: n=11 exceeds the capacity fence 10\n"),
+}
+
+
+@pytest.mark.parametrize("code", sorted(ERROR_CASES))
+def test_process_error_bytes_and_exit_code(code, tmp_path):
+    argv, stderr = ERROR_CASES[code]
+    proc = cli_process(argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", stderr)
+
+
+class TestHardExit:
+    """A process that ends with ``os._exit`` after its output is flushed
+    must leave the same files, processes and errors as a normal exit."""
+
+    @pytest.mark.parametrize("name", ["distances", "enumerate-suite-6", "padic"])
+    def test_output_file_equals_stdout_form(self, name, tmp_path):
+        out = tmp_path / "out"
+        proc = cli_process(CASES[name][0] + ["-o", str(out)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+    def test_pool_workers_end_before_the_process(self):
+        # the workers share the CLI's new process group; once the CLI is
+        # reaped, a worker still alive (or unreaped) would be found in it
+        argv = CASES["enumerate-suite-6"][0] + ["--jobs", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-B", "-m", "ultratree.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)  # a live worker keeps the pipes open
+            assert (proc.returncode, err) == (0, b"")
+            assert out == (GOLDEN / "enumerate-suite-6.out").read_bytes()
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:  # no worker outlives a failed test
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+    def test_stdout_closed_at_start_exits_zero(self):
+        # with descriptor 1 closed the interpreter sets sys.stdout to None
+        # and print writes nothing; the exit path must not trip over it
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "ultratree.cli", "validate", TREE],
+            stderr=subprocess.PIPE, env=ENV, timeout=60, preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @staticmethod
+    def closed_reader(name: str, env: dict) -> subprocess.CompletedProcess:
+        """Run a case with a stdout whose reader has already closed it."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-B", "-m", "ultratree.cli", *CASES[name][0]],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+
+    # outputs of 17, 485 and 4 877 bytes: a buffered stdout whose flush fails
+    # keeps the small ones for the next flush, but drops those of distances.out
+    CLOSED_READER_CASES = ["center-padic", "enumerate-hol-3", "distances"]
+
+    @pytest.mark.parametrize("name", CLOSED_READER_CASES)
+    def test_closed_reader_unbuffered_is_an_error_line(self, name):
+        # each write reaches the pipe inside the verb, which reports it
+        proc = self.closed_reader(name, {**ENV, "PYTHONUNBUFFERED": "1"})
+        assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("name", CLOSED_READER_CASES)
+    def test_closed_reader_buffered_is_a_failed_final_flush(self, name):
+        # the bytes wait in the buffer until the last flush fails: reported
+        # once, in the interpreter's words and with its exit code 120
+        proc = self.closed_reader(name, ENV)
+        assert (proc.returncode, proc.stderr) == (
+            120,
+            b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+            b"BrokenPipeError: [Errno 32] Broken pipe\n",
+        )
+
+
 # Nothing in the package may depend on string hashing: each of these runs
 # in a child process under two hash seeds and must print its golden bytes.
 HASH_SEED_CASES = ["center-tree", "check-padic", "is-ut-matrix", "enumerate-suite-6"]
@@ -96,8 +221,7 @@ HASH_SEED_CASES = ["center-tree", "check-padic", "is-ut-matrix", "enumerate-suit
 
 @pytest.mark.parametrize("seed", ["0", "12345"])
 def test_output_independent_of_hash_seed(seed):
-    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-           "PYTHONHASHSEED": seed, "PATH": ""}
+    env = {**ENV, "PYTHONHASHSEED": seed}
     for name in HASH_SEED_CASES:
         argv, expected = CASES[name]
         proc = subprocess.run(

@@ -259,3 +259,34 @@ def test_one_module_decides_exactness():
             if isinstance(node, ast.ImportFrom) and path.stem != "formats":
                 parsers += [f"{path.stem} imports it" for a in node.names if a.name == "parse_rational"]
     assert forked == [] and parsers == []
+
+
+def test_only_the_cli_entry_function_ends_the_process():
+    # `os._exit` skips interpreter teardown: it belongs to the one function
+    # the installed command and `python -m ultratree.cli` enter through, and
+    # never to `main`, which library callers and tests run in process
+    callers = [
+        f"{path.stem}.{getattr(statement, 'name', statement.lineno)}"
+        for path in PACKAGE
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        if any(
+            "_exit" in (getattr(node, "attr", None), getattr(node, "name", None))
+            for node in ast.walk(statement)
+            if isinstance(node, (ast.Attribute, ast.alias))  # os._exit, from os import _exit
+        )
+    ]
+    assert callers == ["cli.run"]
+
+    cli = ast.parse(Path(ultratree.cli.__file__).read_text(encoding="utf-8"))
+    main_block = [node for node in cli.body if isinstance(node, ast.If)]
+    assert len(main_block) == 1 and ast.unparse(main_block[0]) == (
+        "if __name__ == '__main__':\n    run()"
+    )
+
+
+def test_installed_command_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"ultratree": "ultratree.cli:run"}
