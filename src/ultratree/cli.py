@@ -13,11 +13,10 @@ stderr and ends the process with ``os._exit``, so the process spends no
 time on interpreter teardown (freeing objects the kernel reclaims anyway).
 A usage error or ``--help`` (argparse's ``SystemExit``) and an exception
 that escapes :func:`main` take the normal exit instead. A flush that fails
-(the reader of a pipe has closed it) is reported as the interpreter reports
-a failed final flush, with its exit code 120: the failed flush may have
-dropped the bytes, and a normal exit would then end with 0. Every file a
-verb writes is closed by its ``with`` block and the ``--jobs`` pool is shut
-down before :func:`main` returns, so nothing is left for the teardown to do.
+(the reader of a pipe has closed it) prints ``error: <reason>`` and exits 1,
+as a write that fails inside a verb does. Every file a verb writes is closed
+by its ``with`` block and the ``--jobs`` pool is shut down before
+:func:`main` returns, so nothing is left for the teardown to do.
 """
 
 from __future__ import annotations
@@ -327,9 +326,9 @@ def run() -> None:  # the entry point; see the module docstring
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the descriptor was closed at start
                 stream.flush()
-    except OSError as exc:  # as the interpreter reports a failed final flush
-        print(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}", file=sys.stderr)
-        code = 120
+    except OSError as exc:  # the output cannot be written, as in main
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
     os._exit(code)
 
 

@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
 Every error carries the witness that triggered it (vertex, edge, triple, ...)
-both in the message and as an attribute, so callers and the CLI can report
-exactly what went wrong.
+as its ``args`` and as the attributes its class's ``fields`` name, and its
+class's ``message`` template is formatted from them when it is printed (a
+class with none keeps ``Exception``'s message). So every error pickles, and
+one raised in a ``--jobs`` worker reaches the parent as itself.
 """
 
 from __future__ import annotations
@@ -10,6 +12,21 @@ from __future__ import annotations
 
 class UltratreeError(Exception):
     """Base class for all library errors."""
+
+    fields: tuple[str, ...] = ()
+    message: str | None = None
+
+    def __init__(self, *args):
+        if self.message is not None and len(args) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self.fields)} values")
+        super().__init__(*args)
+        for name, value in zip(self.fields, args):
+            setattr(self, name, value)
+
+    def __str__(self):
+        if self.message is None:
+            return super().__str__()
+        return self.message.format(**dict(zip(self.fields, self.args)))
 
 
 # --- labeled-tree validation ------------------------------------------------
@@ -19,54 +36,51 @@ class TreeValidationError(UltratreeError):
 
 
 class NotConnected(TreeValidationError):
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"tree is not connected: vertex {vertex!r} is unreachable")
+    fields = ("vertex",)
+    message = "tree is not connected: vertex {vertex!r} is unreachable"
 
 
 class HasCycle(TreeValidationError):
-    def __init__(self, edge):
-        self.edge = tuple(edge)
-        super().__init__(f"graph has a cycle through edge {self.edge!r}")
+    fields = ("edge",)
+    message = "graph has a cycle through edge {edge!r}"
 
 
 class MissingLabel(TreeValidationError):
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"vertex {vertex!r} has no label")
+    fields = ("vertex",)
+    message = "vertex {vertex!r} has no label"
 
 
 class NegativeLabel(TreeValidationError):
-    def __init__(self, vertex, value):
-        self.vertex = vertex
-        self.value = value
-        super().__init__(f"vertex {vertex!r} has negative label {value}")
+    fields = ("vertex", "value")
+    message = "vertex {vertex!r} has negative label {value}"
 
 
 class DuplicateVertex(TreeValidationError):
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"vertex {vertex!r} listed more than once")
+    fields = ("vertex",)
+    message = "vertex {vertex!r} listed more than once"
 
 
 class UnknownVertex(UltratreeError):
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"unknown vertex {vertex!r}")
+    fields = ("vertex",)
+    message = "unknown vertex {vertex!r}"
 
 
 class DegenerateLabeling(UltratreeError):
     """Some edge has both endpoint labels equal to zero."""
 
-    def __init__(self, edge):
-        self.edge = tuple(edge)
-        super().__init__(f"degenerate labeling: both ends of edge {self.edge!r} have label 0")
+    fields = ("edge",)
+    message = "degenerate labeling: both ends of edge {edge!r} have label 0"
 
 
 class NotABall(UltratreeError):
+    fields = ("subset",)
+    message = "vertex set {subset!r} is not an open ball of the tree's space"
+
     def __init__(self, subset):
-        self.subset = frozenset(subset)
-        super().__init__(f"vertex set {sorted(self.subset)!r} is not an open ball of the tree's space")
+        super().__init__(frozenset(subset))
+
+    def __str__(self):
+        return self.message.format(subset=sorted(self.subset))
 
 
 # --- exact distance-matrix validation ---------------------------------------
@@ -76,62 +90,55 @@ class MetricValidationError(UltratreeError):
 
 
 class NotSymmetric(MetricValidationError):
-    def __init__(self, pair):
-        self.pair = tuple(pair)
-        super().__init__(f"matrix is not symmetric at pair {self.pair!r}")
+    fields = ("pair",)
+    message = "matrix is not symmetric at pair {pair!r}"
 
 
 class DuplicatePoint(MetricValidationError):
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"point {point!r} listed more than once")
+    fields = ("point",)
+    message = "point {point!r} listed more than once"
 
 
 class NonzeroDiagonal(MetricValidationError):
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"diagonal entry for point {point!r} is not zero")
+    fields = ("point",)
+    message = "diagonal entry for point {point!r} is not zero"
 
 
 class NonpositiveOffDiagonal(MetricValidationError):
-    def __init__(self, pair):
-        self.pair = tuple(pair)
-        super().__init__(f"off-diagonal entry for pair {self.pair!r} is not positive")
+    fields = ("pair",)
+    message = "off-diagonal entry for pair {pair!r} is not positive"
 
 
 class StrongTriangleViolation(MetricValidationError):
-    def __init__(self, triple):
-        self.triple = tuple(triple)
-        x, y, z = self.triple
-        super().__init__(
-            f"strong triangle inequality fails on triple ({x!r}, {y!r}, {z!r})"
-        )
+    fields = ("triple",)
+    message = "strong triangle inequality fails on triple {triple!r}"
 
 
 class UnknownPoint(UltratreeError):
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"unknown point {point!r}")
+    fields = ("point",)
+    message = "unknown point {point!r}"
 
 
 class EmptySubset(UltratreeError):
-    def __init__(self):
-        super().__init__("subset must be non-empty")
+    message = "subset must be non-empty"
 
 
 class NonpositiveRadius(UltratreeError):
+    fields = ("radius", "kind")
+
     def __init__(self, radius, kind="open"):
-        self.radius = radius
-        self.kind = kind
-        what = "positive" if kind == "open" else "non-negative"
-        super().__init__(f"{kind} ball radius must be {what}, got {radius}")
+        super().__init__(radius, kind)
+
+    def __str__(self):
+        what = "positive" if self.kind == "open" else "non-negative"
+        return f"{self.kind} ball radius must be {what}, got {self.radius}"
 
 
 class NotCompleteMultipartite(UltratreeError):
     """The input graph cannot come from a valid ultrametric space."""
 
-    def __init__(self, detail):
-        super().__init__(f"graph is not complete multipartite: {detail}")
+    fields = ("detail",)
+    message = "graph is not complete multipartite: {detail}"
 
 
 class TooSmall(UltratreeError):
@@ -141,21 +148,18 @@ class TooSmall(UltratreeError):
 # --- p-adic -------------------------------------------------------------------
 
 class NotPrime(UltratreeError):
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"{value} is not a prime number")
+    fields = ("value",)
+    message = "{value} is not a prime number"
 
 
 class DuplicateValue(UltratreeError):
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"sample value {value} appears more than once")
+    fields = ("value",)
+    message = "sample value {value} appears more than once"
 
 
 class NegativeInput(UltratreeError):
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"input must be non-negative, got {value}")
+    fields = ("value",)
+    message = "input must be non-negative, got {value}"
 
 
 # --- enumeration / campaigns ---------------------------------------------------
@@ -163,17 +167,13 @@ class NegativeInput(UltratreeError):
 class TooLarge(UltratreeError):
     """A capacity fence was hit; the operation refuses rather than degrade."""
 
-    def __init__(self, what, n, fence):
-        self.what = what
-        self.n = n
-        self.fence = fence
-        super().__init__(f"{what}: n={n} exceeds the capacity fence {fence}")
+    fields = ("what", "n", "fence")
+    message = "{what}: n={n} exceeds the capacity fence {fence}"
 
 
 class FewerThanTwoBlocks(UltratreeError):
-    def __init__(self, k):
-        self.k = k
-        super().__init__(f"partition must have at least 2 blocks, got {k}")
+    fields = ("k",)
+    message = "partition must have at least 2 blocks, got {k}"
 
 
 class EmptyPool(UltratreeError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import reduce
-from itertools import product, tee
+from itertools import chain, islice, product
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -312,22 +312,25 @@ def _witness(label: str, space: FiniteUltrametricSpace, note: str = "") -> dict:
     return {"label": label, "matrix_csv": matrix_csv_string(space), "note": note}
 
 
-def _parallel_map(fn: Callable, items: Iterable, jobs: int) -> Iterable:
-    """Order-preserving map; with jobs > 1 the work is sharded across
-    processes but the fold order (hence every output byte) is unchanged.
-    In one process the items are mapped lazily, as they are yielded. A
-    pool forks all its workers up front, so it gets no more of them than
-    there are CPUs or items, and the items are listed to count them."""
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        items = list(items)
-        workers = min(workers, len(items))
-    if workers <= 1:
-        return map(fn, items)
-    from concurrent.futures import ProcessPoolExecutor
+_POOL_CHUNK = 64  # items a worker takes at a time; the feeder waits while its pipe is full
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
+
+def _parallel_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+    """Order-preserving map that takes each item only when it needs it: in
+    this thread as the fold asks, or with jobs > 1 in the pool's feeder
+    thread as the workers ask, the results still in item order (hence every
+    output byte unchanged). The first items are taken here, before a pool
+    starts, so an error the stream raises at once is raised here; a pool,
+    which forks its workers up front, gets no more than CPUs or items."""
+    items = iter(items)
+    head = list(islice(items, min(jobs, os.cpu_count() or 1)))
+    if len(head) <= 1:
+        yield from map(fn, chain(head, items))
+        return
+    from multiprocessing import Pool
+
+    with Pool(len(head)) as pool:
+        yield from pool.imap(fn, chain(head, items), _POOL_CHUNK)
 
 
 def _center_size(full: int) -> int:
@@ -475,20 +478,18 @@ def check_closed_balls(
     The verdict is reported twice: for open balls, the established half,
     and for closed balls, as search evidence, not asserted.
     """
-    instances: Iterable[tuple]  # (tag, space); label(tag) names a failure
+    instances: Iterable[tuple]  # (tag, space), built as the loop takes each
     if source == "enumerated":
         if n is None:
             raise ValueError("source='enumerated' needs n")
         table = _Subtrees()
-        # each class is checked as the walk yields it; its label and its
-        # Dendrogram are built only for a failure
         instances = (
             ((pos, root), table.space(root))
             for pos, root in enumerate(_enumerate_ids(n, table))
             if table.leafy[root]
         )
 
-        def label(tag: tuple[int, int]) -> str:
+        def label(tag: tuple[int, int]) -> str:  # built only for a failure
             return f"class-{tag[0]}:{table.dendrogram(tag[1]).key()}"
 
     elif source == "random-trees":
@@ -497,11 +498,12 @@ def check_closed_balls(
         from .tree import distance_matrix, random_labeled_tree
 
         rng = random.Random(seed)
-        instances = []
-        for i in range(count):
-            size = rng.randint(n_min, n_max)
-            tree = random_labeled_tree(size, pool, seed=rng.randrange(2**32))
-            instances.append((f"tree-{i}(n={size})", distance_matrix(tree)))
+        sizes = (rng.randint(n_min, n_max) for _ in range(count))
+        instances = (  # each tree's size is drawn before its seed
+            (f"tree-{i}(n={size})", distance_matrix(
+                random_labeled_tree(size, pool, seed=rng.randrange(2**32))))
+            for i, size in enumerate(sizes)
+        )
         label = str  # the tag is the label
     else:
         raise ValueError("source must be 'enumerated' or 'random-trees'")
@@ -675,29 +677,27 @@ def check_theorem_suite(
     )
 
 
-def _suite_row(item: tuple[list[int], bool]) -> Optional[str]:
-    """The name of the first check the class fails, or None; the class is
-    its merge-order levels and whether a labeled tree generates it."""
-    levels, realizable = item
+def _suite_row(item: tuple[int, list[int], bool]) -> tuple[int, Optional[str]]:
+    """The root id and the first check the class fails, or None; the class
+    is its root id, merge-order levels and whether a labeled tree generates it."""
+    root, levels, realizable = item
     results = check_theorem_suite(_space_of_merge_order(levels), is_ut_hint=realizable).results
-    return next((name for name, res in results.items() if res["verdict"] == "FAIL"), None)
+    return root, next((name for name, res in results.items() if res["verdict"] == "FAIL"), None)
 
 
 def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
     """Run the theorem suite over every class of cardinality n.
 
-    Each class goes to the suite as the levels of its merge order, read
-    off the enumerator's table (see :class:`_Subtrees`); only the first
-    failing class, the witness, is built as a ``Dendrogram``.
+    Each class goes to the suite as the walk yields it, as the levels of its
+    merge order read off the enumerator's table (see :class:`_Subtrees`),
+    with its root id to name a failure; only the first failing class, the
+    witness, is built as a ``Dendrogram``.
     """
     table = _Subtrees()
-    # the roots once more, to name a failure: in one process the map takes
-    # the next class only when the fold does, so the tee holds one root
-    walked, roots = tee(_enumerate_ids(n, table))
-    rows = _parallel_map(_suite_row, ((table.levels(r), table.leafy[r]) for r in walked), jobs)
+    classes = ((r, table.levels(r), table.leafy[r]) for r in _enumerate_ids(n, table))
     instances = 0
     failures = []
-    for root, fail in zip(roots, rows):
+    for root, fail in _parallel_map(_suite_row, classes, jobs):
         instances += 1
         if fail:
             failures.append((root, fail))

@@ -480,13 +480,13 @@ class TestImports:
         # con3 folds in one process whatever --jobs says
         loaded = loaded_modules(["enumerate", "--n", "6", "--check", "con3", "--jobs", "2"])
         assert "ultratree.explorer" in loaded
-        assert "concurrent.futures" not in loaded
+        assert "multiprocessing" not in loaded
 
     def test_hol_starts_no_pool(self):
         # hol streams the classes in one process whatever --jobs says
         loaded = loaded_modules(["enumerate", "--n", "6", "--check", "hol", "--jobs", "2"])
         assert "ultratree.explorer" in loaded
-        assert "concurrent.futures" not in loaded
+        assert "multiprocessing" not in loaded
 
     # Between them these verbs load every module that defines a record.
     # ``dataclasses`` (with ``inspect``, ``ast`` and ``tokenize`` behind it)

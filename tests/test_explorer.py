@@ -1,9 +1,15 @@
+import functools
 import gc
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +35,7 @@ from ultratree import (
     validate_ultrametric,
     weak_similarity,
 )
+from ultratree.capacity import require_within
 from ultratree.errors import EmptyPool, FewerThanTwoBlocks, TooLarge, TooSmall
 from ultratree.formats import matrix_csv_string, tree_json_string
 from ultratree.explorer import (
@@ -255,7 +262,7 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_dendrograms(n)) == expected
 
     @pytest.mark.skipif(
-        not __import__("os").environ.get("ULTRATREE_SLOW_TESTS"),
+        not os.environ.get("ULTRATREE_SLOW_TESTS"),
         reason="minutes-long oracle; set ULTRATREE_SLOW_TESTS=1 to run",
     )
     def test_counts_against_oracle_n5(self):
@@ -475,7 +482,7 @@ class TestCon3Campaign:
         # is the witness's, one node per distinct subtree, and the one
         # walk is its realization, read off the table by its root id; no
         # pool is started
-        import concurrent.futures
+        import multiprocessing
 
         built = []
         walks = []
@@ -496,7 +503,7 @@ class TestCon3Campaign:
 
         monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
         monkeypatch.setattr(explorer, "_merge_order", counting_merge_order)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         report = check_con3(7)
         assert report.instances == 468
         witness = built[-1]
@@ -521,15 +528,15 @@ class TestCon3Campaign:
     def test_pool_size_is_bounded(self, monkeypatch, jobs, cpus, items, workers):
         # a stand-in pool that records its size and maps in process, so no
         # worker is ever started whatever size is asked for
-        import concurrent.futures
+        import multiprocessing
 
         from ultratree import explorer
 
         started = []
 
         class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            def __init__(self, processes):
+                started.append(processes)
 
             def __enter__(self):
                 return self
@@ -537,15 +544,65 @@ class TestCon3Campaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
-                assert chunksize == max(1, len(items) // (started[-1] * 4))
+            def imap(self, fn, items, chunksize):
+                assert chunksize == explorer._POOL_CHUNK
                 return map(fn, items)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
         mapped = explorer._parallel_map(abs, range(-items, 0), jobs)
         assert list(mapped) == list(range(items, 0, -1))
         assert started == ([] if workers is None else [workers])
+
+    def test_worker_error_is_raised_in_the_parent(self, monkeypatch):
+        # the error a worker raises crosses the pool as itself, fields and
+        # all; one the parent cannot rebuild would hang the pool, so an
+        # alarm ends the wait
+        def hung(signum, frame):
+            raise AssertionError("the pool hung on the worker's error")
+
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        fenced = functools.partial(require_within, "test items", default=5)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(TooLarge) as err:
+                list(explorer._parallel_map(fenced, range(10), 2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (err.value.what, err.value.n, err.value.fence) == ("test items", 6, 5)
+        assert str(err.value) == "test items: n=6 exceeds the capacity fence 5"
+
+    def test_pool_takes_the_items_as_it_maps_them(self, monkeypatch):
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        total = 1_000_000
+        pulled = []
+
+        def items():
+            for item in range(total):
+                pulled.append(item)
+                yield item
+
+        mapped = explorer._parallel_map(abs, items(), 2)
+        try:
+            assert next(mapped) == 0
+            assert 2 <= len(pulled) < total
+        finally:
+            mapped.close()  # ends the pool and its workers
+
+    def test_stream_error_is_raised_before_any_worker_starts(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the fence was sent to a pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        with pytest.raises(TooLarge):
+            next(explorer._parallel_map(abs, _enumerate_ids(11, _Subtrees()), 2))
+        with pytest.raises(TooLarge):
+            check_suite_enumerated(11, jobs=2)
 
     def test_one_process_maps_each_item_as_it_is_yielded(self):
         yielded = []
@@ -558,6 +615,49 @@ class TestCon3Campaign:
         mapped = explorer._parallel_map(lambda item: (item, len(yielded)), items(), 1)
         assert yielded == []
         assert list(mapped) == [(0, 1), (1, 2), (2, 3)]
+
+
+# A child's ru_maxrss starts from the peak of the process it was forked
+# from, so each CLI run is started by a small interpreter, not by pytest.
+# It prints the CLI's exit code and peak RSS in KiB: the larger of the
+# CLI's own and that of any worker process the CLI has waited for.
+RSS_STARTER = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_kib(argv: list) -> int:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    cli = [sys.executable, "-B", "-m", "ultratree.cli", *argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_STARTER, *cli], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=900,
+    )
+    code, rss = map(int, proc.stdout.split())
+    assert code == 0
+    return rss
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ULTRATREE_SLOW_TESTS"),
+    reason="minutes-long campaigns; set ULTRATREE_SLOW_TESTS=1 to run",
+)
+class TestSuiteMemory:
+    """The suite streams its 165 874 classes at n = 10, in one process or
+    through the pool: it peaks within 10 MB of ``con3``, which folds the
+    same walk in one process. Listing the classes for the pool, as the
+    suite once did, peaked about 40 MB above it."""
+
+    @pytest.fixture(scope="class")
+    def con3_kib(self):
+        return peak_rss_kib(["enumerate", "--n", "10", "--check", "con3"])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_suite_peaks_near_con3(self, con3_kib, jobs):
+        suite_kib = peak_rss_kib(["enumerate", "--n", "10", "--check", "suite", "--jobs", jobs])
+        assert suite_kib <= con3_kib + 10 * 1024
 
 
 class TestHolCampaign:
