@@ -10,8 +10,7 @@ matrix validation and the canonical dendrogram (``hierarchy``) and from
 the rank-row analyses, balls and spheres among them (``rankrows``).
 ``is_ut``, which decides whether a space is generated by a labeled tree,
 belongs to the tree layer (``tree``). The campaigns (``explorer``) load
-``tree`` only for random trees, and the file formats only to write a
-witness.
+the file formats only to write a witness.
 """
 
 from importlib import import_module

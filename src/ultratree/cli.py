@@ -268,7 +268,7 @@ def _run(args: argparse.Namespace) -> int:
         elif args.check == "hol":
             report = explorer.check_hol(args.n)
         elif args.check == "closed-balls":
-            report = explorer.check_closed_balls("enumerated", n=args.n)
+            report = explorer.check_closed_balls(args.n)
         else:
             report = explorer.check_suite_enumerated(args.n, jobs=args.jobs)
         _emit(_report_json(report), args.output)

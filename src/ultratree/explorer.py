@@ -9,11 +9,11 @@ campaigns for the structural theorems and searches probing the open
 questions (center-size bound, all-subsets-spheres, closed balls).
 
 Whether a space is generated by a labeled tree (``is_ut``) is decided by
-the tree layer, :mod:`ultratree.tree`; the name still resolves here. The
-tree layer, the file formats and the rank-row analyses
+the tree layer, :mod:`ultratree.tree`; the name still resolves here, and
+no campaign loads that layer. The file formats and the rank-row analyses
 (:mod:`ultratree.rankrows`) are imported only where they are used
-(random trees, witness CSVs, the theorem suite and the closed-ball
-families), so a campaign loads none of them unless it needs it.
+(witness CSVs, the theorem suite and the closed-ball families), so a
+campaign loads neither unless it needs it.
 """
 
 from __future__ import annotations
@@ -50,25 +50,24 @@ def _partitions_ge2(counts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
     ``counts[i]`` times); each part is its sorted element sequence. Every
     partition is listed once, as its non-increasing part sequence.
     """
+    return list(_partitions_below(counts, None, []))
 
-    def rec(remaining: tuple[int, ...], bound, acc: list) -> Iterator[tuple]:
-        if not any(remaining):
-            yield tuple(acc)
-            return
-        for part in product(*[range(r + 1) for r in remaining]):
-            if sum(part) < 2:
-                continue
-            elements = tuple(i for i, t in enumerate(part) for _ in range(t))
-            if bound is not None and elements > bound:
-                continue
-            acc.append(elements)
-            yield from rec(tuple(r - t for r, t in zip(remaining, part)), elements, acc)
-            acc.pop()
 
-    try:
-        return list(rec(counts, None, []))
-    finally:
-        del rec  # it calls itself through its closure cell: a reference cycle
+def _partitions_below(remaining: tuple[int, ...], bound, acc: list) -> Iterator[tuple]:
+    """The partitions of ``remaining`` into parts no greater than ``bound``
+    (None: any), each yielded after the parts ``acc`` holds."""
+    if not any(remaining):
+        yield tuple(acc)
+        return
+    for part in product(*[range(r + 1) for r in remaining]):
+        if sum(part) < 2:
+            continue
+        elements = tuple(i for i, t in enumerate(part) for _ in range(t))
+        if bound is not None and elements > bound:
+            continue
+        acc.append(elements)
+        yield from _partitions_below(tuple(r - t for r, t in zip(remaining, part)), elements, acc)
+        acc.pop()
 
 
 def _merge_steps(counts: tuple[int, ...], leaf_last: bool, partitions: dict) -> list[tuple]:
@@ -272,7 +271,7 @@ class CampaignReport:
     def __init__(
         self,
         check: str,
-        n: Optional[int],
+        n: int,
         instances: int,
         verdict: str,
         results: Optional[dict] = None,
@@ -457,63 +456,27 @@ def _ball_family(space: FiniteUltrametricSpace) -> set[frozenset[int]]:
     return set(_ball_sets(space))
 
 
-def check_closed_balls(
-    source: str,
-    *,
-    n: Optional[int] = None,
-    count: int = 100,
-    n_min: int = 2,
-    n_max: int = 12,
-    pool: Sequence = (0, 1, 2, 3),
-    seed: int = 0,
-) -> CampaignReport:
+def check_closed_balls(n: int) -> CampaignReport:
     """Verify on tree-generated spaces that closed balls are centered spheres.
 
-    ``source`` is "enumerated" (all classes of cardinality ``n`` that are
-    realizable by a labeled tree) or "random-trees" (``count`` random
-    non-degenerate labeled trees with sizes in [n_min, n_max], seeded).
-    On a finite space the closed balls are the open balls (the closed ball
-    of radius ``values[c - 1]`` is the open ball of radius ``values[c]``),
-    so each space's one ball family is checked against its spheres once.
-    The verdict is reported twice: for open balls, the established half,
-    and for closed balls, as search evidence, not asserted.
+    The spaces are the n-point classes that a labeled tree realizes, each
+    checked as the walk yields it. On a finite space the closed balls are
+    the open balls (the closed ball of radius ``values[c - 1]`` is the
+    open ball of radius ``values[c]``), so each space's one ball family is
+    checked against its spheres once. The verdict is reported twice: for
+    open balls, the established half, and for closed balls, as search
+    evidence, not asserted.
     """
-    instances: Iterable[tuple]  # (tag, space), built as the loop takes each
-    if source == "enumerated":
-        if n is None:
-            raise ValueError("source='enumerated' needs n")
-        table = _Subtrees()
-        instances = (
-            ((pos, root), table.space(root))
-            for pos, root in enumerate(_enumerate_ids(n, table))
-            if table.leafy[root]
-        )
-
-        def label(tag: tuple[int, int]) -> str:  # built only for a failure
-            return f"class-{tag[0]}:{table.dendrogram(tag[1]).key()}"
-
-    elif source == "random-trees":
-        import random
-
-        from .tree import distance_matrix, random_labeled_tree
-
-        rng = random.Random(seed)
-        sizes = (rng.randint(n_min, n_max) for _ in range(count))
-        instances = (  # each tree's size is drawn before its seed
-            (f"tree-{i}(n={size})", distance_matrix(
-                random_labeled_tree(size, pool, seed=rng.randrange(2**32))))
-            for i, size in enumerate(sizes)
-        )
-        label = str  # the tag is the label
-    else:
-        raise ValueError("source must be 'enumerated' or 'random-trees'")
-
+    table = _Subtrees()
     checked = 0
     failed = []
-    for tag, space in instances:
+    for pos, root in enumerate(_enumerate_ids(n, table)):
+        if not table.leafy[root]:
+            continue
         checked += 1
+        space = table.space(root)
         if not _ball_family(space) <= _sphere_family(space):
-            failed.append((label(tag), space))
+            failed.append((f"class-{pos}:{table.dendrogram(root).key()}", space))
     return CampaignReport(
         check="closed-balls",
         n=n,

@@ -60,8 +60,13 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational_list(text: str) -> list[Fraction]:
-    """Parse a comma-separated list of rationals, e.g. "0,1,5/2"."""
-    items = [part for part in text.split(",") if part.strip() != ""]
-    if not items:
+    """Parse a comma-separated list of rationals, e.g. "0,1,5/2". A blank
+    item is refused by its 1-based position; text of blank items alone is
+    an empty list, refused as such."""
+    items = text.split(",")
+    blank = [i for i, part in enumerate(items, 1) if not part.strip()]
+    if len(blank) == len(items):
         raise FormatError(f"empty rational list: {text!r}")
+    if blank:
+        raise FormatError(f"empty item {blank[0]} in rational list: {text!r}")
     return [parse_rational(part) for part in items]

@@ -9,7 +9,6 @@ import pytest
 from ultratree import (
     FiniteUltrametricSpace,
     ball,
-    check_closed_balls,
     dp_metric,
     dplus,
     padic_distance,
@@ -33,9 +32,6 @@ ENTRIES = {
         ["a", "b"], [[0, x], [x, 0]]
     ),
     "random_labeled_tree pool": lambda x: random_labeled_tree(4, [1, x], seed=1),
-    "check_closed_balls pool": lambda x: check_closed_balls(
-        "random-trees", count=3, n_min=2, n_max=4, pool=[x]
-    ).to_json_dict(),
     "sample_space value": lambda x: sample_space([0, 1, x], dplus),
     "padic_valuation value": lambda x: padic_valuation(x, 3),
     "padic_valuation prime": lambda x: padic_valuation(12, x),

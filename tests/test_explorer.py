@@ -726,22 +726,11 @@ class TestHolCampaign:
 
 class TestClosedBallCampaign:
     def test_enumerated_small(self):
-        report = check_closed_balls("enumerated", n=4)
+        report = check_closed_balls(4)
         assert report.verdict == "CONSISTENT"
         assert report.results["open-balls-are-spheres"]["verdict"] == "PASS"
         # only the tree-realizable classes take part
         assert report.instances == 4
-
-    def test_random_trees(self):
-        report = check_closed_balls(
-            "random-trees", count=25, n_min=2, n_max=9, seed=5
-        )
-        assert report.instances == 25
-        assert report.verdict == "CONSISTENT"
-
-    def test_unknown_source(self):
-        with pytest.raises(ValueError):
-            check_closed_balls("???")
 
     def test_sweeps_each_space_once(self, monkeypatch):
         # the closed balls are the open balls: one index-set sweep per
@@ -762,7 +751,7 @@ class TestClosedBallCampaign:
         monkeypatch.setattr(rankrows, "_ball_sets", counting_ball_sets)
         for name in ("enumerate_balls", "enumerate_centered_spheres"):
             monkeypatch.setattr(rankrows, name, refused)
-        report = check_closed_balls("enumerated", n=6)
+        report = check_closed_balls(6)
         assert report.instances == 28
         assert len(calls) == 28
         assert report.verdict == "CONSISTENT"
@@ -795,7 +784,7 @@ class TestClosedBallCampaign:
                 yield root
 
         monkeypatch.setattr(explorer, "_enumerate_ids", watched_walk)
-        report = check_closed_balls("enumerated", n=n)
+        report = check_closed_balls(n)
         assert report.verdict == "CONSISTENT"
         assert report.instances == len(checked) == len(realizable)
 
@@ -812,7 +801,7 @@ class TestClosedBallCampaign:
             return real_sphere_family(space)
 
         monkeypatch.setattr(explorer, "_sphere_family", sphere_family_missing_one)
-        report = check_closed_balls("enumerated", n=4)
+        report = check_closed_balls(4)
         assert report.verdict == "FAIL"
         assert report.results["open-balls-are-spheres"] == {"verdict": "FAIL", "failures": 1}
         assert report.results["closed-balls-are-spheres"] == {
@@ -999,7 +988,7 @@ class TestWitnessesFromTheTable:
         "con3": (lambda: check_con3(6), 6),
         "hol": (lambda: check_hol(3), 3),
         "suite": (lambda: check_suite_enumerated(4), 4),
-        "closed-balls": (lambda: check_closed_balls("enumerated", n=4), 4),
+        "closed-balls": (lambda: check_closed_balls(4), 4),
     }
 
     @pytest.mark.parametrize("name", list(CAMPAIGNS))

@@ -3,7 +3,9 @@
 Neither verb builds the n x n matrix of a tree: the center comes from the
 runs of the merge order, the diametrical parts from its top gaps, and
 the edge list is written row by row. The matrix path (the same verbs on
-the tree's `distances` CSV) is the oracle, byte for byte.
+the tree's `distances` CSV) is the oracle, byte for byte; it also pins
+`spheres`, with and without `--subsets`, and `check`, which the CSV
+takes with `--ut`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ from ultratree.cli import main
 from ultratree.errors import DegenerateLabeling
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-VERBS = (["center"], ["diametrical"], ["diametrical", "--dot", "{dot}"])
+# the verbs that read a tree JSON's merge order and build no matrix
+MERGE_ORDER_VERBS = (["center"], ["diametrical"], ["diametrical", "--dot", "{dot}"])
+# every verb whose bytes on a tree JSON are those on its matrix CSV
+VERBS = (*MERGE_ORDER_VERBS, ["spheres"], ["spheres", "--subsets"], ["check"])
+# what a verb adds on the matrix CSV: a tree JSON is tree-generated by its form
+CSV_FLAGS = {"check": ["--ut"]}
 # the benchmark's tree-scale pool: 1..15, and the top label 16 four times
 TREE_POOL = [*range(1, 16), 16, 16, 16, 16]
 
@@ -71,8 +78,9 @@ def run(argv, workdir: Path):
 
 
 def assert_tree_matches_matrix(t: tree.LabeledTree, workdir: Path) -> None:
-    """Each verb gives the same bytes on the tree JSON and on its matrix CSV;
-    a degenerate labeling exits 1 naming the edge, for both verbs."""
+    """Each verb gives the same bytes on the tree JSON and on its matrix CSV
+    (``check`` on the CSV with ``--ut``); a degenerate labeling exits 1
+    naming the edge, for every verb."""
     json_path = workdir / "t.json"
     json_path.write_text(formats.tree_json_string(t), encoding="utf-8")
     bad = tree.degenerate_edge(t)
@@ -84,7 +92,7 @@ def assert_tree_matches_matrix(t: tree.LabeledTree, workdir: Path) -> None:
     csv_path = workdir / "t.csv"
     csv_path.write_text(formats.matrix_csv_string(distance_matrix(t)), encoding="utf-8")
     for verb, *rest in VERBS:
-        expected = run([verb, str(csv_path), *rest], workdir)
+        expected = run([verb, str(csv_path), *rest, *CSV_FLAGS.get(verb, [])], workdir)
         assert expected[0] == 0
         assert run([verb, str(json_path), *rest], workdir) == expected
 
@@ -173,7 +181,7 @@ class TestNoMatrix:
         t = random_labeled_tree(30, TREE_POOL, seed=3)
         path = tmp_path / "t.json"
         path.write_text(formats.tree_json_string(t), encoding="utf-8")
-        for verb, *rest in VERBS:
+        for verb, *rest in MERGE_ORDER_VERBS:
             assert run([verb, str(path), *rest], tmp_path)[0] == 0
         assert calls == []
         # the counters see the matrix where one is built
