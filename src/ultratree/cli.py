@@ -125,79 +125,102 @@ def _report_json(report) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_OUTPUT = _arg("-o", "--output")
+
+# verb -> (help, arguments), in the order the usage lists the verbs
+_VERBS = {
+    "validate": ("validate a tree JSON file", [_arg("tree")]),
+    "distances": ("distance matrix of a tree, as CSV", [_arg("tree"), _OUTPUT]),
+    "canonical": ("rewrite labels to realized distances", [_arg("tree"), _OUTPUT]),
+    "center": ("center of distances of a tree or matrix", [_arg("input")]),
+    "diametrical": (
+        "diametrical graph, parts, star",
+        [_arg("input"), _arg("--dot", help="write a DOT rendering to this path")],
+    ),
+    "spheres": (
+        "enumerate centered spheres",
+        [
+            _arg("input"),
+            _arg(
+                "--subsets",
+                action="store_true",
+                help="also decide whether every non-empty subset is a centered sphere",
+            ),
+        ],
+    ),
+    "check": (
+        "run the theorem suite on one space",
+        [
+            _arg("input"),
+            _arg(
+                "--ut",
+                action="store_true",
+                help="treat a matrix input as tree-generated (tree inputs always are)",
+            ),
+        ],
+    ),
+    "enumerate": (
+        "run a campaign over all n-point classes",
+        [
+            _arg("--n", type=_integer, required=True),
+            _arg("--check", required=True, choices=("con3", "hol", "closed-balls", "suite")),
+            _OUTPUT,
+            _arg(
+                "--jobs",
+                type=_integer,
+                default=1,
+                help="worker processes for suite (at most the CPU count); "
+                "con3, hol and closed-balls always run in one process",
+            ),
+        ],
+    ),
+    "padic": (
+        "p-adic distance matrix of a rational sample",
+        [
+            _arg("--p", type=_integer, required=True),
+            _arg("--sample", required=True, help='comma list, e.g. "0,1,2,3"'),
+            _OUTPUT,
+        ],
+    ),
+    "dplus": ("distinct-max distance matrix of a sample", [_arg("--sample", required=True)]),
+    "is-ut": ("realizing labeled tree, or none", [_arg("matrix")]),
+    "random-tree": (
+        "seeded random labeled tree, as JSON",
+        [
+            _arg("--n", type=_integer, required=True),
+            _arg("--seed", type=_integer, required=True),
+            _arg("--pool", required=True, help='comma list of labels, e.g. "0,1,2,3"'),
+        ],
+    ),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of the one ``verb`` names only.
+
+    Building a subparser costs time at every start-up, so :func:`main`
+    builds only the one it runs. That parser's usage still lists every
+    verb, so each usage, help and error it prints is the same text as the
+    full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="ultratree",
         description="Exact analysis of finite ultrametric spaces generated by labeled trees.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="validate a tree JSON file")
-    p.add_argument("tree")
-
-    p = sub.add_parser("distances", help="distance matrix of a tree, as CSV")
-    p.add_argument("tree")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("canonical", help="rewrite labels to realized distances")
-    p.add_argument("tree")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("center", help="center of distances of a tree or matrix")
-    p.add_argument("input")
-
-    p = sub.add_parser("diametrical", help="diametrical graph, parts, star")
-    p.add_argument("input")
-    p.add_argument("--dot", help="write a DOT rendering to this path")
-
-    p = sub.add_parser("spheres", help="enumerate centered spheres")
-    p.add_argument("input")
-    p.add_argument(
-        "--subsets",
-        action="store_true",
-        help="also decide whether every non-empty subset is a centered sphere",
-    )
-
-    p = sub.add_parser("check", help="run the theorem suite on one space")
-    p.add_argument("input")
-    p.add_argument(
-        "--ut",
-        action="store_true",
-        help="treat a matrix input as tree-generated (tree inputs always are)",
-    )
-
-    p = sub.add_parser("enumerate", help="run a campaign over all n-point classes")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=("con3", "hol", "closed-balls", "suite"),
-    )
-    p.add_argument("-o", "--output")
-    p.add_argument(
-        "--jobs",
-        type=_integer,
-        default=1,
-        help="worker processes for suite (at most the CPU count); "
-        "con3, hol and closed-balls always run in one process",
-    )
-
-    p = sub.add_parser("padic", help="p-adic distance matrix of a rational sample")
-    p.add_argument("--p", type=_integer, required=True)
-    p.add_argument("--sample", required=True, help='comma list, e.g. "0,1,2,3"')
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("dplus", help="distinct-max distance matrix of a sample")
-    p.add_argument("--sample", required=True)
-
-    p = sub.add_parser("is-ut", help="realizing labeled tree, or none")
-    p.add_argument("matrix")
-
-    p = sub.add_parser("random-tree", help="seeded random labeled tree, as JSON")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--seed", type=_integer, required=True)
-    p.add_argument("--pool", required=True, help='comma list of labels, e.g. "0,1,2,3"')
-
+    if verb in _VERBS:
+        names, metavar = [verb], "{%s}" % ",".join(_VERBS)
+    else:
+        names, metavar = list(_VERBS), None
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in names:
+        help_text, arguments = _VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -304,12 +327,13 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # these errors print the usage of the parser with every verb
     if args.verb == "enumerate" and args.jobs < 1:
-        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        build_parser().error(f"argument --jobs: must be at least 1, got {args.jobs}")
     if args.verb in ("enumerate", "random-tree") and args.n < 1:
-        parser.error(f"argument --n: must be at least 1, got {args.n}")
+        build_parser().error(f"argument --n: must be at least 1, got {args.n}")
     try:
         return _run(args)
     except TooLarge as exc:

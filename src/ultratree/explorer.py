@@ -12,23 +12,27 @@ Whether a space is generated by a labeled tree (``is_ut``) is decided by
 the tree layer, :mod:`ultratree.tree`; the name still resolves here, and
 no campaign loads that layer. The file formats and the rank-row analyses
 (:mod:`ultratree.rankrows`) are imported only where they are used
-(witness CSVs, the theorem suite and the closed-ball families), so a
-campaign loads neither unless it needs it.
+(witness CSVs, the theorem suite and the closed-ball families), and so is
+the canonical dendrogram (:mod:`ultratree.hierarchy`): a witness's label
+is read off the enumerator's table, and ``hol`` loads it only to compare
+a satisfying class with its reference. So a campaign loads none of the
+three unless it needs it.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import reduce
+from functools import partial
 from itertools import chain, islice, product
-from operator import and_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .capacity import ENUMERATION_FENCE, require_within
+from .capacity import ENUMERATION_FENCE, FOLD_FENCE, require_within
 from .errors import FewerThanTwoBlocks, NotCompleteMultipartite, TooSmall
-from .hierarchy import Dendrogram, _merge_order, weak_similarity
-from .metric import ZERO, FiniteUltrametricSpace
+from .metric import ZERO, FiniteUltrametricSpace, _merge_order
+
+if TYPE_CHECKING:
+    from .hierarchy import Dendrogram
 
 
 def __getattr__(name: str):
@@ -110,15 +114,22 @@ class _Subtrees:
 
     Id 0 is the leaf. ``nodes[i]`` is (level, child id, ...), children in
     canonical order: the order of the key strings of
-    :meth:`Dendrogram.key` under the enumeration fence, where every level
-    is one digit. In that order a node sorts by level, then by its
-    children's keys, and the leaf after every node. The walk keeps its
-    forests in that order as it builds them and stores no sort key.
+    :meth:`Dendrogram.key` under the enumeration fences, where every
+    child's level is one digit. In that order a node sorts by level, then
+    by its children's keys, and the leaf after every node. The walk keeps
+    its forests in that order as it builds them and stores no sort key.
 
-    Four values fold bottom-up. ``full[i]`` has bit L set when the nodes
-    at level L cover every leaf of the subtree (none for a leaf; a node
-    adds its own level to the AND of its children's), ``leafy[i]`` says
-    every internal node has a leaf child, and ``size[i]`` counts the
+    Only proper subtrees are interned. A class root covers every leaf, so
+    it is no other node's child: the walk hands it to its campaign as its
+    node tuple, ``(0,)`` for the one-point class, and the campaign folds
+    the one value it reads from the root's children. ``key``,
+    ``dendrogram``, ``levels`` and ``space`` take a node tuple too.
+
+    Four values fold bottom-up, each by the ``fold_*`` method of its name,
+    for an interned node and a root alike. ``full[i]`` has bit L set when
+    the nodes at level L cover every leaf of the subtree (none for a leaf;
+    a node adds its own level to the AND of its children's), ``leafy[i]``
+    says every internal node has a leaf child, and ``size[i]`` counts the
     leaves. ``spheres[i]`` counts the distinct centered spheres of the
     subtree as a class: 1 for a leaf; for a node v with m leaf children,
     the children's sum plus size(v) − m, plus 1 if m > 0, because the
@@ -135,28 +146,77 @@ class _Subtrees:
         self.spheres: list = [1]
         self.built: dict = {}  # id -> Dendrogram, for the ids asked for
 
-    def dendrogram(self, nid: int) -> Dendrogram:
-        """The subtree as a ``Dendrogram``; each id is built once."""
+    # plain loops: over two or three children they beat reduce, map and sum
+    def fold_full(self, node: tuple[int, ...]) -> int:
+        if len(node) == 1:
+            return 0  # the leaf
+        full = self.full
+        mask = -1
+        for c in node[1:]:
+            mask &= full[c]
+        return mask | 1 << node[0]
+
+    def fold_leafy(self, node: tuple[int, ...]) -> bool:
+        if 0 not in node[1:]:
+            return len(node) == 1  # the leaf, or a node with no leaf child
+        leafy = self.leafy
+        for c in node[1:]:
+            if not leafy[c]:
+                return False
+        return True
+
+    def fold_size(self, node: tuple[int, ...]) -> int:
+        size = self.size
+        leaves = 0
+        for c in node[1:]:
+            leaves += size[c]
+        return leaves or 1  # a leaf counts itself
+
+    def fold_spheres(self, node: tuple[int, ...]) -> int:
+        spheres = self.spheres
+        count = 0
+        for c in node[1:]:
+            count += spheres[c]
+        m = node[1:].count(0)  # leaf children
+        return count + self.fold_size(node) - m + (m > 0)
+
+    def key(self, node: tuple[int, ...]) -> str:
+        """The subtree's :meth:`Dendrogram.key`, read off the table."""
+        level, *children = node
+        if not children:
+            return "L"
+        return "(%d:%s)" % (level, ",".join(self.key(self.nodes[c]) for c in children))
+
+    def dendrogram(self, node: tuple[int, ...]) -> Dendrogram:
+        """The subtree as a ``Dendrogram``; each interned id is built once."""
+        from .hierarchy import Dendrogram
+
+        level, *children = node
+        return Dendrogram(level, tuple(map(self._subtree, children)))
+
+    def _subtree(self, nid: int) -> Dendrogram:
         dendro = self.built.get(nid)
         if dendro is None:
-            level, *children = self.nodes[nid]
-            dendro = self.built[nid] = Dendrogram(level, tuple(map(self.dendrogram, children)))
+            dendro = self.built[nid] = self.dendrogram(self.nodes[nid])
         return dendro
 
-    def levels(self, nid: int) -> list[int]:
+    def levels(self, node: tuple[int, ...]) -> list[int]:
         """The levels between neighbours in the subtree's merge order (see
-        :func:`~ultratree.hierarchy._merge_order`), read off the table."""
+        :func:`~ultratree.metric._merge_order`), read off the table."""
         nodes = self.nodes
-        return _merge_order(nid, lambda i: (nodes[i][0], nodes[i][1:]))[1]
+        return _merge_order(node, lambda v: (v[0], [*map(nodes.__getitem__, v[1:])]))[1]
 
-    def space(self, nid: int) -> FiniteUltrametricSpace:
+    def space(self, node: tuple[int, ...]) -> FiniteUltrametricSpace:
         """The subtree realized as :func:`dendrogram_to_space` realizes its
         ``Dendrogram``, read off the table without building one."""
-        return _space_of_merge_order(self.levels(nid))
+        return _space_of_merge_order(self.levels(node))
 
 
-def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
-    """Stream the root id of every n-point class exactly once.
+def _enumerate_ids(
+    n: int, table: _Subtrees, fence: int = ENUMERATION_FENCE
+) -> Iterator[tuple[int, ...]]:
+    """Stream the root of every n-point class exactly once, as its node
+    tuple (level, child id, ...); the children are interned in ``table``.
 
     Classes are built bottom-up: starting from n leaves, each step merges
     one or more groups (of at least two current roots) into new nodes at
@@ -168,13 +228,15 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
     forest is the kept nodes in their order, then the new nodes, which
     :func:`_partitions_ge2` lists in non-increasing order, reversed, then
     the kept leaves. The shape alone fixes the merge steps, so
-    :func:`_merge_steps` lists them once per shape.
+    :func:`_merge_steps` lists them once per shape. The step that leaves
+    one root yields it and interns nothing. ``n`` above ``fence`` (as
+    ``ULTRATREE_MAX_N`` may lower it) raises TooLarge.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    require_within("class enumeration", n, ENUMERATION_FENCE)
+    require_within("class enumeration", n, fence)
     if n == 1:
-        yield 0
+        yield (0,)
         return
 
     nodes, full, leafy = table.nodes, table.full, table.leafy
@@ -188,25 +250,22 @@ def _enumerate_ids(n: int, table: _Subtrees) -> Iterator[int]:
         if nid is None:
             nid = ids[node] = len(nodes)
             nodes.append(node)
-            level, *children = node
-            full.append(reduce(and_, map(full.__getitem__, children)) | 1 << level)
-            m = children.count(0)  # leaf children
-            leafy.append(m > 0 and all(map(leafy.__getitem__, children)))
-            leaves = sum(map(size.__getitem__, children))
-            size.append(leaves)
-            spheres.append(sum(map(spheres.__getitem__, children)) + leaves - m + (m > 0))
+            full.append(table.fold_full(node))
+            leafy.append(table.fold_leafy(node))
+            size.append(table.fold_size(node))
+            spheres.append(table.fold_spheres(node))
         return nid
 
-    def step(roots: list[int], shape: tuple, level: int) -> Iterator[int]:
+    def step(roots: list[int], shape: tuple, level: int) -> Iterator[tuple[int, ...]]:
         steps = steps_by_shape.get(shape)
         if steps is None:
             steps = steps_by_shape[shape] = _merge_steps(*shape, partitions)
         root_at = roots.__getitem__
         for kept, parts, new_shape in steps:
-            merged = [intern((level, *map(root_at, part))) for part in parts]
-            if new_shape is None:
-                yield merged[0]
+            if new_shape is None:  # the class root: one part, nothing kept
+                yield (level, *map(root_at, parts[0]))
                 continue
+            merged = [intern((level, *map(root_at, part))) for part in parts]
             # the kept nodes (all below this level), the new nodes in
             # ascending order, then the kept leaves: the canonical order
             forest = [*map(root_at, kept), *reversed(merged)]
@@ -235,7 +294,7 @@ def dendrogram_to_space(dendro: Dendrogram) -> FiniteUltrametricSpace:
     """Realize the dendrogram: leaves x1..xn, distances = ancestor levels.
 
     Leaves are numbered in depth-first order, the merge order of
-    :func:`~ultratree.hierarchy._merge_order`, so the distance of any two
+    :func:`~ultratree.metric._merge_order`, so the distance of any two
     leaves is the largest level between them. The space keeps that order.
     """
     return _space_of_merge_order(_merge_order(dendro)[1])
@@ -329,7 +388,24 @@ def _parallel_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     from multiprocessing import Pool
 
     with Pool(len(head)) as pool:
-        yield from pool.imap(fn, chain(head, items), _POOL_CHUNK)
+        yield from pool.imap(partial(_call_in_worker, fn), chain(head, items), _POOL_CHUNK)
+
+
+def _call_in_worker(fn: Callable, item):
+    """``fn(item)`` in a pool worker. An error that does not survive a
+    pickle round trip would kill the pool's result thread in the parent,
+    and ``imap`` would wait for ever; it is raised as a RuntimeError that
+    names its type and message instead."""
+    try:
+        return fn(item)
+    except Exception as exc:
+        import pickle
+
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise RuntimeError(f"{type(exc).__qualname__}: {exc}") from None
+        raise
 
 
 def _center_size(full: int) -> int:
@@ -343,15 +419,18 @@ def check_con3(n: int) -> CampaignReport:
 
     Reports the maximum |center| over every weak-similarity class of
     cardinality n, the first class attaining it as the witness, and
-    whether the bound 1 + floor(log2 n) holds. The sizes fold over the
-    enumerator's per-subtree masks, so the only class built as a
-    dendrogram is the witness.
+    whether the bound 1 + floor(log2 n) holds. Each size folds from the
+    masks of the root's children in the enumerator's table (the roots are
+    not in it), and the witness is read off the same table: no class is
+    built as a dendrogram.
     """
     table = _Subtrees()
-    instances = max_size = best = 0
-    for root in _enumerate_ids(n, table):
+    fold_full = table.fold_full
+    instances = max_size = 0
+    best = None
+    for root in _enumerate_ids(n, table, FOLD_FENCE):
         instances += 1
-        size = _center_size(table.full[root])
+        size = _center_size(fold_full(root))
         if size > max_size:
             max_size, best = size, root
     bound = 1 + (n.bit_length() - 1)
@@ -371,7 +450,7 @@ def check_con3(n: int) -> CampaignReport:
         },
         witnesses=[
             _witness(
-                table.dendrogram(best).key(),
+                table.key(best),
                 table.space(best),
                 f"center size {max_size} (bound {bound})",
             )
@@ -398,26 +477,31 @@ def check_hol(n: int) -> CampaignReport:
     At n = 3 exactly one such class should exist (the one-short-side
     triple); for n > 3 the expectation is none. Any other outcome is
     reported as a counterexample with a replayable witness. A class's
-    sphere count is a lookup in the enumerator's table (see
-    :class:`_Subtrees`), so only the satisfying classes are realized,
-    from their root ids.
+    sphere count folds from its root's children in the enumerator's table
+    (see :class:`_Subtrees`), so only the satisfying classes are realized,
+    from their root tuples, and the reference is built only for them.
     """
     if n < 3:
         raise TooSmall("the all-subsets-spheres campaign needs n >= 3")
     table = _Subtrees()
+    fold_spheres = table.fold_spheres
     instances = 0
     satisfying = []
-    for root in _enumerate_ids(n, table):
+    for root in _enumerate_ids(n, table, FOLD_FENCE):
         instances += 1
-        if _all_subsets_spheres(n, table.spheres[root]):
+        if _all_subsets_spheres(n, fold_spheres(root)):
             satisfying.append(root)
-    reference = _reference_three_point_space()
-    similar_to_reference = [
-        weak_similarity(table.space(root), reference) is not None for root in satisfying
-    ]
+    similar_to_reference = []
+    if satisfying:
+        from .hierarchy import weak_similarity
+
+        reference = _reference_three_point_space()
+        similar_to_reference = [
+            weak_similarity(table.space(root), reference) is not None for root in satisfying
+        ]
     witnesses = [
         _witness(
-            table.dendrogram(root).key(),
+            table.key(root),
             table.space(root),
             "all subsets are centered spheres"
             + ("; weakly similar to the 3-point reference" if similar else ""),
@@ -460,23 +544,25 @@ def check_closed_balls(n: int) -> CampaignReport:
     """Verify on tree-generated spaces that closed balls are centered spheres.
 
     The spaces are the n-point classes that a labeled tree realizes, each
-    checked as the walk yields it. On a finite space the closed balls are
-    the open balls (the closed ball of radius ``values[c - 1]`` is the
-    open ball of radius ``values[c]``), so each space's one ball family is
-    checked against its spheres once. The verdict is reported twice: for
+    checked as the walk yields it, its realizability folded from its
+    root's children. On a finite space the closed balls are the open
+    balls (the closed ball of radius ``values[c - 1]`` is the open ball
+    of radius ``values[c]``), so each space's one ball family is checked
+    against its spheres once. The verdict is reported twice: for
     open balls, the established half, and for closed balls, as search
     evidence, not asserted.
     """
     table = _Subtrees()
+    fold_leafy = table.fold_leafy
     checked = 0
     failed = []
-    for pos, root in enumerate(_enumerate_ids(n, table)):
-        if not table.leafy[root]:
+    for pos, root in enumerate(_enumerate_ids(n, table, FOLD_FENCE)):
+        if not fold_leafy(root):
             continue
         checked += 1
         space = table.space(root)
         if not _ball_family(space) <= _sphere_family(space):
-            failed.append((f"class-{pos}:{table.dendrogram(root).key()}", space))
+            failed.append((f"class-{pos}:{table.key(root)}", space))
     return CampaignReport(
         check="closed-balls",
         n=n,
@@ -640,9 +726,9 @@ def check_theorem_suite(
     )
 
 
-def _suite_row(item: tuple[int, list[int], bool]) -> tuple[int, Optional[str]]:
-    """The root id and the first check the class fails, or None; the class
-    is its root id, merge-order levels and whether a labeled tree generates it."""
+def _suite_row(item: tuple[tuple, list[int], bool]) -> tuple[tuple, Optional[str]]:
+    """The root and the first check the class fails, or None; the class is
+    its root tuple, merge-order levels and whether a labeled tree generates it."""
     root, levels, realizable = item
     results = check_theorem_suite(_space_of_merge_order(levels), is_ut_hint=realizable).results
     return root, next((name for name, res in results.items() if res["verdict"] == "FAIL"), None)
@@ -653,11 +739,12 @@ def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
 
     Each class goes to the suite as the walk yields it, as the levels of its
     merge order read off the enumerator's table (see :class:`_Subtrees`),
-    with its root id to name a failure; only the first failing class, the
-    witness, is built as a ``Dendrogram``.
+    with its root tuple to name a failure; the first failing class, the
+    witness, is read off the same table, and no class is built as a
+    ``Dendrogram``.
     """
     table = _Subtrees()
-    classes = ((r, table.levels(r), table.leafy[r]) for r in _enumerate_ids(n, table))
+    classes = ((r, table.levels(r), table.fold_leafy(r)) for r in _enumerate_ids(n, table))
     instances = 0
     failures = []
     for root, fail in _parallel_map(_suite_row, classes, jobs):
@@ -665,7 +752,7 @@ def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
         if fail:
             failures.append((root, fail))
     witnesses = [
-        _witness(table.dendrogram(root).key(), table.space(root), f"failed {fail}")
+        _witness(table.key(root), table.space(root), f"failed {fail}")
         for root, fail in failures[:1]
     ]
     return CampaignReport(

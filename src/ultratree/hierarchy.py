@@ -4,19 +4,22 @@ Validation checks a matrix and lists its merge order by Prim's algorithm
 (:func:`_check_strong_triangle`). The diameter splits read off a merge
 order (:func:`_split_table`) give the canonical dendrogram, the form of a
 space up to weak similarity. Every dendrogram's own merge order is one
-depth-first walk (:func:`_merge_order`).
+depth-first walk (:func:`~ultratree.metric._merge_order`).
 
-The matrix readers, the p-adic sampler, ``is_ut``, the campaigns and a
-space with no merge order load this module; the tree verbs that read
-their hierarchy off Kruskal's order (:mod:`ultratree.metric`) do not.
+The matrix readers, the p-adic sampler, ``is_ut``,
+``enumerate_dendrograms``, the ``hol`` campaign's comparison with its
+reference and a space with no merge order load this module; the tree
+verbs that read their hierarchy off Kruskal's order
+(:mod:`ultratree.metric`) and the campaigns, which read their classes
+and witnesses off the enumerator's table, do not.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import attrgetter, methodcaller
-from typing import Callable, Optional, Sequence
+from operator import methodcaller
+from typing import Optional, Sequence
 
 from .errors import (
     DuplicatePoint,
@@ -27,7 +30,7 @@ from .errors import (
     StrongTriangleViolation,
     TooSmall,
 )
-from .metric import ZERO, FiniteUltrametricSpace, _rank_entries, _Record
+from .metric import ZERO, FiniteUltrametricSpace, _merge_order, _rank_entries, _Record
 from .rationals import exact_rational
 
 
@@ -220,33 +223,6 @@ class Dendrogram(_Record):
                 return False
             stack.extend(node.children)
         return True
-
-
-def _merge_order(
-    root, split: Callable = attrgetter("level", "children")
-) -> tuple[list, list[int]]:
-    """The leaves under ``root`` in depth-first child order, and the level
-    between each two neighbouring leaves: the dendrogram's merge order.
-
-    ``split(node)`` gives the node's level and its children, none for a
-    leaf; the default reads a :class:`Dendrogram`. Two neighbouring leaves
-    part at the node where one child's leaves end and the next child's
-    begin, so the distance of any two leaves is the largest level between
-    them. Walked without recursion, so chains of any depth work.
-    """
-    leaves: list = []
-    gaps: list[int] = []
-    stack = [(root, 0)]  # a node and the level between it and the leaf before it
-    while stack:
-        node, gap = stack.pop()
-        level, children = split(node)
-        if children:
-            stack.extend((child, level) for child in reversed(children[1:]))
-            stack.append((children[0], gap))
-        else:
-            leaves.append(node)
-            gaps.append(gap)
-    return leaves, gaps[1:]
 
 
 def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:

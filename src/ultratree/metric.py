@@ -10,13 +10,13 @@ witness) carries enough data to be re-checked independently.
 The center and the diametrical parts are read here off one merge order:
 the points listed so that every distance is the largest gap between
 them, from Kruskal for a tree (``tree._gap_form``), a depth-first walk
-for a dendrogram (``hierarchy._merge_order``) or Prim for a matrix
-(``hierarchy._check_strong_triangle``). That is all the tree verbs run,
-so the rest lives in modules they never load: matrix validation and the
-canonical dendrogram in :mod:`ultratree.hierarchy`, the rank-row analyses
-(balls, spheres, the diametrical graph) in :mod:`ultratree.rankrows`.
-Their public names still resolve here, each loading its module on first
-use.
+for a dendrogram or the enumerator's table (:func:`_merge_order`) or
+Prim for a matrix (``hierarchy._check_strong_triangle``). That is all
+the tree verbs run, so the rest lives in modules they never load: matrix
+validation and the canonical dendrogram in :mod:`ultratree.hierarchy`,
+the rank-row analyses (balls, spheres, the diametrical graph) in
+:mod:`ultratree.rankrows`. Their public names still resolve here, each
+loading its module on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter, itemgetter, neg
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import UnknownPoint
 from .rationals import exact_rational, format_rational
@@ -293,6 +293,33 @@ class DistanceSet(_Record):
 
     def format(self) -> str:
         return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
+
+
+def _merge_order(
+    root, split: Callable = attrgetter("level", "children")
+) -> tuple[list, list[int]]:
+    """The leaves under ``root`` in depth-first child order, and the level
+    between each two neighbouring leaves: the dendrogram's merge order.
+
+    ``split(node)`` gives the node's level and its children, none for a
+    leaf; the default reads a :class:`~ultratree.hierarchy.Dendrogram`. Two neighbouring leaves
+    part at the node where one child's leaves end and the next child's
+    begin, so the distance of any two leaves is the largest level between
+    them. Walked without recursion, so chains of any depth work.
+    """
+    leaves: list = []
+    gaps: list[int] = []
+    stack = [(root, 0)]  # a node and the level between it and the leaf before it
+    while stack:
+        node, gap = stack.pop()
+        level, children = split(node)
+        if children:
+            stack.extend((child, level) for child in reversed(children[1:]))
+            stack.append((children[0], gap))
+        else:
+            leaves.append(node)
+            gaps.append(gap)
+    return leaves, gaps[1:]
 
 
 def _center_from_gaps(gaps: Sequence[int], values: tuple[Fraction, ...]) -> DistanceSet:

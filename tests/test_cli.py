@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ultratree.cli import main
+from ultratree.cli import _VERBS, build_parser, main
 from ultratree.formats import parse_matrix_csv, parse_tree_json
 
 PATH_TREE_JSON = """{
@@ -181,6 +181,58 @@ class TestCampaignVerbs:
         code, _, err = run(capsys, "enumerate", "--n", "99", "--check", "con3")
         assert code == 3 and "fence" in err
 
+    # the campaigns that fold each class off its root's children run to
+    # n = 11; the theorem suite stops at 10
+    @pytest.mark.parametrize(
+        "check,fence", [("con3", 11), ("hol", 11), ("closed-balls", 11), ("suite", 10)]
+    )
+    def test_each_campaign_has_its_fence(self, capsys, monkeypatch, check, fence):
+        code, out, err = run(capsys, "enumerate", "--n", str(fence + 1), "--check", check)
+        assert (code, out) == (3, "")
+        message = f"class enumeration: n={fence + 1} exceeds the capacity fence {fence}"
+        assert err == f"error: {message}\n"
+        monkeypatch.setenv("ULTRATREE_MAX_N", "4")
+        code, _, err = run(capsys, "enumerate", "--n", "5", "--check", check)
+        assert (code, err) == (3, "error: class enumeration: n=5 exceeds the capacity fence 4\n")
+
+    # at n = 1 the class root is the leaf, with no children to fold from
+    ONE_POINT = {
+        "con3": {
+            "verdict": "CONSISTENT",
+            "results": {
+                "center-size-bound": {
+                    "bound": 1, "bound_attained": True, "max_center_size": 1,
+                    "verdict": "CONSISTENT",
+                }
+            },
+            "witnesses": [
+                {"label": "L", "matrix_csv": "x1\n0\n", "note": "center size 1 (bound 1)"}
+            ],
+        },
+        "closed-balls": {
+            "verdict": "CONSISTENT",
+            "results": {
+                "closed-balls-are-spheres": {
+                    "failures": 0, "status": "search evidence", "verdict": "CONSISTENT",
+                },
+                "open-balls-are-spheres": {"failures": 0, "verdict": "PASS"},
+            },
+            "witnesses": [],
+        },
+        "suite": {
+            "verdict": "PASS",
+            "results": {"theorem-suite": {"failing_classes": 0, "verdict": "PASS"}},
+            "witnesses": [],
+        },
+    }
+
+    @pytest.mark.parametrize("check", list(ONE_POINT))
+    def test_enumerate_one_point(self, capsys, check):
+        code, out, _ = run(capsys, "enumerate", "--n", "1", "--check", check)
+        assert code == 0
+        expected = {"schema": 1, "check": check, "n": 1, "classes_checked": 1}
+        assert json.loads(out) == {**expected, **self.ONE_POINT[check]}
+
     def test_env_var_lowers_fence(self, capsys, monkeypatch):
         monkeypatch.setenv("ULTRATREE_MAX_N", "2")
         code, _, _ = run(capsys, "enumerate", "--n", "3", "--check", "con3")
@@ -354,6 +406,59 @@ class TestSamplerVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--n" in captured.err and f"got {n}" in captured.err
+
+
+class TestOneSubparser:
+    """``main`` builds the subparser of the verb it runs only. Every usage,
+    help and error text is the one the parser of every verb prints."""
+
+    @staticmethod
+    def exit_text(capsys, parser, argv):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exit_.value.code, captured.out, captured.err
+
+    def test_main_builds_the_named_verb_only(self, monkeypatch, capsys, tree_file):
+        from ultratree import cli
+
+        asked = []
+        real_build_parser = cli.build_parser
+
+        def recording(verb=None):
+            asked.append(verb)
+            return real_build_parser(verb)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        assert main(["validate", tree_file]) == 0
+        with pytest.raises(SystemExit):
+            main(["enumerate", "--n", "0", "--check", "con3"])
+        capsys.readouterr()
+        # an --n or --jobs error prints the usage of every verb
+        assert asked == ["validate", "enumerate", None]
+        [verbs] = [a for a in real_build_parser("validate")._actions if a.dest == "verb"]
+        assert list(verbs.choices) == ["validate"]
+
+    @pytest.mark.parametrize("verb", list(_VERBS))
+    def test_one_verb_parser_prints_what_every_verb_parser_prints(self, capsys, verb):
+        one, every = build_parser(verb), build_parser()
+        assert one.format_usage() == every.format_usage()
+        for argv in ([verb, "-h"], [verb], [verb, "--bogus"]):
+            assert self.exit_text(capsys, one, argv) == self.exit_text(capsys, every, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "t.json", "extra"],
+            ["enumerate", "--n", "3", "--check", "con3", "extra"],
+            ["enumerate", "--n", "3", "--check", "bogus"],
+            ["enumerate", "--n", "x", "--check", "con3"],
+        ],
+    )
+    def test_errors_after_the_verb_are_unchanged(self, capsys, argv):
+        one = self.exit_text(capsys, build_parser(argv[0]), argv)
+        assert one == self.exit_text(capsys, build_parser(), argv)
+        assert one[0] == 2 and one[2].startswith("usage: ultratree")
 
 
 class TestNonAsciiDigits:
@@ -532,18 +637,19 @@ class TestImports:
     # loads (cli, errors, metric, padic, rationals). A process compiles each
     # module it imports when it finds no bytecode, so a verb loads none that
     # it does not run: matrix validation and the dendrogram forms
-    # (hierarchy) only where a matrix is read or a dendrogram built, the
-    # rank-row analyses (rankrows) only where they run.
+    # (hierarchy) only where a matrix is read or a dendrogram built (no
+    # campaign here: a witness's label is read off the enumerator's
+    # table), the rank-row analyses (rankrows) only where they run.
     COMMANDS = {
         "is-ut {csv}": "formats hierarchy tree",
         "check {csv}": "capacity explorer formats hierarchy rankrows",
         "center {csv}": "formats hierarchy",
         "padic --p 2 --sample 0,1,2": "formats hierarchy",
         "dplus --sample 0,1,2": "formats hierarchy",
-        "enumerate --n 5 --check con3": "capacity explorer formats hierarchy",
-        "enumerate --n 5 --check hol": "capacity explorer hierarchy",
-        "enumerate --n 5 --check suite": "capacity explorer hierarchy rankrows",
-        "enumerate --n 5 --check closed-balls": "capacity explorer hierarchy rankrows",
+        "enumerate --n 5 --check con3": "capacity explorer formats",
+        "enumerate --n 5 --check hol": "capacity explorer",
+        "enumerate --n 5 --check suite": "capacity explorer rankrows",
+        "enumerate --n 5 --check closed-balls": "capacity explorer rankrows",
         "validate {json}": "formats tree",
         "distances {json}": "formats tree",
         "canonical {json}": "formats tree",
@@ -562,9 +668,11 @@ class TestImports:
     # compile at most 50 more than it did then, for the new modules' own
     # headers and imports. The tree-JSON verbs and random-tree compiled
     # 1 082 once labels were read only by validate_tree; their cap is that
-    # plus 10. `suite` and `closed-balls` compile 1 432 since the closed-ball
-    # campaign walks the enumerated classes only (1 442 before); the caps
-    # stay, and the difference is headroom.
+    # plus 10. `suite` and `closed-balls` compiled 1 432 once the closed-ball
+    # campaign walked the enumerated classes only (1 442 before), and 1 259
+    # since no campaign loads `hierarchy` for a witness and `cli` builds
+    # one subparser from a table; `hol` compiles 1 043 (1 216 before) and
+    # `con3` 1 164 (1 337). The caps stay, and the difference is headroom.
     STATEMENT_CAPS = {
         "is-ut {csv}": 1320,
         "check {csv}": 1536 + 50,

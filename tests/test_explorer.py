@@ -26,6 +26,7 @@ from ultratree import (
     dp_metric,
     enumerate_dendrograms,
     explorer,
+    hierarchy,
     is_ut,
     merge_parts,
     random_labeled_tree,
@@ -237,6 +238,20 @@ def class_counts_by_levels(n):
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 90}
 
 
+class TwoValueError(Exception):
+    """An error that pickles but does not unpickle: its ``args`` hold one
+    value, and its constructor takes two."""
+
+    def __init__(self, what, n):
+        super().__init__(f"{what} {n} refused")
+
+
+def refuse_three(item):
+    if item == 3:
+        raise TwoValueError("item", item)
+    return item
+
+
 class TestEnumeration:
     def test_counts_against_oracle(self):
         for n in (1, 2, 3, 4):
@@ -374,7 +389,7 @@ class TestCampaignFold:
             assert oracles.dendrogram_center_size(dendro) == oracles.center_size(space)
             assert oracles.has_leaf_children(dendro) == (is_ut(space) is not None)
             if n <= 7:
-                assert _all_subsets_spheres(n, table.spheres[root]) == (
+                assert _all_subsets_spheres(n, table.fold_spheres(root)) == (
                     oracles.all_subsets_spheres(space)
                 )
                 # leaf i of the depth-first numbering is the point x{i+1}
@@ -387,17 +402,30 @@ class TestCampaignFold:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_per_subtree_values_match_the_walks(self, n):
         table = _Subtrees()
-        roots = [table.dendrogram(root).key() for root in _enumerate_ids(n, table)]
-        assert roots == [dendro.key() for dendro in enumerate_dendrograms(n)]
-        # every interned subtree, the inner ones included, against the
-        # walks over its dendrogram
-        for nid in range(len(table.nodes)):
-            dendro = table.dendrogram(nid)
+        roots = list(_enumerate_ids(n, table))
+        assert [table.dendrogram(root).key() for root in roots] == [
+            dendro.key() for dendro in enumerate_dendrograms(n)
+        ]
+        # every interned subtree against the walks over its dendrogram; a
+        # class root covers all n leaves, and none is interned
+        assert max(table.size) < n or n == 1
+        for nid, node in enumerate(table.nodes):
+            dendro = table.dendrogram(node)
+            assert table.key(node) == dendro.key()
             assert _center_size(table.full[nid]) == oracles.dendrogram_center_size(dendro)
             assert table.leafy[nid] == oracles.has_leaf_children(dendro)
             assert table.size[nid] == dendro.leaf_count()
             assert table.spheres[nid] == len(oracles.sphere_masks(dendro)[1])
-            assert table.space(nid) == dendrogram_to_space(dendro)
+            assert table.space(node) == dendrogram_to_space(dendro)
+        # every root, folded from its children, against the same walks
+        for root in roots if n <= 7 else ():
+            dendro = table.dendrogram(root)
+            assert table.key(root) == dendro.key()
+            assert _center_size(table.fold_full(root)) == oracles.dendrogram_center_size(dendro)
+            assert table.fold_leafy(root) == oracles.has_leaf_children(dendro)
+            assert table.fold_size(root) == dendro.leaf_count() == n
+            assert table.fold_spheres(root) == len(oracles.sphere_masks(dendro)[1])
+            assert table.space(root) == dendrogram_to_space(dendro)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_children_are_in_canonical_key_order(self, n):
@@ -415,14 +443,33 @@ class TestCampaignFold:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_walk_matches_the_sorting_walk(self, n):
-        # the same roots, and the same ids and per-subtree values, as the
-        # walk that sorted every forest by nested sort keys
+        # the same roots, in the same order, and the same subtrees with the
+        # same per-subtree values, as the walk that sorted every forest by
+        # nested sort keys. That walk interns the roots too, so the two
+        # are compared by key: the subtrees are its non-roots, interned in
+        # the same order
         table, expected = _Subtrees(), _Subtrees()
-        assert list(_enumerate_ids(n, table)) == list(
-            oracles.enumerate_ids_by_sort_keys(n, expected)
-        )
-        for name in ("nodes", "full", "leafy", "size", "spheres"):
-            assert getattr(table, name) == getattr(expected, name), name
+        keys = [table.dendrogram(root).key() for root in _enumerate_ids(n, table)]
+        expected_roots = list(oracles.enumerate_ids_by_sort_keys(n, expected))
+        assert keys == [expected.dendrogram(expected.nodes[r]).key() for r in expected_roots]
+        expected_id = {
+            expected.dendrogram(node).key(): nid for nid, node in enumerate(expected.nodes)
+        }
+        ids = [expected_id[table.dendrogram(node).key()] for node in table.nodes]
+        assert ids == sorted(ids)
+        assert len(ids) == len(expected.nodes) - (len(expected_roots) if n > 1 else 0)
+        for name in ("full", "leafy", "size", "spheres"):
+            mine, theirs = getattr(table, name), getattr(expected, name)
+            assert mine == [theirs[nid] for nid in ids], name
+
+    @pytest.mark.skipif(
+        not os.environ.get("ULTRATREE_SLOW_TESTS"),
+        reason="90 s and 550 MB for the oracle; set ULTRATREE_SLOW_TESTS=1 to run",
+    )
+    def test_eleven_point_class_count_against_the_sorting_walk(self):
+        walked = sum(1 for _ in _enumerate_ids(11, _Subtrees(), 11))
+        assert walked == 1484344
+        assert sum(1 for _ in oracles.enumerate_ids_by_sort_keys(11, _Subtrees())) == walked
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_a_finished_walk_leaves_no_garbage_cycle(self, n):
@@ -478,21 +525,17 @@ class TestCon3Campaign:
         assert sequential == parallel
 
     def test_builds_only_the_witness(self, monkeypatch):
-        # the sizes fold over per-subtree masks: the one dendrogram built
-        # is the witness's, one node per distinct subtree, and the one
-        # walk is its realization, read off the table by its root id; no
+        # the sizes fold over per-subtree masks and the witness is read off
+        # the table: no dendrogram is built, and the one walk is the
+        # witness's realization, read off the table by its root tuple; no
         # pool is started
         import multiprocessing
 
-        built = []
         walks = []
-        real_dendrogram = explorer.Dendrogram
         real_merge_order = explorer._merge_order
 
-        def counting_dendrogram(*args, **kwargs):
-            node = real_dendrogram(*args, **kwargs)
-            built.append(node)
-            return node
+        def refused(*args, **kwargs):
+            raise AssertionError("check_con3 built a Dendrogram")
 
         def counting_merge_order(root, *args):
             walks.append(root)
@@ -501,25 +544,18 @@ class TestCon3Campaign:
         def no_pool(*args, **kwargs):
             raise AssertionError("check_con3 started a process pool")
 
-        monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
+        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
         monkeypatch.setattr(explorer, "_merge_order", counting_merge_order)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         report = check_con3(7)
+        monkeypatch.undo()
         assert report.instances == 468
-        witness = built[-1]
-        assert witness.key() == report.witnesses[0]["label"]
-        distinct = set()
-        stack = [witness]
-        while stack:
-            node = stack.pop()
-            distinct.add(node.key())
-            stack.extend(node.children)
-        assert len(built) == len(distinct)
+        label = report.witnesses[0]["label"]
         table = _Subtrees()
-        [witness_id] = [
-            root for root in _enumerate_ids(7, table) if table.dendrogram(root).key() == witness.key()
+        [witness_root] = [
+            root for root in _enumerate_ids(7, table) if table.dendrogram(root).key() == label
         ]
-        assert walks == [witness_id]
+        assert walks == [witness_root]
 
     @pytest.mark.parametrize(
         "jobs,cpus,items,workers",
@@ -573,6 +609,23 @@ class TestCon3Campaign:
             signal.signal(signal.SIGALRM, previous)
         assert (err.value.what, err.value.n, err.value.fence) == ("test items", 6, 5)
         assert str(err.value) == "test items: n=6 exceeds the capacity fence 5"
+
+    def test_worker_error_the_parent_cannot_unpickle_is_raised_by_name(self, monkeypatch):
+        # unpickling it would kill the pool's result thread, and imap would
+        # wait for ever; an alarm ends the wait
+        def hung(signum, frame):
+            raise AssertionError("the pool hung on the worker's error")
+
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError) as err:
+                list(explorer._parallel_map(refuse_three, range(10), 2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(err.value) == "TwoValueError: item 3 refused"
 
     def test_pool_takes_the_items_as_it_maps_them(self, monkeypatch):
         monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
@@ -693,35 +746,37 @@ class TestHolCampaign:
         with pytest.raises(TooSmall):
             check_hol(2)
         with pytest.raises(TooLarge):
-            check_hol(11)
+            check_hol(12)
         monkeypatch.setenv("ULTRATREE_MAX_N", "8")
         with pytest.raises(TooLarge):
             check_hol(9)
 
     @pytest.mark.parametrize("n,satisfying", [(3, 1), (7, 0)])
     def test_builds_only_the_witnesses(self, monkeypatch, n, satisfying):
-        # the sphere counts fold over the per-subtree table: the only
-        # dendrograms built are the satisfying classes', one node per
-        # distinct subtree
-        built = []
-        real_dendrogram = explorer.Dendrogram
+        # the sphere counts fold over the per-subtree table, and the
+        # witnesses are read off it: the table builds no dendrogram, and
+        # only a satisfying class is compared with the reference
+        compared = []
+        real_weak_similarity = hierarchy.weak_similarity
 
-        def counting_dendrogram(*args, **kwargs):
-            node = real_dendrogram(*args, **kwargs)
-            built.append(node)
-            return node
+        def refused(*args, **kwargs):
+            raise AssertionError("the table built a Dendrogram")
 
-        monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
+        def counting_weak_similarity(first, second):
+            compared.append(first)
+            return real_weak_similarity(first, second)
+
+        monkeypatch.setattr(explorer._Subtrees, "dendrogram", refused)
+        monkeypatch.setattr(hierarchy, "weak_similarity", counting_weak_similarity)
         report = check_hol(n)
-        labels = [witness["label"] for witness in report.witnesses]
-        assert len(labels) == satisfying
-        distinct = set()
-        stack = [node for node in built if node.key() in labels]
-        while stack:
-            node = stack.pop()
-            distinct.add(node.key())
-            stack.extend(node.children)
-        assert len(built) == len(distinct)
+        monkeypatch.undo()
+        expected = [
+            dendro for dendro in enumerate_dendrograms(n)
+            if oracles.all_subsets_spheres(dendrogram_to_space(dendro))
+        ]
+        assert len(expected) == satisfying
+        assert [witness["label"] for witness in report.witnesses] == [d.key() for d in expected]
+        assert compared == [dendrogram_to_space(d) for d in expected]
 
 
 class TestClosedBallCampaign:
@@ -771,15 +826,15 @@ class TestClosedBallCampaign:
             raise AssertionError("the campaign built a Dendrogram")
 
         monkeypatch.setattr(explorer, "_ball_family", ball_family_checked_in_walk)
-        monkeypatch.setattr(explorer, "Dendrogram", refused)
+        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
         realizable = []
         walk = explorer._enumerate_ids
 
-        def watched_walk(n, table):
-            for root in walk(n, table):
+        def watched_walk(n, table, fence):
+            for root in walk(n, table, fence):
                 # the class before this one has been checked already
                 assert len(checked) == len(realizable)
-                if table.leafy[root]:
+                if table.fold_leafy(root):
                     realizable.append(root)
                 yield root
 
@@ -815,7 +870,9 @@ class TestClosedBallCampaign:
         assert opened["label"] == closed["label"]
         table = _Subtrees()
         pos, root = next(
-            (pos, root) for pos, root in enumerate(_enumerate_ids(4, table)) if table.leafy[root]
+            (pos, root)
+            for pos, root in enumerate(_enumerate_ids(4, table))
+            if table.fold_leafy(root)
         )
         assert opened["label"] == f"class-{pos}:{table.dendrogram(root).key()}"
         assert opened["matrix_csv"] == closed["matrix_csv"] == matrix_csv_string(planted[0])
@@ -894,8 +951,8 @@ class TestTheoremSuite:
         assert sum(hint for _, hint in hints) == 28
 
     def test_suite_witness_is_the_first_failing_class(self, monkeypatch):
-        # only the witness is built as a Dendrogram, one node per distinct
-        # subtree; the other failing class is named by no key
+        # the witness is read off the table and no Dendrogram is built; the
+        # other failing class is named by no key
         classes = list(enumerate_dendrograms(5))
         failing = [dendrogram_to_space(classes[pos]) for pos in (7, 3)]
         real_suite = explorer.check_theorem_suite
@@ -907,16 +964,11 @@ class TestTheoremSuite:
                 report.results["planted"] = {"verdict": "FAIL"}
             return report
 
-        built = []
-        real_dendrogram = explorer.Dendrogram
-
-        def counting_dendrogram(*args, **kwargs):
-            node = real_dendrogram(*args, **kwargs)
-            built.append(node)
-            return node
+        def refused(*args, **kwargs):
+            raise AssertionError("the suite built a Dendrogram")
 
         monkeypatch.setattr(explorer, "check_theorem_suite", suite_failing_two_classes)
-        monkeypatch.setattr(explorer, "Dendrogram", counting_dendrogram)
+        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
         report = check_suite_enumerated(5, jobs=1)
         assert report.verdict == "FAIL"
         assert report.results["theorem-suite"]["failing_classes"] == 2
@@ -924,20 +976,13 @@ class TestTheoremSuite:
         assert witness["label"] == classes[3].key()
         assert witness["matrix_csv"] == matrix_csv_string(failing[1])
         assert witness["note"] == "failed planted"
-        distinct = set()
-        stack = [classes[3]]
-        while stack:
-            node = stack.pop()
-            distinct.add(node.key())
-            stack.extend(node.children)
-        assert sorted(node.key() for node in built) == sorted(distinct)
 
     def test_suite_builds_no_dendrogram_for_a_passing_class(self, monkeypatch):
         # each class reaches the suite as the levels of its merge order
         def refused(*args, **kwargs):
             raise AssertionError("the suite built a Dendrogram")
 
-        monkeypatch.setattr(explorer, "Dendrogram", refused)
+        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
         report = check_suite_enumerated(6)
         assert report.verdict == "PASS"
         assert report.instances == 90

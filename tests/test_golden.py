@@ -9,8 +9,9 @@ change, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-``enumerate-con3-10.out`` is not among those cases: a memory gate runs
-it in a child process. Regenerate it with
+``enumerate-con3-10.out`` and ``enumerate-con3-11.out`` are not among
+those cases: memory gates run them in a child process, the second only
+when ``ULTRATREE_SLOW_TESTS`` is set. Regenerate each with its n, as
 
     PYTHONPATH=src python -m ultratree.cli enumerate --n 10 --check con3 \
         > tests/golden/enumerate-con3-10.out
@@ -118,26 +119,29 @@ def test_process_writes_golden_bytes(name, tmp_path):
         assert dot_path.read_bytes() == dot_file.read_bytes()
 
 
-# one case per nonzero exit code: a file that cannot be read, a usage error
-# (argparse's own exit) and a capacity fence
+# the cases of each nonzero exit code: a file that cannot be read, a usage
+# error (argparse's own exit) and the capacity fences, 11 for the campaigns
+# that fold each class and 10 for the theorem suite
 ERROR_CASES = {
-    1: (["center", "missing.json"],
-        b"error: [Errno 2] No such file or directory: 'missing.json'\n"),
-    2: (["enumerate", "--n", "0", "--check", "con3"],
-        b"usage: ultratree [-h]\n"
-        b"                 {validate,distances,canonical,center,diametrical,spheres,check,enumerate,padic,dplus,is-ut,random-tree}\n"
-        b"                 ...\n"
-        b"ultratree: error: argument --n: must be at least 1, got 0\n"),
-    3: (["enumerate", "--n", "11", "--check", "con3"],
-        b"error: class enumeration: n=11 exceeds the capacity fence 10\n"),
+    1: [(["center", "missing.json"],
+         b"error: [Errno 2] No such file or directory: 'missing.json'\n")],
+    2: [(["enumerate", "--n", "0", "--check", "con3"],
+         b"usage: ultratree [-h]\n"
+         b"                 {validate,distances,canonical,center,diametrical,spheres,check,enumerate,padic,dplus,is-ut,random-tree}\n"
+         b"                 ...\n"
+         b"ultratree: error: argument --n: must be at least 1, got 0\n")],
+    3: [(["enumerate", "--n", "12", "--check", "con3"],
+         b"error: class enumeration: n=12 exceeds the capacity fence 11\n"),
+        (["enumerate", "--n", "11", "--check", "suite"],
+         b"error: class enumeration: n=11 exceeds the capacity fence 10\n")],
 }
 
 
 @pytest.mark.parametrize("code", sorted(ERROR_CASES))
 def test_process_error_bytes_and_exit_code(code, tmp_path):
-    argv, stderr = ERROR_CASES[code]
-    proc = cli_process(argv, cwd=tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", stderr)
+    for argv, stderr in ERROR_CASES[code]:
+        proc = cli_process(argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", stderr)
 
 
 class TestHardExit:
@@ -228,15 +232,30 @@ def test_output_independent_of_hash_seed(seed):
         assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
-def test_con3_on_ten_points_within_66_mb():
+def test_con3_on_ten_points_within_40_mb():
     # 165 874 classes. On 2 cores (CPython 3.11) the walk that sorted every
     # forest by nested keys took 3.6 s and 75 MB; building the forests in
-    # order takes 1.4 s and 61 MB. The peak is read by a small starter
-    # process, since a child of pytest starts from pytest's own peak.
+    # order took 1.4 s and 61 MB, and folding each class off its root's
+    # children, with no root interned, takes 0.9 s and 27 MB. The peak is
+    # read by a small starter process, since a child of pytest starts from
+    # pytest's own peak.
     code, lines, _, rss = measured(["enumerate", "--n", "10", "--check", "con3"])
     assert code == 0
     assert b"".join(lines) == (GOLDEN / "enumerate-con3-10.out").read_bytes()
-    assert rss <= 66 * 1024
+    assert rss <= 40 * 1024
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ULTRATREE_SLOW_TESTS"),
+    reason="a 10 s campaign; set ULTRATREE_SLOW_TESTS=1 to run",
+)
+def test_con3_on_eleven_points_within_150_mb():
+    # 1 484 344 classes: 6.5-7.6 s and 103 MB on 2 cores (CPython 3.11),
+    # where interning every root took 13.3-16.1 s and 378-403 MB
+    code, lines, _, rss = measured(["enumerate", "--n", "11", "--check", "con3"])
+    assert code == 0
+    assert b"".join(lines) == (GOLDEN / "enumerate-con3-11.out").read_bytes()
+    assert rss <= 150 * 1024
 
 
 if __name__ == "__main__":
