@@ -6,7 +6,8 @@ finite ultrametric space up to order-preserving rescaling of its distance
 set. Enumerating canonical dendrograms therefore enumerates those
 equivalence classes exactly once. On top of that sit verification
 campaigns for the structural theorems and searches probing the open
-questions (center-size bound, all-subsets-spheres, closed balls).
+questions (center-size bound, all-subsets-spheres, closed balls); the
+first two fold over the walk's forest states instead of its classes.
 
 Whether a space is generated by a labeled tree (``is_ut``) is decided by
 the tree layer, :mod:`ultratree.tree`; the name still resolves here, and
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -119,43 +120,31 @@ class _Subtrees:
     by its children's keys, and the leaf after every node. The walk keeps
     its forests in that order as it builds them and stores no sort key.
 
-    Only proper subtrees are interned. A class root covers every leaf, so
-    it is no other node's child: the walk hands it to its campaign as its
-    node tuple, ``(0,)`` for the one-point class, and the campaign folds
-    the one value it reads from the root's children. ``key``,
-    ``dendrogram``, ``levels`` and ``space`` take a node tuple too.
-
-    Four values fold bottom-up, each by the ``fold_*`` method of its name,
-    for an interned node and a root alike. ``full[i]`` has bit L set when
-    the nodes at level L cover every leaf of the subtree (none for a leaf;
-    a node adds its own level to the AND of its children's), ``leafy[i]``
-    says every internal node has a leaf child, and ``size[i]`` counts the
-    leaves. ``spheres[i]`` counts the distinct centered spheres of the
-    subtree as a class: 1 for a leaf; for a node v with m leaf children,
-    the children's sum plus size(v) − m, plus 1 if m > 0, because the
-    sphere {c} ∪ (leaves(v) − leaves(k)) of a leaf c under the child k
-    fixes v, and k and c too when k is internal, while every leaf child
-    gives leaves(v).
+    Only proper subtrees are interned, each once by :meth:`intern`. A
+    class root covers every leaf, so it is no other node's child: the
+    walk hands it to its campaign as its node tuple, ``(0,)`` for the
+    one-point class. ``key``, ``dendrogram``, ``levels`` and ``space``
+    take a node tuple too. One value folds bottom-up, for an interned node
+    and a root alike: ``leafy[i]`` says every internal node of the subtree
+    has a leaf child (:meth:`fold_leafy`), that is, a labeled tree
+    realizes it.
     """
 
     def __init__(self):
         self.nodes: list = [(0,)]
-        self.full: list = [0]
         self.leafy: list = [True]
-        self.size: list = [1]
-        self.spheres: list = [1]
+        self.ids: dict = {}  # node tuple -> id
         self.built: dict = {}  # id -> Dendrogram, for the ids asked for
 
-    # plain loops: over two or three children they beat reduce, map and sum
-    def fold_full(self, node: tuple[int, ...]) -> int:
-        if len(node) == 1:
-            return 0  # the leaf
-        full = self.full
-        mask = -1
-        for c in node[1:]:
-            mask &= full[c]
-        return mask | 1 << node[0]
+    def intern(self, node: tuple[int, ...]) -> int:
+        nid = self.ids.get(node)
+        if nid is None:
+            nid = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+            self.leafy.append(self.fold_leafy(node))
+        return nid
 
+    # a plain loop: over two or three children it beats all() of a map
     def fold_leafy(self, node: tuple[int, ...]) -> bool:
         if 0 not in node[1:]:
             return len(node) == 1  # the leaf, or a node with no leaf child
@@ -165,20 +154,25 @@ class _Subtrees:
                 return False
         return True
 
-    def fold_size(self, node: tuple[int, ...]) -> int:
-        size = self.size
-        leaves = 0
-        for c in node[1:]:
-            leaves += size[c]
-        return leaves or 1  # a leaf counts itself
-
-    def fold_spheres(self, node: tuple[int, ...]) -> int:
-        spheres = self.spheres
-        count = 0
-        for c in node[1:]:
-            count += spheres[c]
-        m = node[1:].count(0)  # leaf children
-        return count + self.fold_size(node) - m + (m > 0)
+    def walk(self, roots: list[int], state: tuple, level: int, moves: Callable) -> Iterator[tuple]:
+        """Stream the root of every class built from the forest ``roots``
+        (its distinct roots, in canonical order) by the steps ``moves(state)``
+        lists, interning the subtrees on the way. A step is ``(kept, parts,
+        after)`` as :func:`_merge_steps` lists it, with ``after`` the next
+        forest's state, whose item 1 says it keeps a leaf. Every old node is
+        below the new level, so the new forest is the kept nodes, the new
+        nodes (listed in non-increasing order) reversed, then the leaf."""
+        root_at = roots.__getitem__
+        intern = self.intern
+        for kept, parts, after in moves(state):
+            if after is None:  # the class root: one part, nothing kept
+                yield (level, *map(root_at, parts[0]))
+                continue
+            merged = [intern((level, *map(root_at, part))) for part in parts]
+            forest = [*map(root_at, kept), *reversed(merged)]
+            if after[1]:
+                forest.append(0)
+            yield from self.walk(forest, after, level + 1, moves)
 
     def key(self, node: tuple[int, ...]) -> str:
         """The subtree's :meth:`Dendrogram.key`, read off the table."""
@@ -222,15 +216,10 @@ def _enumerate_ids(
     one or more groups (of at least two current roots) into new nodes at
     the next level. Every canonical dendrogram has a unique merge
     history, so the walk needs no deduplication. A forest is held as its
-    distinct roots, ids in canonical order (see :class:`_Subtrees`), and
-    its shape: the copies of each, and whether the last is the leaf. It
-    needs no sort. Every old node is below the new level, so the new
-    forest is the kept nodes in their order, then the new nodes, which
-    :func:`_partitions_ge2` lists in non-increasing order, reversed, then
-    the kept leaves. The shape alone fixes the merge steps, so
-    :func:`_merge_steps` lists them once per shape. The step that leaves
-    one root yields it and interns nothing. ``n`` above ``fence`` (as
-    ``ULTRATREE_MAX_N`` may lower it) raises TooLarge.
+    distinct roots and its shape: the copies of each, and whether the last
+    is the leaf. The shape alone fixes the merge steps, so
+    :func:`_merge_steps` lists them once per shape. ``n`` above ``fence``
+    (as ``ULTRATREE_MAX_N`` may lower it) raises TooLarge.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -238,48 +227,9 @@ def _enumerate_ids(
     if n == 1:
         yield (0,)
         return
-
-    nodes, full, leafy = table.nodes, table.full, table.leafy
-    size, spheres = table.size, table.spheres
-    ids: dict[tuple[int, ...], int] = {}
-    steps_by_shape: dict[tuple, list] = {}
     partitions: dict[tuple[int, ...], list] = {}
-
-    def intern(node: tuple[int, ...]) -> int:
-        nid = ids.get(node)
-        if nid is None:
-            nid = ids[node] = len(nodes)
-            nodes.append(node)
-            full.append(table.fold_full(node))
-            leafy.append(table.fold_leafy(node))
-            size.append(table.fold_size(node))
-            spheres.append(table.fold_spheres(node))
-        return nid
-
-    def step(roots: list[int], shape: tuple, level: int) -> Iterator[tuple[int, ...]]:
-        steps = steps_by_shape.get(shape)
-        if steps is None:
-            steps = steps_by_shape[shape] = _merge_steps(*shape, partitions)
-        root_at = roots.__getitem__
-        for kept, parts, new_shape in steps:
-            if new_shape is None:  # the class root: one part, nothing kept
-                yield (level, *map(root_at, parts[0]))
-                continue
-            merged = [intern((level, *map(root_at, part))) for part in parts]
-            # the kept nodes (all below this level), the new nodes in
-            # ascending order, then the kept leaves: the canonical order
-            forest = [*map(root_at, kept), *reversed(merged)]
-            if new_shape[1]:
-                forest.append(0)
-            yield from step(forest, new_shape, level + 1)
-
-    try:
-        yield from step([0], ((n,), True), 1)
-    finally:
-        # ``step`` calls itself through its closure cell; breaking that
-        # cycle frees ``ids``, the steps and the closures when the walk
-        # ends, not at the next cyclic garbage collection
-        del step
+    steps = cache(lambda shape: _merge_steps(*shape, partitions))
+    yield from table.walk([0], ((n,), True), 1, steps)
 
 
 def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
@@ -408,10 +358,54 @@ def _call_in_worker(fn: Callable, item):
         raise
 
 
-def _center_size(full: int) -> int:
-    """|center of distances| of a class from its root's ``full`` mask: 0
-    and every level whose nodes hold all the leaves (see :class:`_Subtrees`)."""
-    return 1 + full.bit_count()
+def _best_classes(n: int, gain: Callable, table: _Subtrees) -> tuple[int, int, Iterator]:
+    """The n-point class count, the best gain of a class, and a walk (in
+    ``table``) over the classes that attain it, folded over forest states.
+
+    A state is a forest's shape, as :func:`_enumerate_ids` holds it, plus
+    each distinct root's leaf count. A class's gain is the sum over its
+    merge steps of ``gain(fresh, new)``: ``fresh`` says the step keeps no
+    old root and no leaf, and ``new`` lists ``(copies, leaves, leaf
+    children)`` per distinct new node. Per state the fold memoizes the
+    classes below it, their best gain and the steps that attain it.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    require_within("class enumeration", n, FOLD_FENCE)
+    if n == 1:
+        return 1, 0, iter([(0,)])
+    partitions: dict[tuple[int, ...], list] = {}
+
+    @cache
+    def fold(state: tuple) -> tuple:
+        counts, leaf_last, sizes = state
+        leaf = len(counts) - 1 if leaf_last else -1
+        count, scored = 0, []
+        for kept, parts, shape in _merge_steps(counts, leaf_last, partitions):
+            part_sizes = [sum(map(sizes.__getitem__, part)) for part in parts]
+            if shape is None:
+                after, copies, below, best = None, (1,), 1, 0
+            else:
+                copies = shape[0][len(kept):len(kept) + len(parts)][::-1]
+                kept_sizes = tuple(map(sizes.__getitem__, kept))
+                after = (*shape, kept_sizes + tuple(reversed(part_sizes)) + (1,) * shape[1])
+                below, best, _ = fold(after)
+            count += below
+            new = [(c, size, part.count(leaf)) for c, size, part in zip(copies, part_sizes, parts)]
+            fresh = not (kept or shape and shape[1])  # no old root, no leaf kept
+            scored.append((gain(fresh, new) + best, (kept, parts, after)))
+        top = max(score for score, _ in scored)
+        return count, top, [move for score, move in scored if score == top]
+
+    start = ((n,), True, (1,))
+    count, best, _ = fold(start)
+    return count, best, table.walk([0], start, 1, lambda state: fold(state)[2])
+
+
+def _center_size(full_levels: int) -> int:
+    """|center of distances| of a class from its count of full levels: 0
+    and every level whose nodes hold all the leaves."""
+    return 1 + full_levels
 
 
 def check_con3(n: int) -> CampaignReport:
@@ -419,20 +413,15 @@ def check_con3(n: int) -> CampaignReport:
 
     Reports the maximum |center| over every weak-similarity class of
     cardinality n, the first class attaining it as the witness, and
-    whether the bound 1 + floor(log2 n) holds. Each size folds from the
-    masks of the root's children in the enumerator's table (the roots are
-    not in it), and the witness is read off the same table: no class is
-    built as a dendrogram.
+    whether the bound 1 + floor(log2 n) holds. A level is in the center
+    when its merge step keeps no old root and no leaf (the class root's
+    always does), so the maximum folds over forest states; only the
+    witness's path is interned, and no class is built as a dendrogram.
     """
     table = _Subtrees()
-    fold_full = table.fold_full
-    instances = max_size = 0
-    best = None
-    for root in _enumerate_ids(n, table, FOLD_FENCE):
-        instances += 1
-        size = _center_size(fold_full(root))
-        if size > max_size:
-            max_size, best = size, root
+    instances, full_levels, best = _best_classes(n, lambda fresh, new: fresh, table)
+    max_size = _center_size(full_levels)
+    witness = next(best)
     bound = 1 + (n.bit_length() - 1)
     verdict = "CONSISTENT" if max_size <= bound else "COUNTEREXAMPLE"
     return CampaignReport(
@@ -450,8 +439,8 @@ def check_con3(n: int) -> CampaignReport:
         },
         witnesses=[
             _witness(
-                table.key(best),
-                table.space(best),
+                table.key(witness),
+                table.space(witness),
                 f"center size {max_size} (bound {bound})",
             )
         ],
@@ -471,26 +460,28 @@ def _all_subsets_spheres(n: int, spheres: int) -> bool:
     return spheres == (1 << n) - 1
 
 
+def _new_spheres(fresh: bool, new: list) -> int:
+    # a node v with m leaf children adds size(v) - m spheres, plus 1 if m > 0:
+    # the sphere {c} | (leaves(v) - leaves(k)) of a leaf c under the child k
+    # fixes v, and k and c too when k is internal; each leaf child gives leaves(v)
+    return sum(copies * (size - m + (m > 0)) for copies, size, m in new)
+
+
 def check_hol(n: int) -> CampaignReport:
     """Search for classes where every non-empty subset is a centered sphere.
 
     At n = 3 exactly one such class should exist (the one-short-side
     triple); for n > 3 the expectation is none. Any other outcome is
     reported as a counterexample with a replayable witness. A class's
-    sphere count folds from its root's children in the enumerator's table
-    (see :class:`_Subtrees`), so only the satisfying classes are realized,
-    from their root tuples, and the reference is built only for them.
+    sphere count is n plus what each internal node adds, so the maximum
+    folds over forest states; only when it reaches 2^n - 1 are the classes
+    that attain it walked and compared with the reference.
     """
     if n < 3:
         raise TooSmall("the all-subsets-spheres campaign needs n >= 3")
     table = _Subtrees()
-    fold_spheres = table.fold_spheres
-    instances = 0
-    satisfying = []
-    for root in _enumerate_ids(n, table, FOLD_FENCE):
-        instances += 1
-        if _all_subsets_spheres(n, fold_spheres(root)):
-            satisfying.append(root)
+    instances, best, attaining = _best_classes(n, _new_spheres, table)
+    satisfying = list(attaining) if _all_subsets_spheres(n, n + best) else []
     similar_to_reference = []
     if satisfying:
         from .hierarchy import weak_similarity

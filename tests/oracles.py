@@ -15,7 +15,11 @@ replaced; ``enumerate_ids_by_sort_keys`` is that id walk as it sorted
 every forest by nested sort keys, before forests were kept in canonical
 order as they were built; the walks over one class's dendrogram for its
 center size and its leaf-child criterion are what the per-subtree masks
-and flags of the enumerator replaced. ``padic_distance`` is the p-adic
+and flags of the enumerator replaced. ``check_con3`` and ``check_hol``
+are those campaigns as they walked every class (``enumerate_dendrograms``)
+and folded it bottom-up (``dendrogram_folds``), before they folded over
+forest states; ``class_counts`` counts the classes in closed form.
+``padic_distance`` is the p-adic
 distance on Fraction differences that the int valuations replaced.
 ``is_ut_split_walk`` is ``is_ut`` as it walked the
 diameter splits top-down with a stack and a split of its own, before it
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Optional
 
 from ultratree.errors import (
@@ -48,7 +53,9 @@ from ultratree.errors import (
     StrongTriangleViolation,
     TooSmall,
 )
-from ultratree.hierarchy import Dendrogram, WeakSimilarityWitness
+from ultratree.explorer import CampaignReport, dendrogram_to_space, enumerate_dendrograms
+from ultratree.formats import matrix_csv_string
+from ultratree.hierarchy import Dendrogram, WeakSimilarityWitness, weak_similarity
 from ultratree.metric import FiniteUltrametricSpace
 from ultratree.rationals import format_rational
 from ultratree.tree import LabeledTree, degenerate_edge, validate_tree
@@ -637,21 +644,24 @@ def dendrogram_keys(n: int) -> Iterator[str]:
         yield keyf(struct)
 
 
-def enumerate_ids_by_sort_keys(n: int, table) -> Iterator[int]:
+def enumerate_ids_by_sort_keys(n: int, table, folds: dict) -> Iterator[int]:
     """The enumerator's id walk as it was when it sorted every forest.
 
-    ``table`` is a fresh subtree table: lists ``nodes``, ``full``,
-    ``leafy``, ``size`` and ``spheres`` that hold the leaf's entries. Each
-    interned node also gets a sort key, (level, the children's keys, ...),
-    with the leaf's ``(inf,)`` after every node's, and each new forest is
-    the kept roots plus the merged nodes, sorted by those keys. Forests are
-    tuples of ids; their distinct roots and counts are read off by scans.
+    ``table`` is a fresh subtree table: lists ``nodes`` and ``leafy`` that
+    hold the leaf's entries. ``folds`` gets this walk's own per-id lists
+    ``full``, ``size`` and ``spheres``, folded as :func:`dendrogram_folds`
+    folds them. Each interned node also gets a sort key, (level, the
+    children's keys, ...), with the leaf's ``(inf,)`` after every node's,
+    and each new forest is the kept roots plus the merged nodes, sorted by
+    those keys. Forests are tuples of ids; their distinct roots and counts
+    are read off by scans.
     """
+    folds.update(full=[0], size=[1], spheres=[1])
+    full, size, spheres = folds["full"], folds["size"], folds["spheres"]
     if n == 1:
         yield 0
         return
-    nodes, full, leafy = table.nodes, table.full, table.leafy
-    size, spheres = table.size, table.spheres
+    nodes, leafy = table.nodes, table.leafy
     order = [(float("inf"),)]
     ids: dict = {}
 
@@ -691,6 +701,132 @@ def enumerate_ids_by_sort_keys(n: int, table) -> Iterator[int]:
                     yield from step(new_forest, level + 1)
 
     yield from step((0,) * n, 1)
+
+
+def dendrogram_folds(dendro, memo: dict) -> tuple[int, int, int]:
+    """``(full, size, spheres)`` of a class, folded bottom-up over its
+    dendrogram as the enumerator's table once folded them per subtree;
+    ``memo`` maps each subtree folded so far to its values.
+
+    ``full`` has bit L set when the nodes at level L hold every leaf (none
+    for a leaf; a node adds its own level to the AND of its children's);
+    ``size`` counts the leaves. ``spheres`` counts the distinct centered
+    spheres: 1 for a leaf; for a node v with m leaf children, the
+    children's sum plus size(v) − m, plus 1 if m > 0.
+    """
+    found = memo.get(dendro)
+    if found is None:
+        if dendro.is_leaf:
+            found = (0, 1, 1)
+        else:
+            mask, size, spheres = ~0, 0, 0
+            for child in dendro.children:
+                f, s, k = dendrogram_folds(child, memo)
+                mask, size, spheres = mask & f, size + s, spheres + k
+            m = sum(child.is_leaf for child in dendro.children)
+            found = (mask | 1 << dendro.level, size, spheres + size - m + (m > 0))
+        memo[dendro] = found
+    return found
+
+
+def _class_witness(dendro, note: str) -> dict:
+    return {"label": dendro.key(), "matrix_csv": matrix_csv_string(dendrogram_to_space(dendro)),
+            "note": note}
+
+
+def check_con3(n: int) -> CampaignReport:
+    """The ``con3`` campaign as it walked every class: the largest center
+    size, folded from each class's ``full`` mask, and the first class of
+    the walk that attains it."""
+    memo: dict = {}
+    instances = max_size = 0
+    best = None
+    for dendro in enumerate_dendrograms(n):
+        instances += 1
+        size = 1 + bin(dendrogram_folds(dendro, memo)[0]).count("1")
+        if size > max_size:
+            max_size, best = size, dendro
+    bound = n.bit_length()
+    verdict = "CONSISTENT" if max_size <= bound else "COUNTEREXAMPLE"
+    results = {"verdict": verdict, "bound": bound, "max_center_size": max_size,
+               "bound_attained": max_size == bound}
+    return CampaignReport("con3", n, instances, verdict, {"center-size-bound": results},
+                          [_class_witness(best, f"center size {max_size} (bound {bound})")])
+
+
+def max_sphere_count(n: int) -> int:
+    """The most distinct centered spheres of an n-point class, over every
+    class of the walk."""
+    memo: dict = {}
+    return max(dendrogram_folds(dendro, memo)[2] for dendro in enumerate_dendrograms(n))
+
+
+def check_hol(n: int) -> CampaignReport:
+    """The ``hol`` campaign as it walked every class: the classes whose
+    folded sphere count is 2^n − 1, in walk order, each compared with the
+    one-short-side triple."""
+    if n < 3:
+        raise TooSmall("the all-subsets-spheres campaign needs n >= 3")
+    memo: dict = {}
+    classes = list(enumerate_dendrograms(n))
+    satisfying = [d for d in classes if dendrogram_folds(d, memo)[2] == (1 << n) - 1]
+    reference = FiniteUltrametricSpace.from_trusted_matrix(
+        ("x1", "x2", "x3"), ((0, 2, 1), (2, 0, 2), (1, 2, 0))
+    )
+    similar = [weak_similarity(dendrogram_to_space(d), reference) is not None for d in satisfying]
+    witnesses = [
+        _class_witness(d, "all subsets are centered spheres"
+                       + ("; weakly similar to the 3-point reference" if like else ""))
+        for d, like in zip(satisfying, similar)
+    ]
+    consistent = similar == [True] if n == 3 else not satisfying
+    verdict = "CONSISTENT" if consistent else "COUNTEREXAMPLE"
+    results = {"verdict": verdict, "satisfying_classes": len(satisfying),
+               "weakly_similar_to_reference": similar}
+    return CampaignReport("hol", n, len(classes), verdict, {"all-subsets-spheres": results}, witnesses)
+
+
+def _multisets(counts: list[int]) -> list[int]:
+    """The Euler transform: from the number of objects of each size (none
+    of size 0), the number of multisets of them of each size."""
+    n = len(counts) - 1
+    weights = [0] + [sum(d * counts[d] for d in range(1, k + 1) if k % d == 0)
+                     for k in range(1, n + 1)]
+    sets = [1] + [0] * n
+    for k in range(1, n + 1):
+        sets[k] = sum(weights[i] * sets[k - i] for i in range(1, k + 1)) // k
+    return sets
+
+
+def class_counts(n: int) -> tuple[int, int]:
+    """The number of n-point classes and of those a labeled tree realizes,
+    in closed form, sharing no code with the walk.
+
+    A class is a rooted tree whose internal nodes have two children or
+    more, at strictly increasing integer levels above the leaves' 0, that
+    uses every level 1..k. The trees of root level at most j are the
+    multisets (of one element: that tree itself) of trees of root level at
+    most j − 1: an Euler transform per level. The trees that use k given
+    levels are as many for every choice of them, so binomial inversion over
+    the levels used keeps those that use all of 1..k. A realizable class
+    has a leaf child under every internal node: its new roots are the
+    multisets of two or more that hold a leaf, all of them less those with
+    none, less the one leaf alone.
+    """
+    leaf = [0, 1] + [0] * (n - 1)
+    every, realizable = [leaf], [leaf]  # index j: trees of root level <= j
+    for _ in range(1, n):
+        sets = _multisets(every[-1])
+        every.append([0] + sets[1:])
+        below = realizable[-1]
+        with_leaf = [a - b for a, b in zip(_multisets(below), _multisets([0, 0] + below[2:]))]
+        realizable.append([b + w - (k == 1) for k, (b, w) in enumerate(zip(below, with_leaf))])
+
+    def using_every_level(trees: list) -> int:
+        return sum((-1) ** (k - j) * comb(k, j) * trees[j][n]
+                   for k in range(n) for j in range(k + 1))
+
+    return using_every_level(every), using_every_level(realizable)
 
 
 def center_size(space) -> int:

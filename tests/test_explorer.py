@@ -42,7 +42,6 @@ from ultratree.formats import matrix_csv_string, tree_json_string
 from ultratree.explorer import (
     _Subtrees,
     _all_subsets_spheres,
-    _center_size,
     _enumerate_ids,
     check_suite_enumerated,
 )
@@ -389,7 +388,7 @@ class TestCampaignFold:
             assert oracles.dendrogram_center_size(dendro) == oracles.center_size(space)
             assert oracles.has_leaf_children(dendro) == (is_ut(space) is not None)
             if n <= 7:
-                assert _all_subsets_spheres(n, table.fold_spheres(root)) == (
+                assert _all_subsets_spheres(n, oracles.dendrogram_folds(dendro, {})[2]) == (
                     oracles.all_subsets_spheres(space)
                 )
                 # leaf i of the depth-first numbering is the point x{i+1}
@@ -406,26 +405,29 @@ class TestCampaignFold:
         assert [table.dendrogram(root).key() for root in roots] == [
             dendro.key() for dendro in enumerate_dendrograms(n)
         ]
-        # every interned subtree against the walks over its dendrogram; a
+        # every interned subtree against the walks over its dendrogram, and
+        # the folds the walk-based campaigns read against the same walks; a
         # class root covers all n leaves, and none is interned
-        assert max(table.size) < n or n == 1
+        memo: dict = {}
         for nid, node in enumerate(table.nodes):
             dendro = table.dendrogram(node)
             assert table.key(node) == dendro.key()
-            assert _center_size(table.full[nid]) == oracles.dendrogram_center_size(dendro)
             assert table.leafy[nid] == oracles.has_leaf_children(dendro)
-            assert table.size[nid] == dendro.leaf_count()
-            assert table.spheres[nid] == len(oracles.sphere_masks(dendro)[1])
             assert table.space(node) == dendrogram_to_space(dendro)
+            full, size, spheres = oracles.dendrogram_folds(dendro, memo)
+            assert 1 + bin(full).count("1") == oracles.dendrogram_center_size(dendro)
+            assert size == dendro.leaf_count() < n or n == 1
+            assert spheres == len(oracles.sphere_masks(dendro)[1])
         # every root, folded from its children, against the same walks
         for root in roots if n <= 7 else ():
             dendro = table.dendrogram(root)
             assert table.key(root) == dendro.key()
-            assert _center_size(table.fold_full(root)) == oracles.dendrogram_center_size(dendro)
             assert table.fold_leafy(root) == oracles.has_leaf_children(dendro)
-            assert table.fold_size(root) == dendro.leaf_count() == n
-            assert table.fold_spheres(root) == len(oracles.sphere_masks(dendro)[1])
             assert table.space(root) == dendrogram_to_space(dendro)
+            full, size, spheres = oracles.dendrogram_folds(dendro, memo)
+            assert 1 + bin(full).count("1") == oracles.dendrogram_center_size(dendro)
+            assert size == dendro.leaf_count() == n
+            assert spheres == len(oracles.sphere_masks(dendro)[1])
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_children_are_in_canonical_key_order(self, n):
@@ -448,9 +450,9 @@ class TestCampaignFold:
         # nested sort keys. That walk interns the roots too, so the two
         # are compared by key: the subtrees are its non-roots, interned in
         # the same order
-        table, expected = _Subtrees(), _Subtrees()
+        table, expected, folds = _Subtrees(), _Subtrees(), {}
         keys = [table.dendrogram(root).key() for root in _enumerate_ids(n, table)]
-        expected_roots = list(oracles.enumerate_ids_by_sort_keys(n, expected))
+        expected_roots = list(oracles.enumerate_ids_by_sort_keys(n, expected, folds))
         assert keys == [expected.dendrogram(expected.nodes[r]).key() for r in expected_roots]
         expected_id = {
             expected.dendrogram(node).key(): nid for nid, node in enumerate(expected.nodes)
@@ -458,9 +460,12 @@ class TestCampaignFold:
         ids = [expected_id[table.dendrogram(node).key()] for node in table.nodes]
         assert ids == sorted(ids)
         assert len(ids) == len(expected.nodes) - (len(expected_roots) if n > 1 else 0)
-        for name in ("full", "leafy", "size", "spheres"):
-            mine, theirs = getattr(table, name), getattr(expected, name)
-            assert mine == [theirs[nid] for nid in ids], name
+        assert table.leafy == [expected.leafy[nid] for nid in ids]
+        # that walk's own folds, against the campaign oracles' folds
+        memo: dict = {}
+        mine = [oracles.dendrogram_folds(table.dendrogram(node), memo) for node in table.nodes]
+        for i, name in enumerate(("full", "size", "spheres")):
+            assert [values[i] for values in mine] == [folds[name][nid] for nid in ids], name
 
     @pytest.mark.skipif(
         not os.environ.get("ULTRATREE_SLOW_TESTS"),
@@ -469,7 +474,7 @@ class TestCampaignFold:
     def test_eleven_point_class_count_against_the_sorting_walk(self):
         walked = sum(1 for _ in _enumerate_ids(11, _Subtrees(), 11))
         assert walked == 1484344
-        assert sum(1 for _ in oracles.enumerate_ids_by_sort_keys(11, _Subtrees())) == walked
+        assert sum(1 for _ in oracles.enumerate_ids_by_sort_keys(11, _Subtrees(), {})) == walked
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_a_finished_walk_leaves_no_garbage_cycle(self, n):
@@ -496,6 +501,31 @@ class TestCampaignFold:
             gc.enable()
 
 
+class TestClassCounts:
+    """The closed-form class counts (``oracles.class_counts``), which share
+    no code with ``_merge_steps`` or ``_partitions_below``, against every
+    count the walk and the fold give."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_walk(self, n):
+        table = _Subtrees()
+        leafy = [table.fold_leafy(root) for root in _enumerate_ids(n, table)]
+        assert (len(leafy), sum(leafy)) == oracles.class_counts(n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_fold(self, monkeypatch, n):
+        # the fold's own fence stops at 11; n = 12 takes half a second
+        monkeypatch.setattr(explorer, "FOLD_FENCE", 12)
+        count, _, _ = explorer._best_classes(n, lambda fresh, new: 0, _Subtrees())
+        assert count == oracles.class_counts(n)[0]
+
+    @pytest.mark.parametrize("n,classes", [(10, 165874), (11, 1484344)])
+    def test_golden_reports(self, n, classes):
+        golden = Path(__file__).resolve().parent / "golden" / f"enumerate-con3-{n}.out"
+        assert json.loads(golden.read_text())["classes_checked"] == classes
+        assert oracles.class_counts(n)[0] == classes
+
+
 class TestCon3Campaign:
     def test_small_n_values(self):
         for n, expected_max in [(1, 1), (2, 2), (3, 2), (4, 3)]:
@@ -504,6 +534,10 @@ class TestCon3Campaign:
             assert report.verdict == "CONSISTENT"
             assert res["max_center_size"] == expected_max
             assert res["bound"] == 1 + (n.bit_length() - 1)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_report_matches_the_walk(self, n):
+        assert check_con3(n) == oracles.check_con3(n)
 
     def test_witness_at_four_is_perfect_binary(self):
         report = check_con3(4)
@@ -525,14 +559,15 @@ class TestCon3Campaign:
         assert sequential == parallel
 
     def test_builds_only_the_witness(self, monkeypatch):
-        # the sizes fold over per-subtree masks and the witness is read off
-        # the table: no dendrogram is built, and the one walk is the
-        # witness's realization, read off the table by its root tuple; no
-        # pool is started
+        # the sizes fold over forest states and the witness is read off the
+        # table: no dendrogram is built, the one walk of a merge order is
+        # the witness's realization, and no pool is started; only the
+        # witness's path is interned
         import multiprocessing
 
         walks = []
         real_merge_order = explorer._merge_order
+        real_subtrees = explorer._Subtrees
 
         def refused(*args, **kwargs):
             raise AssertionError("check_con3 built a Dendrogram")
@@ -544,18 +579,25 @@ class TestCon3Campaign:
         def no_pool(*args, **kwargs):
             raise AssertionError("check_con3 started a process pool")
 
+        tables = []
+
+        def recorded_table():
+            tables.append(real_subtrees())
+            return tables[-1]
+
         monkeypatch.setattr(hierarchy, "Dendrogram", refused)
         monkeypatch.setattr(explorer, "_merge_order", counting_merge_order)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(explorer, "_Subtrees", recorded_table)
         report = check_con3(7)
         monkeypatch.undo()
+        assert report == oracles.check_con3(7)
         assert report.instances == 468
-        label = report.witnesses[0]["label"]
-        table = _Subtrees()
-        [witness_root] = [
-            root for root in _enumerate_ids(7, table) if table.dendrogram(root).key() == label
-        ]
-        assert walks == [witness_root]
+        [table] = tables
+        assert [table.key(root) for root in walks] == [report.witnesses[0]["label"]]
+        # the leaf and the witness's two distinct subtrees below its root
+        assert report.witnesses[0]["label"] == "(2:(1:L,L),(1:L,L),(1:L,L,L))"
+        assert [table.key(node) for node in table.nodes] == ["L", "(1:L,L,L)", "(1:L,L)"]
 
     @pytest.mark.parametrize(
         "jobs,cpus,items,workers",
@@ -699,18 +741,18 @@ def peak_rss_kib(argv: list) -> int:
 )
 class TestSuiteMemory:
     """The suite streams its 165 874 classes at n = 10, in one process or
-    through the pool: it peaks within 10 MB of ``con3``, which folds the
-    same walk in one process. Listing the classes for the pool, as the
-    suite once did, peaked about 40 MB above it."""
+    through the pool: it peaks within 10 MB of ``closed-balls``, which
+    folds the same walk in one process. Listing the classes for the pool,
+    as the suite once did, peaked about 40 MB above it."""
 
     @pytest.fixture(scope="class")
-    def con3_kib(self):
-        return peak_rss_kib(["enumerate", "--n", "10", "--check", "con3"])
+    def closed_balls_kib(self):
+        return peak_rss_kib(["enumerate", "--n", "10", "--check", "closed-balls"])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_suite_peaks_near_con3(self, con3_kib, jobs):
+    def test_suite_peaks_near_closed_balls(self, closed_balls_kib, jobs):
         suite_kib = peak_rss_kib(["enumerate", "--n", "10", "--check", "suite", "--jobs", jobs])
-        assert suite_kib <= con3_kib + 10 * 1024
+        assert suite_kib <= closed_balls_kib + 10 * 1024
 
 
 class TestHolCampaign:
@@ -735,6 +777,20 @@ class TestHolCampaign:
         report = check_hol(n)
         assert report.verdict == "CONSISTENT"
         assert report.results["all-subsets-spheres"]["satisfying_classes"] == 0
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_report_matches_the_walk(self, n):
+        assert check_hol(n) == oracles.check_hol(n)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_most_spheres(self, n):
+        # the fold's maximum, pinned here and not used by the campaign: the
+        # walk's for n <= 9, and (n + 1)(n + 2)/2 - 3 from n = 3
+        _, best, _ = explorer._best_classes(n, explorer._new_spheres, _Subtrees())
+        if n <= 9:
+            assert n + best == oracles.max_sphere_count(n)
+        if n >= 3:
+            assert n + best == (n + 1) * (n + 2) // 2 - 3
 
     def test_nine_points_under_the_enumeration_fence(self):
         report = check_hol(9)

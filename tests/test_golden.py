@@ -9,9 +9,9 @@ change, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-``enumerate-con3-10.out`` and ``enumerate-con3-11.out`` are not among
-those cases: memory gates run them in a child process, the second only
-when ``ULTRATREE_SLOW_TESTS`` is set. Regenerate each with its n, as
+``enumerate-con3-10.out``, ``enumerate-con3-11.out`` and
+``enumerate-hol-11.out`` are not among those cases: time and memory gates
+run them in a child process. Regenerate each with its n and check, as
 
     PYTHONPATH=src python -m ultratree.cli enumerate --n 10 --check con3 \
         > tests/golden/enumerate-con3-10.out
@@ -25,6 +25,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -235,27 +236,29 @@ def test_output_independent_of_hash_seed(seed):
 def test_con3_on_ten_points_within_40_mb():
     # 165 874 classes. On 2 cores (CPython 3.11) the walk that sorted every
     # forest by nested keys took 3.6 s and 75 MB; building the forests in
-    # order took 1.4 s and 61 MB, and folding each class off its root's
-    # children, with no root interned, takes 0.9 s and 27 MB. The peak is
-    # read by a small starter process, since a child of pytest starts from
-    # pytest's own peak.
+    # order took 1.4 s and 61 MB, folding each class off its root's
+    # children, with no root interned, 0.9 s and 27 MB, and folding over
+    # forest states takes 0.1 s and 18 MB. The peak is read by a small
+    # starter process, since a child of pytest starts from pytest's own peak.
     code, lines, _, rss = measured(["enumerate", "--n", "10", "--check", "con3"])
     assert code == 0
     assert b"".join(lines) == (GOLDEN / "enumerate-con3-10.out").read_bytes()
     assert rss <= 40 * 1024
 
 
-@pytest.mark.skipif(
-    not os.environ.get("ULTRATREE_SLOW_TESTS"),
-    reason="a 10 s campaign; set ULTRATREE_SLOW_TESTS=1 to run",
-)
-def test_con3_on_eleven_points_within_150_mb():
-    # 1 484 344 classes: 6.5-7.6 s and 103 MB on 2 cores (CPython 3.11),
-    # where interning every root took 13.3-16.1 s and 378-403 MB
-    code, lines, _, rss = measured(["enumerate", "--n", "11", "--check", "con3"])
+@pytest.mark.parametrize("check", ["con3", "hol"])
+def test_fold_campaign_on_eleven_points_within_1_s_and_40_mb(check):
+    # 1 484 344 classes. Walking every class took 6.5-7.6 s and 103 MB on
+    # 2 cores (CPython 3.11), and interning every root 13.3-16.1 s and
+    # 378-403 MB; folding over the walk's 264 forest states takes about
+    # 0.2 s and 19 MB, start-up included
+    start = time.perf_counter()
+    code, lines, _, rss = measured(["enumerate", "--n", "11", "--check", check])
+    wall = time.perf_counter() - start
     assert code == 0
-    assert b"".join(lines) == (GOLDEN / "enumerate-con3-11.out").read_bytes()
-    assert rss <= 150 * 1024
+    assert b"".join(lines) == (GOLDEN / f"enumerate-{check}-11.out").read_bytes()
+    assert wall <= 1.0
+    assert rss <= 40 * 1024
 
 
 if __name__ == "__main__":
