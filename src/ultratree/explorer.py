@@ -6,8 +6,10 @@ finite ultrametric space up to order-preserving rescaling of its distance
 set. Enumerating canonical dendrograms therefore enumerates those
 equivalence classes exactly once. On top of that sit verification
 campaigns for the structural theorems and searches probing the open
-questions (center-size bound, all-subsets-spheres, closed balls); the
-first two fold over the walk's forest states instead of its classes.
+questions (center-size bound, all-subsets-spheres, closed balls). One
+memoized fold over the walk's forest states drives every walk: the
+enumeration is its walk under a gain of zero, and the last three read
+its best gain and walk only the classes that attain it.
 
 Whether a space is generated by a labeled tree (``is_ut``) is decided by
 the tree layer, :mod:`ultratree.tree`; the name still resolves here, and
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -127,7 +129,8 @@ class _Subtrees:
     take a node tuple too. One value folds bottom-up, for an interned node
     and a root alike: ``leafy[i]`` says every internal node of the subtree
     has a leaf child (:meth:`fold_leafy`), that is, a labeled tree
-    realizes it.
+    realizes it. Only the theorem suite reads it, as its hint; the
+    closed-ball campaign walks the realizable classes alone.
     """
 
     def __init__(self):
@@ -154,25 +157,25 @@ class _Subtrees:
                 return False
         return True
 
-    def walk(self, roots: list[int], state: tuple, level: int, moves: Callable) -> Iterator[tuple]:
-        """Stream the root of every class built from the forest ``roots``
-        (its distinct roots, in canonical order) by the steps ``moves(state)``
-        lists, interning the subtrees on the way. A step is ``(kept, parts,
-        after)`` as :func:`_merge_steps` lists it, with ``after`` the next
-        forest's state, whose item 1 says it keeps a leaf. Every old node is
-        below the new level, so the new forest is the kept nodes, the new
-        nodes (listed in non-increasing order) reversed, then the leaf."""
+    def walk(self, roots: list, state: tuple, level: int, memo: dict, first: int = 0) -> Iterator:
+        """Stream ``(position, root)`` for every class built from the forest
+        ``roots`` (its distinct roots, in canonical order) by the steps
+        ``memo[state]`` keeps (see :func:`_fold`), interning the subtrees on
+        the way; the position counts the classes of the full walk before
+        it, ``first`` of them before the forest. Every old node is below the
+        new level, so the new forest is the kept nodes, the new nodes
+        (listed in non-increasing order) reversed, then the leaf."""
         root_at = roots.__getitem__
         intern = self.intern
-        for kept, parts, after in moves(state):
+        for kept, parts, after, before in memo[state][2]:
             if after is None:  # the class root: one part, nothing kept
-                yield (level, *map(root_at, parts[0]))
+                yield first + before, (level, *map(root_at, parts[0]))
                 continue
             merged = [intern((level, *map(root_at, part))) for part in parts]
             forest = [*map(root_at, kept), *reversed(merged)]
             if after[1]:
                 forest.append(0)
-            yield from self.walk(forest, after, level + 1, moves)
+            yield from self.walk(forest, after, level + 1, memo, first + before)
 
     def key(self, node: tuple[int, ...]) -> str:
         """The subtree's :meth:`Dendrogram.key`, read off the table."""
@@ -206,37 +209,73 @@ class _Subtrees:
         return _space_of_merge_order(self.levels(node))
 
 
-def _enumerate_ids(
-    n: int, table: _Subtrees, fence: int = ENUMERATION_FENCE
-) -> Iterator[tuple[int, ...]]:
-    """Stream the root of every n-point class exactly once, as its node
-    tuple (level, child id, ...); the children are interned in ``table``.
+def _fold(state: tuple, gain: Callable, memo: dict, partitions: dict) -> tuple:
+    """Fold the classes built from ``state`` into ``memo[state]``, returned:
+    their count, their best gain and the steps that attain it, each
+    ``(kept, parts, after, before)``: ``kept`` and ``parts`` as
+    :func:`_merge_steps` lists them, the next state (None for the class
+    root), and how many classes the state's earlier steps build, attaining or not."""
+    counts, leaf_last, sizes = state
+    leaf = len(counts) - 1 if leaf_last else -1
+    count, scored = 0, []
+    for kept, parts, shape in _merge_steps(counts, leaf_last, partitions):
+        part_sizes = [sum(map(sizes.__getitem__, part)) for part in parts]
+        if shape is None:
+            after, copies, below, best = None, (1,), 1, 0
+        else:
+            copies = shape[0][len(kept):len(kept) + len(parts)][::-1]
+            kept_sizes = tuple(map(sizes.__getitem__, kept))
+            after = (*shape, kept_sizes + tuple(reversed(part_sizes)) + (1,) * shape[1])
+            below, best, _ = memo.get(after) or _fold(after, gain, memo, partitions)
+        new = [(c, size, part.count(leaf)) for c, size, part in zip(copies, part_sizes, parts)]
+        fresh = not (kept or shape and shape[1])  # no old root, no leaf kept
+        scored.append((gain(fresh, new) + best, (kept, parts, after, count)))
+        count += below
+    top = max(score for score, _ in scored)
+    memo[state] = folded = (count, top, [move for score, move in scored if score == top])
+    return folded
 
-    Classes are built bottom-up: starting from n leaves, each step merges
-    one or more groups (of at least two current roots) into new nodes at
-    the next level. Every canonical dendrogram has a unique merge
-    history, so the walk needs no deduplication. A forest is held as its
-    distinct roots and its shape: the copies of each, and whether the last
-    is the leaf. The shape alone fixes the merge steps, so
-    :func:`_merge_steps` lists them once per shape. ``n`` above ``fence``
-    (as ``ULTRATREE_MAX_N`` may lower it) raises TooLarge.
+
+def _best_classes(n: int, gain: Callable, table: _Subtrees, fence: int = FOLD_FENCE) -> tuple:
+    """The n-point class count, the best gain of a class, and a walk (in
+    ``table``, see :meth:`_Subtrees.walk`) over the classes that attain it.
+
+    Classes are built bottom-up: from n leaves, each step merges one or
+    more groups (of two or more current roots) into new nodes at the next
+    level. Every canonical dendrogram has a unique merge history, so the
+    walk needs no deduplication. A forest is held as its distinct roots
+    and its state: the copies of each, whether the last is the leaf, and
+    each one's leaf count. The state fixes the steps and the classes
+    below, so :func:`_fold` folds each state once. A class's gain sums
+    ``gain(fresh, new)`` over its steps: ``fresh`` says the step keeps no
+    old root and no leaf, and ``new`` lists ``(copies, leaves, leaf
+    children)`` per distinct new node. ``n`` above ``fence`` (as
+    ``ULTRATREE_MAX_N`` may lower it) raises TooLarge.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     require_within("class enumeration", n, fence)
     if n == 1:
-        yield (0,)
-        return
-    partitions: dict[tuple[int, ...], list] = {}
-    steps = cache(lambda shape: _merge_steps(*shape, partitions))
-    yield from table.walk([0], ((n,), True), 1, steps)
+        return 1, 0, iter([(0, (0,))])
+    start, memo = ((n,), True, (1,)), {}
+    count, best, _ = _fold(start, gain, memo, {})
+    return count, best, table.walk([0], start, 1, memo)
+
+
+def _enumerate_ids(n: int, table: _Subtrees, fence: int = ENUMERATION_FENCE) -> Iterator[tuple]:
+    """Stream the root of every n-point class exactly once, as its node
+    tuple (level, child id, ...); the children are interned in ``table``.
+    It is the walk of :func:`_best_classes` under a gain of zero, which
+    every class attains."""
+    for _, root in _best_classes(n, lambda fresh, new: 0, table, fence)[2]:
+        yield root
 
 
 def enumerate_dendrograms(n: int) -> Iterator[Dendrogram]:
     """Stream every weak-similarity class of n-point spaces exactly once,
     as canonical dendrograms in the order of :func:`_enumerate_ids`."""
     table = _Subtrees()
-    for root in _enumerate_ids(n, table):
+    for root in _enumerate_ids(n, table, ENUMERATION_FENCE):
         yield table.dendrogram(root)
 
 
@@ -358,50 +397,6 @@ def _call_in_worker(fn: Callable, item):
         raise
 
 
-def _best_classes(n: int, gain: Callable, table: _Subtrees) -> tuple[int, int, Iterator]:
-    """The n-point class count, the best gain of a class, and a walk (in
-    ``table``) over the classes that attain it, folded over forest states.
-
-    A state is a forest's shape, as :func:`_enumerate_ids` holds it, plus
-    each distinct root's leaf count. A class's gain is the sum over its
-    merge steps of ``gain(fresh, new)``: ``fresh`` says the step keeps no
-    old root and no leaf, and ``new`` lists ``(copies, leaves, leaf
-    children)`` per distinct new node. Per state the fold memoizes the
-    classes below it, their best gain and the steps that attain it.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    require_within("class enumeration", n, FOLD_FENCE)
-    if n == 1:
-        return 1, 0, iter([(0,)])
-    partitions: dict[tuple[int, ...], list] = {}
-
-    @cache
-    def fold(state: tuple) -> tuple:
-        counts, leaf_last, sizes = state
-        leaf = len(counts) - 1 if leaf_last else -1
-        count, scored = 0, []
-        for kept, parts, shape in _merge_steps(counts, leaf_last, partitions):
-            part_sizes = [sum(map(sizes.__getitem__, part)) for part in parts]
-            if shape is None:
-                after, copies, below, best = None, (1,), 1, 0
-            else:
-                copies = shape[0][len(kept):len(kept) + len(parts)][::-1]
-                kept_sizes = tuple(map(sizes.__getitem__, kept))
-                after = (*shape, kept_sizes + tuple(reversed(part_sizes)) + (1,) * shape[1])
-                below, best, _ = fold(after)
-            count += below
-            new = [(c, size, part.count(leaf)) for c, size, part in zip(copies, part_sizes, parts)]
-            fresh = not (kept or shape and shape[1])  # no old root, no leaf kept
-            scored.append((gain(fresh, new) + best, (kept, parts, after)))
-        top = max(score for score, _ in scored)
-        return count, top, [move for score, move in scored if score == top]
-
-    start = ((n,), True, (1,))
-    count, best, _ = fold(start)
-    return count, best, table.walk([0], start, 1, lambda state: fold(state)[2])
-
-
 def _center_size(full_levels: int) -> int:
     """|center of distances| of a class from its count of full levels: 0
     and every level whose nodes hold all the leaves."""
@@ -419,9 +414,9 @@ def check_con3(n: int) -> CampaignReport:
     witness's path is interned, and no class is built as a dendrogram.
     """
     table = _Subtrees()
-    instances, full_levels, best = _best_classes(n, lambda fresh, new: fresh, table)
+    instances, full_levels, best = _best_classes(n, lambda fresh, new: fresh, table, FOLD_FENCE)
     max_size = _center_size(full_levels)
-    witness = next(best)
+    _, witness = next(best)
     bound = 1 + (n.bit_length() - 1)
     verdict = "CONSISTENT" if max_size <= bound else "COUNTEREXAMPLE"
     return CampaignReport(
@@ -480,8 +475,8 @@ def check_hol(n: int) -> CampaignReport:
     if n < 3:
         raise TooSmall("the all-subsets-spheres campaign needs n >= 3")
     table = _Subtrees()
-    instances, best, attaining = _best_classes(n, _new_spheres, table)
-    satisfying = list(attaining) if _all_subsets_spheres(n, n + best) else []
+    instances, best, attaining = _best_classes(n, _new_spheres, table, FOLD_FENCE)
+    satisfying = [root for _, root in attaining] if _all_subsets_spheres(n, n + best) else []
     similar_to_reference = []
     if satisfying:
         from .hierarchy import weak_similarity
@@ -531,25 +526,28 @@ def _ball_family(space: FiniteUltrametricSpace) -> set[frozenset[int]]:
     return set(_ball_sets(space))
 
 
+def _realizable_step(fresh: bool, new: list) -> int:
+    # 0 when every new node has a leaf child, else -1: a class gains 0, the
+    # best, iff a labeled tree realizes it
+    return all(m for _, _, m in new) - 1
+
+
 def check_closed_balls(n: int) -> CampaignReport:
     """Verify on tree-generated spaces that closed balls are centered spheres.
 
-    The spaces are the n-point classes that a labeled tree realizes, each
-    checked as the walk yields it, its realizability folded from its
-    root's children. On a finite space the closed balls are the open
-    balls (the closed ball of radius ``values[c - 1]`` is the open ball
-    of radius ``values[c]``), so each space's one ball family is checked
-    against its spheres once. The verdict is reported twice: for
-    open balls, the established half, and for closed balls, as search
-    evidence, not asserted.
+    The spaces are the n-point classes that a labeled tree realizes, the
+    only ones the walk under :func:`_realizable_step` yields, each checked
+    as it is yielded and a failure labelled by its position among all
+    classes. On a finite space the closed balls are the open balls (the
+    closed ball of radius ``values[c - 1]`` is the open ball of radius
+    ``values[c]``), so each space's one ball family is checked against its
+    spheres once. The verdict is reported twice: for open balls, the
+    established half, and for closed balls, as search evidence, not asserted.
     """
     table = _Subtrees()
-    fold_leafy = table.fold_leafy
     checked = 0
     failed = []
-    for pos, root in enumerate(_enumerate_ids(n, table, FOLD_FENCE)):
-        if not fold_leafy(root):
-            continue
+    for pos, root in _best_classes(n, _realizable_step, table, FOLD_FENCE)[2]:
         checked += 1
         space = table.space(root)
         if not _ball_family(space) <= _sphere_family(space):
@@ -735,7 +733,8 @@ def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
     ``Dendrogram``.
     """
     table = _Subtrees()
-    classes = ((r, table.levels(r), table.fold_leafy(r)) for r in _enumerate_ids(n, table))
+    roots = _enumerate_ids(n, table, ENUMERATION_FENCE)
+    classes = ((r, table.levels(r), table.fold_leafy(r)) for r in roots)
     instances = 0
     failures = []
     for root, fail in _parallel_map(_suite_row, classes, jobs):

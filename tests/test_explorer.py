@@ -478,14 +478,18 @@ class TestCampaignFold:
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_a_finished_walk_leaves_no_garbage_cycle(self, n):
-        # the walk's tables are freed as soon as it ends, not at the next
-        # cyclic garbage collection
+        # the walk's tables, and a campaign's fold memo, are freed as soon
+        # as it ends, not at the next cyclic garbage collection
+        campaigns = [check_con3, check_closed_balls, check_suite_enumerated]
         gc.collect()
         gc.disable()
         try:
             table = _Subtrees()
             assert sum(1 for _ in _enumerate_ids(n, table)) == len(list(enumerate_dendrograms(n)))
             assert gc.collect() == 0
+            for campaign in campaigns + [check_hol] * (n >= 3):
+                assert campaign(n).verdict in ("CONSISTENT", "PASS")
+                assert gc.collect() == 0, campaign.__name__
         finally:
             gc.enable()
 
@@ -513,11 +517,29 @@ class TestClassCounts:
         assert (len(leafy), sum(leafy)) == oracles.class_counts(n)
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_fold(self, monkeypatch, n):
-        # the fold's own fence stops at 11; n = 12 takes half a second
-        monkeypatch.setattr(explorer, "FOLD_FENCE", 12)
-        count, _, _ = explorer._best_classes(n, lambda fresh, new: 0, _Subtrees())
+    def test_fold(self, n):
+        # past the fold's own fence of 11; n = 12 takes half a second
+        count, _, _ = explorer._best_classes(n, lambda fresh, new: 0, _Subtrees(), 12)
         assert count == oracles.class_counts(n)[0]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_walk_positions(self, n):
+        # the realizable walk yields each realizable class at its position
+        # in the walk of every class, which numbers the classes 0, 1, ...
+        table, every = _Subtrees(), _Subtrees()
+        count, _, walk = explorer._best_classes(n, explorer._realizable_step, table)
+        expected = [
+            (pos, every.key(root))
+            for pos, root in enumerate(_enumerate_ids(n, every))
+            if every.fold_leafy(root)
+        ]
+        assert [(pos, table.key(root)) for pos, root in walk] == expected
+        _, _, walk = explorer._best_classes(n, lambda fresh, new: 0, _Subtrees())
+        assert [pos for pos, _ in walk] == list(range(count))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_closed_balls_checks_every_realizable_class(self, n):
+        assert check_closed_balls(n).instances == oracles.class_counts(n)[1]
 
     @pytest.mark.parametrize("n,classes", [(10, 165874), (11, 1484344)])
     def test_golden_reports(self, n, classes):
@@ -713,9 +735,9 @@ class TestCon3Campaign:
 
 
 # A child's ru_maxrss starts from the peak of the process it was forked
-# from, so each CLI run is started by a small interpreter, not by pytest.
-# It prints the CLI's exit code and peak RSS in KiB: the larger of the
-# CLI's own and that of any worker process the CLI has waited for.
+# from, so each run is started by a small interpreter, not by pytest. It
+# prints the run's exit code and peak RSS in KiB: the larger of the run's
+# own and that of any worker process the run has waited for.
 RSS_STARTER = """import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
@@ -723,11 +745,12 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def peak_rss_kib(argv: list) -> int:
+def peak_rss_kib(args: list) -> int:
+    """The peak RSS of ``python -B *args`` in KiB, with ``src`` on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    cli = [sys.executable, "-B", "-m", "ultratree.cli", *argv]
     proc = subprocess.run(
-        [sys.executable, "-c", RSS_STARTER, *cli], capture_output=True, check=True,
+        [sys.executable, "-c", RSS_STARTER, sys.executable, "-B", *args],
+        capture_output=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=900,
     )
     code, rss = map(int, proc.stdout.split())
@@ -741,18 +764,26 @@ def peak_rss_kib(argv: list) -> int:
 )
 class TestSuiteMemory:
     """The suite streams its 165 874 classes at n = 10, in one process or
-    through the pool: it peaks within 10 MB of ``closed-balls``, which
-    folds the same walk in one process. Listing the classes for the pool,
-    as the suite once did, peaked about 40 MB above it."""
+    through the pool: it peaks within 10 MB of one process that walks the
+    same classes to the end and checks none. Listing the classes for the
+    pool, as the suite once did, peaked about 40 MB above it."""
+
+    WALK = (
+        "from ultratree.explorer import _Subtrees, _enumerate_ids\n"
+        "for _ in _enumerate_ids(10, _Subtrees()):\n"
+        "    pass\n"
+    )
 
     @pytest.fixture(scope="class")
-    def closed_balls_kib(self):
-        return peak_rss_kib(["enumerate", "--n", "10", "--check", "closed-balls"])
+    def walk_kib(self):
+        return peak_rss_kib(["-c", self.WALK])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_suite_peaks_near_closed_balls(self, closed_balls_kib, jobs):
-        suite_kib = peak_rss_kib(["enumerate", "--n", "10", "--check", "suite", "--jobs", jobs])
-        assert suite_kib <= closed_balls_kib + 10 * 1024
+    def test_suite_peaks_near_the_walk(self, walk_kib, jobs):
+        suite_kib = peak_rss_kib(
+            ["-m", "ultratree.cli", "enumerate", "--n", "10", "--check", "suite", "--jobs", jobs]
+        )
+        assert suite_kib <= walk_kib + 10 * 1024
 
 
 class TestHolCampaign:
@@ -884,17 +915,18 @@ class TestClosedBallCampaign:
         monkeypatch.setattr(explorer, "_ball_family", ball_family_checked_in_walk)
         monkeypatch.setattr(hierarchy, "Dendrogram", refused)
         realizable = []
-        walk = explorer._enumerate_ids
+        walk = explorer._Subtrees.walk
 
-        def watched_walk(n, table, fence):
-            for root in walk(n, table, fence):
-                # the class before this one has been checked already
-                assert len(checked) == len(realizable)
-                if table.fold_leafy(root):
+        def watched_walk(table, roots, state, level, *args):
+            for pos, root in walk(table, roots, state, level, *args):
+                if level == 1:  # the outermost walk: it yields every class
+                    # the class before this one has been checked already
+                    assert len(checked) == len(realizable)
+                    assert table.fold_leafy(root)
                     realizable.append(root)
-                yield root
+                yield pos, root
 
-        monkeypatch.setattr(explorer, "_enumerate_ids", watched_walk)
+        monkeypatch.setattr(explorer._Subtrees, "walk", watched_walk)
         report = check_closed_balls(n)
         assert report.verdict == "CONSISTENT"
         assert report.instances == len(checked) == len(realizable)
