@@ -5,12 +5,22 @@ of weak-similarity classes.
 
 Submodules are imported on first use of one of their names (PEP 562), so
 a command that needs only the tree layer never loads the campaign code.
-The space itself and its merge-order readers (``metric``) are apart from
-matrix validation and the canonical dendrogram (``hierarchy``) and from
-the rank-row analyses, balls and spheres among them (``rankrows``).
-``is_ut``, which decides whether a space is generated by a labeled tree,
-belongs to the tree layer (``tree``). The campaigns (``explorer``) load
-the file formats only to write a witness.
+The modules are split along the paths the CLI verbs run, since a process
+that finds no bytecode compiles every module it imports:
+
+- ``metric``: the space itself and its merge order;
+- ``mergeorder``: the center and the diametrical parts read off a merge
+  order, and the records they report in;
+- ``hierarchy``: matrix validation and the diameter splits;
+- ``dendrogram``: the canonical dendrogram and weak similarity;
+- ``rankrows``: the rank-row analyses, balls and spheres among them;
+- ``tree``: the labeled tree, and ``is_ut``, which decides whether a
+  space is generated by one;
+- ``treemetric``: tree validation and the metric a tree generates;
+- ``explorer``: the class enumeration and its campaigns;
+- ``suite``: the theorem suite and its process pool.
+
+The campaigns load the file formats (``formats``) only to write a witness.
 """
 
 from importlib import import_module
@@ -20,19 +30,16 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "errors": ("UltratreeError",),
+    "dendrogram": (
+        "Dendrogram", "WeakSimilarityWitness", "space_to_dendrogram", "weak_similarity",
+    ),
     "explorer": (
         "CampaignReport", "check_closed_balls", "check_con3", "check_hol",
-        "check_theorem_suite", "dendrogram_to_space", "enumerate_dendrograms",
-        "merge_parts",
+        "dendrogram_to_space", "enumerate_dendrograms", "merge_parts",
     ),
-    "hierarchy": (
-        "Dendrogram", "WeakSimilarityWitness", "space_to_dendrogram",
-        "validate_ultrametric", "weak_similarity",
-    ),
-    "metric": (
-        "DistanceSet", "FiniteUltrametricSpace", "MultipartiteDecomposition",
-        "StarCertificate",
-    ),
+    "hierarchy": ("validate_ultrametric",),
+    "mergeorder": ("DistanceSet", "MultipartiteDecomposition", "StarCertificate"),
+    "metric": ("FiniteUltrametricSpace",),
     "padic": (
         "PadicNorm", "dp_metric", "dplus", "padic_distance", "padic_valuation",
         "sample_space",
@@ -43,15 +50,16 @@ _EXPORTS = {
         "enumerate_centered_spheres", "is_centered_sphere", "is_equidistant",
         "multipartite_parts", "pointwise_distance_set", "restrict", "spanning_star",
     ),
-    "tree": (
-        "LabeledTree", "PathMaxIndex", "ball_subtree", "canonical_labeling",
-        "distance_matrix", "is_nondegenerate", "is_ut", "label_distance",
-        "random_labeled_tree", "validate_tree",
+    "suite": ("check_theorem_suite",),
+    "tree": ("LabeledTree", "is_ut"),
+    "treemetric": (
+        "PathMaxIndex", "ball_subtree", "canonical_labeling", "distance_matrix",
+        "is_nondegenerate", "label_distance", "random_labeled_tree", "validate_tree",
     ),
 }
 _SUBMODULES = (
-    "capacity", "errors", "explorer", "formats", "hierarchy", "metric", "padic", "rankrows",
-    "rationals", "tree",
+    "capacity", "dendrogram", "errors", "explorer", "formats", "hierarchy", "mergeorder",
+    "metric", "padic", "rankrows", "rationals", "suite", "tree", "treemetric",
 )
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -26,12 +26,11 @@ import json
 import os
 import sys
 
-# `explorer`, `formats`, `rankrows` and `tree` are imported by the verbs
-# that run them, so that a process compiles no module it does not
-# execute. `padic` stays here: the span tracer in perfbench/ looks up
-# every module it wraps in sys.modules and raises KeyError for one that no
-# operation of a workload loaded, and the class-campaigns workload runs no
-# verb that imports padic.
+# The other modules are imported by the verbs that run them, so that a
+# process compiles no module it does not execute. `padic` stays here: the
+# span tracer in perfbench/ looks up every module it wraps in sys.modules
+# and raises KeyError for one that no operation of a workload loaded, and
+# the class-campaigns workload runs no verb that imports padic.
 from . import metric, padic
 from .errors import FormatError, TooLarge, UltratreeError
 from .rationals import format_rational, parse_integer, parse_rational_list
@@ -42,10 +41,10 @@ def _load_space(path: str) -> tuple[metric.FiniteUltrametricSpace, bool]:
     from . import formats
 
     if path.endswith(".json"):
-        from . import tree
+        from . import treemetric
 
         t = formats.read_tree_file(path)
-        return tree.distance_matrix(t), True
+        return treemetric.distance_matrix(t), True
     if path.endswith(".csv"):
         return formats.read_matrix_file(path), False
     raise UltratreeError(f"cannot tell tree JSON from matrix CSV: {path!r}")
@@ -55,10 +54,10 @@ def _load_gap_form(path: str) -> tuple:
     """A space's points and merge order ``(order, gaps, values)``: Kruskal's
     from a tree JSON, with no matrix, or the one a matrix CSV's validation lists."""
     if path.endswith(".json"):
-        from . import formats, tree
+        from . import formats, treemetric
 
         t = formats.read_tree_file(path)
-        return (t.vertices, *tree._gap_form(t))
+        return (t.vertices, *treemetric._gap_form(t))
     space = _load_space(path)[0]
     return (space.points, *space._gap_form)
 
@@ -69,48 +68,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_diametrical(
-    points: tuple[str, ...], parts: list[list[int]], diameter, dot_path: str | None
-) -> None:
-    """Print the diametrical graph of a space from its diametrical parts
-    (ascending index lists, by least index; one part for a single point).
-
-    The edges are the C(n,2) - sum of C(|p|,2) pairs across parts, in
-    (i < j) order. They are written one row at a time, to whatever
-    ``sys.stdout`` is at the call, so that no edge list is ever held.
-    """
-    n = len(points)
-    part_of = [0] * n
-    for k, part in enumerate(parts):
-        for a in part:
-            part_of[a] = k
-    count = n * (n - 1) // 2 - sum(len(p) * (len(p) - 1) // 2 for p in parts)
-    out = sys.stdout
-    out.write(f"diameter: {format_rational(diameter)}\nedges ({count}): ")
-    sep = ""
-    for i, later in metric._cross_part_rows(part_of):
-        if later:
-            head = points[i] + "-"
-            out.write(sep + head + (", " + head).join(map(points.__getitem__, later)))
-            sep = ", "
-    out.write("\n")
-    named = star = None
-    if n >= 2:
-        named = metric.MultipartiteDecomposition(
-            tuple(tuple(points[a] for a in part) for part in parts)
-        )
-        print("parts: " + " | ".join("{" + ",".join(p) + "}" for p in named.parts))
-        singles = [part[0] for part in parts if len(part) == 1]
-        star = metric.StarCertificate(points[min(singles)]) if singles else None
-    print(f"star center: {star.center if star else 'none'}")
-    if dot_path:
-        from . import formats
-
-        rows = metric._cross_part_rows(part_of)
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.writelines(formats.diametrical_dot_chunks(points, named, star, rows))
 
 
 # an integer flag: a sign and the ASCII digits 0-9, as every number here
@@ -226,30 +183,34 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     if args.verb == "validate":
-        from . import formats, tree
+        from . import formats, treemetric
 
         t = formats.read_tree_file(args.tree)
-        status = "non-degenerate" if tree.is_nondegenerate(t) else (
-            "degenerate (edge %s-%s)" % tree.degenerate_edge(t)
+        status = "non-degenerate" if treemetric.is_nondegenerate(t) else (
+            "degenerate (edge %s-%s)" % treemetric.degenerate_edge(t)
         )
         print(f"OK: {t.n} vertices, {len(t.edges)} edges, labeling {status}")
     elif args.verb == "distances":
-        from . import formats, tree
+        from . import formats, treemetric
 
-        space = tree.distance_matrix(formats.read_tree_file(args.tree))
+        space = treemetric.distance_matrix(formats.read_tree_file(args.tree))
         _emit(formats.matrix_csv_string(space), args.output)
     elif args.verb == "canonical":
-        from . import formats, tree
+        from . import formats, treemetric
 
-        t = tree.canonical_labeling(formats.read_tree_file(args.tree))
+        t = treemetric.canonical_labeling(formats.read_tree_file(args.tree))
         _emit(formats.tree_json_string(t), args.output)
     elif args.verb == "center":
+        from . import mergeorder
+
         _, _, gaps, values = _load_gap_form(args.input)
-        print(metric._center_from_gaps(gaps, values).format())
+        print(mergeorder._center_from_gaps(gaps, values).format())
     elif args.verb == "diametrical":
+        from . import formats, mergeorder
+
         points, order, gaps, values = _load_gap_form(args.input)
-        parts = metric._diametrical_parts(order, gaps, values)
-        _write_diametrical(points, parts, values[-1], args.dot)
+        parts = mergeorder._diametrical_parts(order, gaps, values)
+        formats.write_diametrical(sys.stdout, points, parts, values[-1], args.dot)
     elif args.verb == "spheres":
         from . import rankrows
 
@@ -267,10 +228,10 @@ def _run(args: argparse.Namespace) -> int:
             every = len(spheres) == (1 << space.n) - 1
             print(f"all non-empty subsets are centered spheres: {'yes' if every else 'no'}")
     elif args.verb == "check":
-        from . import explorer
+        from . import suite
 
         space, tree_backed = _load_space(args.input)
-        report = explorer.check_theorem_suite(
+        report = suite.check_theorem_suite(
             space, is_ut_hint=tree_backed or args.ut
         )
         for name, res in report.results.items():
@@ -293,7 +254,9 @@ def _run(args: argparse.Namespace) -> int:
         elif args.check == "closed-balls":
             report = explorer.check_closed_balls(args.n)
         else:
-            report = explorer.check_suite_enumerated(args.n, jobs=args.jobs)
+            from . import suite
+
+            report = suite.check_suite_enumerated(args.n, jobs=args.jobs)
         _emit(_report_json(report), args.output)
         if report.verdict not in ("PASS", "CONSISTENT"):
             for w in report.witnesses:
@@ -316,10 +279,10 @@ def _run(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(formats.tree_json_string(cert))
     elif args.verb == "random-tree":
-        from . import formats, tree
+        from . import formats, treemetric
 
         pool = parse_rational_list(args.pool)
-        t = tree.random_labeled_tree(args.n, pool, args.seed)
+        t = treemetric.random_labeled_tree(args.n, pool, args.seed)
         sys.stdout.write(formats.tree_json_string(t))
     else:
         raise AssertionError(f"unhandled verb {args.verb!r}")

@@ -1,4 +1,5 @@
-"""External file formats: tree JSON, matrix CSV, DOT export.
+"""External file formats: tree JSON, matrix CSV, the diametrical graph as
+text and as DOT.
 
 All rationals cross the boundary as exact "p/q" strings; decimal notation
 is rejected on input. Writers are byte-deterministic for fixed inputs.
@@ -10,13 +11,15 @@ import io
 import json
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import FormatError
-from .metric import FiniteUltrametricSpace, MultipartiteDecomposition, StarCertificate
+from .metric import FiniteUltrametricSpace
 from .rationals import format_rational, parse_rational
 
 if TYPE_CHECKING:  # each layer is loaded by the function that uses it
+    from .mergeorder import MultipartiteDecomposition, StarCertificate
     from .rankrows import DiametricalGraph
     from .tree import LabeledTree
 
@@ -39,11 +42,11 @@ def _unique_keys(pairs: list) -> dict:
 def parse_tree_json(text: str) -> LabeledTree:
     """Parse {"vertices": [...], "labels": {...}, "edges": [[a,b], ...]}.
 
-    Checks the JSON shapes only; :func:`~ultratree.tree.validate_tree`
+    Checks the JSON shapes only; :func:`~ultratree.treemetric.validate_tree`
     reads the labels as decoded. A key repeated in any object, even one
     the parser ignores, is refused.
     """
-    from .tree import validate_tree
+    from .treemetric import validate_tree
 
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
@@ -155,7 +158,61 @@ def read_matrix_file(path: str) -> FiniteUltrametricSpace:
         return parse_matrix_csv(fh.read())
 
 
-# --- DOT export ------------------------------------------------------------------
+# --- the diametrical graph ------------------------------------------------------
+
+def _cross_part_rows(part_of: Sequence[int]) -> Iterable[tuple[int, list[int]]]:
+    """The edges of the complete multipartite graph whose point i lies in
+    part ``part_of[i]``, one row at a time: each i with the later points
+    of other parts, ascending. A diametrical graph is read off its parts
+    this way without holding its edge list."""
+    n = len(part_of)
+    for i, k in enumerate(part_of):
+        later = i + 1
+        yield i, list(compress(range(later, n), map(k.__ne__, part_of[later:])))
+
+
+def write_diametrical(
+    out: TextIO,
+    points: tuple[str, ...],
+    parts: list[list[int]],
+    diameter: Fraction,
+    dot_path: Optional[str],
+) -> None:
+    """Write the diametrical graph of a space to ``out`` from its
+    diametrical parts (ascending index lists, by least index; one part for
+    a single point), and its DOT rendering to ``dot_path`` if one is given.
+
+    The edges are the C(n,2) - sum of C(|p|,2) pairs across parts, in
+    (i < j) order. They are written one row at a time, so that no edge
+    list is ever held.
+    """
+    from .mergeorder import MultipartiteDecomposition, StarCertificate
+
+    n = len(points)
+    part_of = [0] * n
+    for k, part in enumerate(parts):
+        for a in part:
+            part_of[a] = k
+    count = n * (n - 1) // 2 - sum(len(p) * (len(p) - 1) // 2 for p in parts)
+    out.write(f"diameter: {format_rational(diameter)}\nedges ({count}): ")
+    sep = ""
+    for i, later in _cross_part_rows(part_of):
+        if later:
+            head = points[i] + "-"
+            out.write(sep + head + (", " + head).join(map(points.__getitem__, later)))
+            sep = ", "
+    out.write("\n")
+    named = star = None
+    if n >= 2:
+        named = MultipartiteDecomposition(tuple(tuple(points[a] for a in part) for part in parts))
+        out.write("parts: " + " | ".join("{" + ",".join(p) + "}" for p in named.parts) + "\n")
+        singles = [part[0] for part in parts if len(part) == 1]
+        star = StarCertificate(points[min(singles)]) if singles else None
+    out.write(f"star center: {star.center if star else 'none'}\n")
+    if dot_path:
+        with open(dot_path, "w", encoding="utf-8") as fh:
+            fh.writelines(diametrical_dot_chunks(points, named, star, _cross_part_rows(part_of)))
+
 
 def diametrical_dot_string(
     graph: DiametricalGraph,

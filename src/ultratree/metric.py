@@ -7,16 +7,18 @@ compare small ints; Fractions appear only where a result reports a
 distance. Every analysis result (ball, sphere, graph part, similarity
 witness) carries enough data to be re-checked independently.
 
-The center and the diametrical parts are read here off one merge order:
-the points listed so that every distance is the largest gap between
-them, from Kruskal for a tree (``tree._gap_form``), a depth-first walk
-for a dendrogram or the enumerator's table (:func:`_merge_order`) or
-Prim for a matrix (``hierarchy._check_strong_triangle``). That is all
-the tree verbs run, so the rest lives in modules they never load: matrix
-validation and the canonical dendrogram in :mod:`ultratree.hierarchy`,
-the rank-row analyses (balls, spheres, the diametrical graph) in
-:mod:`ultratree.rankrows`. Their public names still resolve here, each
-loading its module on first use.
+A space's hierarchy has one form, its merge order: the points listed so
+that every distance is the largest gap between them. Kruskal's algorithm
+gives it for a tree (``treemetric._gap_form``), a depth-first walk for a
+dendrogram or the enumerator's table (:func:`_merge_order`, here) and
+Prim's for a matrix (``hierarchy._check_strong_triangle``). Everything
+else lives in modules that a verb loads only when it runs them: the
+center and the diametrical parts read off a merge order in
+:mod:`ultratree.mergeorder`, matrix validation in
+:mod:`ultratree.hierarchy`, the canonical dendrogram and weak similarity
+in :mod:`ultratree.dendrogram`, and the rank-row analyses (balls,
+spheres, the diametrical graph) in :mod:`ultratree.rankrows`. Their
+public names still resolve here, each loading its module on first use.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from operator import attrgetter, itemgetter, neg
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import UnknownPoint
-from .rationals import exact_rational, format_rational
+from .rationals import exact_rational
 
 ZERO = Fraction(0)
 
@@ -38,10 +39,13 @@ ZERO = Fraction(0)
 # such as ``from .metric import X`` (which asks for ``__path__`` first)
 # loads neither module
 _MOVED = {
+    "validate_ultrametric": "hierarchy",
     **dict.fromkeys(
-        ("Dendrogram", "WeakSimilarityWitness", "space_to_dendrogram",
-         "validate_ultrametric", "weak_similarity"),
-        "hierarchy",
+        ("Dendrogram", "WeakSimilarityWitness", "space_to_dendrogram", "weak_similarity"),
+        "dendrogram",
+    ),
+    **dict.fromkeys(
+        ("DistanceSet", "MultipartiteDecomposition", "StarCertificate"), "mergeorder"
     ),
     **dict.fromkeys(
         ("Ball", "BallKind", "DiametricalGraph", "SphereCertificate",
@@ -259,42 +263,6 @@ class FiniteUltrametricSpace(_Record):
         return self.values[self.ranks[self.index_of(p)][self.index_of(q)]]
 
 
-class DistanceSet(_Record):
-    """A strictly increasing tuple of exact distances, always containing 0."""
-
-    __slots__ = ("values",)
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values):
-        if not values or values[0] != 0:
-            raise ValueError("distance set must start at 0")
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValueError("distance set must be strictly increasing")
-        object.__setattr__(self, "values", values)
-
-    def __contains__(self, value) -> bool:
-        return value in self.values
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def greatest_below(self, bound: Fraction) -> Optional[Fraction]:
-        """Largest member strictly below ``bound``; None when there is none."""
-        best = None
-        for v in self.values:
-            if v < bound:
-                best = v
-            else:
-                break
-        return best
-
-    def format(self) -> str:
-        return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
-
-
 def _merge_order(
     root, split: Callable = attrgetter("level", "children")
 ) -> tuple[list, list[int]]:
@@ -302,7 +270,7 @@ def _merge_order(
     between each two neighbouring leaves: the dendrogram's merge order.
 
     ``split(node)`` gives the node's level and its children, none for a
-    leaf; the default reads a :class:`~ultratree.hierarchy.Dendrogram`. Two neighbouring leaves
+    leaf; the default reads a :class:`~ultratree.dendrogram.Dendrogram`. Two neighbouring leaves
     part at the node where one child's leaves end and the next child's
     begin, so the distance of any two leaves is the largest level between
     them. Walked without recursion, so chains of any depth work.
@@ -320,73 +288,3 @@ def _merge_order(
             leaves.append(node)
             gaps.append(gap)
     return leaves, gaps[1:]
-
-
-def _center_from_gaps(gaps: Sequence[int], values: tuple[Fraction, ...]) -> DistanceSet:
-    """The center of distances of a space, read off its merge order.
-
-    The points within distance w of a point p are the run of the merge
-    order between the nearest gaps above w around p, and p realizes w
-    exactly when that run holds a gap equal to w. So w is in the center
-    unless some run, with largest inner gap L (0 for one point) and smaller
-    bounding gap P, has L < w < P: a single point, or a gap's run up to its
-    nearest larger gaps, which one stack over the gaps finds in O(n).
-    """
-    top = len(values) - 1
-    # a difference array: its prefix sum at w counts the runs ruling out
-    # w; a sentinel gap above the top closes both ends of the order
-    cover = [0] * (top + 2)
-    bounds = [top + 1, *gaps, top + 1]
-    cover[1] += 1  # the single points, below the farthest nearest neighbour
-    cover[max(map(min, bounds, bounds[1:]))] -= 1
-    stack: list[int] = []  # strictly decreasing: the gaps still open to the right
-    for g in bounds[1:]:
-        while stack and stack[-1] < g:
-            low = stack.pop()
-            cover[low + 1] += 1
-            cover[min(g, stack[-1]) if stack else g] -= 1
-        if not stack or stack[-1] > g:  # an equal gap belongs to the same run
-            stack.append(g)
-    center = [values[0]]  # 0
-    excluded = 0
-    for w in range(1, top + 1):
-        excluded += cover[w]
-        if not excluded:
-            center.append(values[w])
-    return DistanceSet(tuple(center))
-
-
-def _cross_part_rows(part_of: Sequence[int]) -> Iterable[tuple[int, list[int]]]:
-    """The edges of the complete multipartite graph whose point i lies in
-    part ``part_of[i]``, one row at a time: each i with the later points
-    of other parts, ascending. A diametrical graph is read off its parts
-    this way without holding its edge list."""
-    n = len(part_of)
-    for i, k in enumerate(part_of):
-        later = i + 1
-        yield i, list(compress(range(later, n), map(k.__ne__, part_of[later:])))
-
-
-def _diametrical_parts(
-    order: Sequence[int], gaps: Sequence[int], values: tuple[Fraction, ...]
-) -> list[list[int]]:
-    """The parts of a space's diametrical graph: the runs of its merge
-    order between the top gaps, each sorted, ordered by least index, as
-    ``multipartite_parts`` lists them. A single point is one part."""
-    top = len(values) - 1
-    cuts = [0, *(k for k, g in enumerate(gaps, 1) if g == top), len(order)]
-    return sorted(sorted(order[a:b]) for a, b in zip(cuts, cuts[1:]))
-
-
-class MultipartiteDecomposition(_Record):
-    """Partition of a graph's vertices with edges exactly across parts."""
-
-    __slots__ = ("parts",)
-    parts: tuple[tuple[str, ...], ...]
-
-
-class StarCertificate(_Record):
-    """A vertex adjacent to every other vertex of the host graph."""
-
-    __slots__ = ("center",)
-    center: str

@@ -4,7 +4,7 @@ Balls and spheres (with their records and index cores), the distance
 sets, the diametrical graph with its decomposition and star, equidistance
 and restriction each compare the ints of ``space.ranks``, one row at a
 time, and report distances from ``space.values``. They never read the
-merge order that the tree verbs answer from (:mod:`ultratree.metric`),
+merge order that the tree verbs answer from (:mod:`ultratree.mergeorder`),
 so ``check`` gets independent evidence from them; only ``check``,
 ``spheres`` and the suite and closed-ball campaigns load this module.
 """
@@ -18,13 +18,8 @@ from itertools import chain, compress, repeat
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import EmptySubset, NonpositiveRadius, NotCompleteMultipartite, TooSmall
-from .metric import (
-    DistanceSet,
-    FiniteUltrametricSpace,
-    MultipartiteDecomposition,
-    StarCertificate,
-    _Record,
-)
+from .mergeorder import DistanceSet, MultipartiteDecomposition, StarCertificate
+from .metric import FiniteUltrametricSpace, _Record
 from .rationals import exact_rational
 
 

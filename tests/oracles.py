@@ -55,10 +55,11 @@ from ultratree.errors import (
 )
 from ultratree.explorer import CampaignReport, dendrogram_to_space, enumerate_dendrograms
 from ultratree.formats import matrix_csv_string
-from ultratree.hierarchy import Dendrogram, WeakSimilarityWitness, weak_similarity
+from ultratree.dendrogram import Dendrogram, WeakSimilarityWitness, weak_similarity
 from ultratree.metric import FiniteUltrametricSpace
 from ultratree.rationals import format_rational
-from ultratree.tree import LabeledTree, degenerate_edge, validate_tree
+from ultratree.tree import LabeledTree
+from ultratree.treemetric import degenerate_edge, validate_tree
 from ultratree.errors import DegenerateLabeling
 
 ZERO = Fraction(0)

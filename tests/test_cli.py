@@ -636,65 +636,72 @@ class TestImports:
     # The ultratree modules each command loads, besides those every command
     # loads (cli, errors, metric, padic, rationals). A process compiles each
     # module it imports when it finds no bytecode, so a verb loads none that
-    # it does not run: matrix validation and the dendrogram forms
-    # (hierarchy) only where a matrix is read or a dendrogram built (no
-    # campaign here: a witness's label is read off the enumerator's
-    # table), the rank-row analyses (rankrows) only where they run.
+    # it does not run: matrix validation (hierarchy) only where a matrix is
+    # read, the merge-order readers (mergeorder) only where they or the
+    # rank-row analyses (rankrows) run, the tree layer's metric (treemetric)
+    # only where a tree is read or made, the theorem suite (suite) only
+    # where it runs, and the canonical dendrogram (dendrogram) nowhere here:
+    # a witness's label is read off the enumerator's table, and `hol` loads
+    # it only for a satisfying class, which n = 5 has none of.
     COMMANDS = {
         "is-ut {csv}": "formats hierarchy tree",
-        "check {csv}": "capacity explorer formats hierarchy rankrows",
-        "center {csv}": "formats hierarchy",
+        "check {csv}": "capacity explorer formats hierarchy mergeorder rankrows suite",
+        "check {json}": "capacity explorer formats mergeorder rankrows suite tree treemetric",
+        "center {csv}": "formats hierarchy mergeorder",
+        "diametrical {csv}": "formats hierarchy mergeorder",
+        "spheres {csv}": "formats hierarchy mergeorder rankrows",
         "padic --p 2 --sample 0,1,2": "formats hierarchy",
         "dplus --sample 0,1,2": "formats hierarchy",
         "enumerate --n 5 --check con3": "capacity explorer formats",
         "enumerate --n 5 --check hol": "capacity explorer",
-        "enumerate --n 5 --check suite": "capacity explorer rankrows",
-        "enumerate --n 5 --check closed-balls": "capacity explorer rankrows",
-        "validate {json}": "formats tree",
-        "distances {json}": "formats tree",
-        "canonical {json}": "formats tree",
-        "center {json}": "formats tree",
-        "diametrical {json} --dot {dot}": "formats tree",
-        "spheres {json}": "formats rankrows tree",
-        "random-tree --n 5 --seed 1 --pool 0,1": "formats tree",
+        "enumerate --n 5 --check suite": "capacity explorer mergeorder rankrows suite",
+        "enumerate --n 5 --check closed-balls": "capacity explorer mergeorder rankrows",
+        "validate {json}": "formats tree treemetric",
+        "distances {json}": "formats tree treemetric",
+        "canonical {json}": "formats tree treemetric",
+        "center {json}": "formats mergeorder tree treemetric",
+        "diametrical {json} --dot {dot}": "formats mergeorder tree treemetric",
+        "spheres {json}": "formats mergeorder rankrows tree treemetric",
+        "random-tree --n 5 --seed 1 --pool 0,1": "formats tree treemetric",
     }
 
     # The most statements (``ast.stmt`` nodes in the source of every
     # ultratree module loaded) each command may compile: a count that
-    # repeats exactly, where start-up time from source does not. The tree
-    # verbs and random-tree stood at 1 468, padic and dplus at 1 181 and
-    # is-ut at 1 468 before the space was split from validation, the
-    # dendrogram forms and the rank-row analyses; every other command may
-    # compile at most 50 more than it did then, for the new modules' own
-    # headers and imports. The tree-JSON verbs and random-tree compiled
-    # 1 082 once labels were read only by validate_tree; their cap is that
-    # plus 10. `suite` and `closed-balls` compiled 1 432 once the closed-ball
-    # campaign walked the enumerated classes only (1 442 before), and 1 259
-    # since no campaign loads `hierarchy` for a witness and `cli` builds
-    # one subparser from a table; `hol` compiled 1 043 (1 216 before) and
-    # `con3` 1 164 (1 337). Since `con3` and `hol` fold over forest states
-    # and the table keeps one fold column, `con3` compiled 1 169, `hol`
-    # 1 048, and `suite` and `closed-balls` 1 264. Since one fold drives
-    # every walk, `con3` compiles 1 163, `hol` 1 042, and `suite` and
-    # `closed-balls` 1 258; the four caps are those plus 10.
+    # repeats exactly, where start-up time from source does not. Each cap
+    # is at most the command's count plus 10; a change that frees
+    # statements lowers the caps, and none is ever raised. They were last
+    # set when the theorem suite, the canonical dendrogram, the merge-order
+    # readers and the tree metric got their own modules, which cut `is-ut`
+    # from 1 255 statements to 888, `hol` from 1 042 to 854, `con3` from
+    # 1 163 to 1 010, `closed-balls` from 1 258 to 1 138 and the tree-JSON
+    # verbs that read no merge order from 1 069 to 1 024. `center` and
+    # `diametrical` on a tree JSON compile 1 091 and keep their cap of
+    # 1 092; `check` on a tree JSON, uncapped until then, rose from 1 657
+    # to 1 707, as it now loads both halves of three of the split modules.
     STATEMENT_CAPS = {
-        "is-ut {csv}": 1320,
-        "check {csv}": 1536 + 50,
-        "center {csv}": 1181 + 50,
-        "padic --p 2 --sample 0,1,2": 1050,
-        "dplus --sample 0,1,2": 1050,
-        "enumerate --n 5 --check con3": 1163 + 10,
-        "enumerate --n 5 --check hol": 1042 + 10,
-        "enumerate --n 5 --check suite": 1258 + 10,
-        "enumerate --n 5 --check closed-balls": 1258 + 10,
-        "validate {json}": 1082 + 10,
-        "distances {json}": 1082 + 10,
-        "canonical {json}": 1082 + 10,
-        "center {json}": 1082 + 10,
-        "diametrical {json} --dot {dot}": 1082 + 10,
-        "spheres {json}": 1468 + 50,
-        "random-tree --n 5 --seed 1 --pool 0,1": 1082 + 10,
+        "is-ut {csv}": 898,
+        "check {csv}": 1521,
+        "check {json}": 1717,
+        "center {csv}": 905,
+        "diametrical {csv}": 905,
+        "spheres {csv}": 1122,
+        "padic --p 2 --sample 0,1,2": 838,
+        "dplus --sample 0,1,2": 838,
+        "enumerate --n 5 --check con3": 1020,
+        "enumerate --n 5 --check hol": 864,
+        "enumerate --n 5 --check suite": 1268,
+        "enumerate --n 5 --check closed-balls": 1148,
+        "validate {json}": 1034,
+        "distances {json}": 1034,
+        "canonical {json}": 1034,
+        "center {json}": 1092,
+        "diametrical {json} --dot {dot}": 1092,
+        "spheres {json}": 1318,
+        "random-tree --n 5 --seed 1 --pool 0,1": 1034,
     }
+
+    def test_every_command_has_a_module_set_and_a_cap(self):
+        assert self.COMMANDS.keys() == self.STATEMENT_CAPS.keys()
 
     def loaded_by(self, tmp_path, tree_file, command):
         csv_file = tmp_path / "m.csv"

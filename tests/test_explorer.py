@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -25,13 +26,14 @@ from ultratree import (
     distance_matrix,
     dp_metric,
     enumerate_dendrograms,
+    dendrogram,
     explorer,
-    hierarchy,
     is_ut,
     merge_parts,
     random_labeled_tree,
     sample_space,
     space_to_dendrogram,
+    suite,
     validate_tree,
     validate_ultrametric,
     weak_similarity,
@@ -39,12 +41,8 @@ from ultratree import (
 from ultratree.capacity import require_within
 from ultratree.errors import EmptyPool, FewerThanTwoBlocks, TooLarge, TooSmall
 from ultratree.formats import matrix_csv_string, tree_json_string
-from ultratree.explorer import (
-    _Subtrees,
-    _all_subsets_spheres,
-    _enumerate_ids,
-    check_suite_enumerated,
-)
+from ultratree.explorer import _Subtrees, _all_subsets_spheres, _enumerate_ids
+from ultratree.suite import check_suite_enumerated
 
 F = Fraction
 
@@ -82,7 +80,7 @@ def oracle_classes_by_matrix_enumeration(n):
 def oracle_is_realizable(space):
     """Unpruned tree search: every shape (Prüfer) x every labeling over the
     realized distances plus 0, compared by full path-max matrices."""
-    from ultratree.tree import _prufer_to_edges
+    from ultratree.treemetric import _prufer_to_edges
 
     n = space.n
     values = sorted({v for row in space.matrix for v in row} | {F(0)})
@@ -126,7 +124,7 @@ def oracle_is_ut_search(space):
     realize its endpoints' distance as the larger label) and by the
     center-dichotomy necessary condition. Returns a certificate or None."""
     from ultratree import center_of_distances, diameter, distance_set, validate_tree
-    from ultratree.tree import _prufer_to_edges
+    from ultratree.treemetric import _prufer_to_edges
 
     n = space.n
     if n == 1:
@@ -607,7 +605,7 @@ class TestCon3Campaign:
             tables.append(real_subtrees())
             return tables[-1]
 
-        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
+        monkeypatch.setattr(dendrogram, "Dendrogram", refused)
         monkeypatch.setattr(explorer, "_merge_order", counting_merge_order)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         monkeypatch.setattr(explorer, "_Subtrees", recorded_table)
@@ -630,8 +628,6 @@ class TestCon3Campaign:
         # worker is ever started whatever size is asked for
         import multiprocessing
 
-        from ultratree import explorer
-
         started = []
 
         class FakePool:
@@ -645,12 +641,12 @@ class TestCon3Campaign:
                 return False
 
             def imap(self, fn, items, chunksize):
-                assert chunksize == explorer._POOL_CHUNK
+                assert chunksize == suite._POOL_CHUNK
                 return map(fn, items)
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
-        mapped = explorer._parallel_map(abs, range(-items, 0), jobs)
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: cpus)
+        mapped = suite._parallel_map(abs, range(-items, 0), jobs)
         assert list(mapped) == list(range(items, 0, -1))
         assert started == ([] if workers is None else [workers])
 
@@ -661,13 +657,13 @@ class TestCon3Campaign:
         def hung(signum, frame):
             raise AssertionError("the pool hung on the worker's error")
 
-        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
         fenced = functools.partial(require_within, "test items", default=5)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
             with pytest.raises(TooLarge) as err:
-                list(explorer._parallel_map(fenced, range(10), 2))
+                list(suite._parallel_map(fenced, range(10), 2))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -680,19 +676,26 @@ class TestCon3Campaign:
         def hung(signum, frame):
             raise AssertionError("the pool hung on the worker's error")
 
-        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
             with pytest.raises(RuntimeError) as err:
-                list(explorer._parallel_map(refuse_three, range(10), 2))
+                list(suite._parallel_map(refuse_three, range(10), 2))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert str(err.value) == "TwoValueError: item 3 refused"
 
     def test_pool_takes_the_items_as_it_maps_them(self, monkeypatch):
-        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        # a fold that pauses lets the pool draw no more than its bound of
+        # items ahead of it: each result the pool holds is one item drawn
+        # and not yet folded. Closing the fold early ends the pool, whose
+        # feeder may wait for a permit; an alarm ends a wait that does not
+        def hung(signum, frame):
+            raise AssertionError("the pool's exit waited for its feeder")
+
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
         total = 1_000_000
         pulled = []
 
@@ -701,12 +704,19 @@ class TestCon3Campaign:
                 pulled.append(item)
                 yield item
 
-        mapped = explorer._parallel_map(abs, items(), 2)
+        bound = suite._POOL_AHEAD * suite._POOL_CHUNK * 2
+        mapped = suite._parallel_map(abs, items(), 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
         try:
             assert next(mapped) == 0
-            assert 2 <= len(pulled) < total
-        finally:
+            time.sleep(0.5)  # a slow fold
+            assert 2 <= len(pulled) <= bound + 1  # one permit back per result folded
+            assert next(mapped) == 1
             mapped.close()  # ends the pool and its workers
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_stream_error_is_raised_before_any_worker_starts(self, monkeypatch):
         import multiprocessing
@@ -715,9 +725,9 @@ class TestCon3Campaign:
             raise AssertionError("the fence was sent to a pool")
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
         with pytest.raises(TooLarge):
-            next(explorer._parallel_map(abs, _enumerate_ids(11, _Subtrees()), 2))
+            next(suite._parallel_map(abs, _enumerate_ids(11, _Subtrees()), 2))
         with pytest.raises(TooLarge):
             check_suite_enumerated(11, jobs=2)
 
@@ -729,7 +739,7 @@ class TestCon3Campaign:
                 yielded.append(item)
                 yield item
 
-        mapped = explorer._parallel_map(lambda item: (item, len(yielded)), items(), 1)
+        mapped = suite._parallel_map(lambda item: (item, len(yielded)), items(), 1)
         assert yielded == []
         assert list(mapped) == [(0, 1), (1, 2), (2, 3)]
 
@@ -844,7 +854,7 @@ class TestHolCampaign:
         # witnesses are read off it: the table builds no dendrogram, and
         # only a satisfying class is compared with the reference
         compared = []
-        real_weak_similarity = hierarchy.weak_similarity
+        real_weak_similarity = dendrogram.weak_similarity
 
         def refused(*args, **kwargs):
             raise AssertionError("the table built a Dendrogram")
@@ -854,7 +864,7 @@ class TestHolCampaign:
             return real_weak_similarity(first, second)
 
         monkeypatch.setattr(explorer._Subtrees, "dendrogram", refused)
-        monkeypatch.setattr(hierarchy, "weak_similarity", counting_weak_similarity)
+        monkeypatch.setattr(dendrogram, "weak_similarity", counting_weak_similarity)
         report = check_hol(n)
         monkeypatch.undo()
         expected = [
@@ -913,7 +923,7 @@ class TestClosedBallCampaign:
             raise AssertionError("the campaign built a Dendrogram")
 
         monkeypatch.setattr(explorer, "_ball_family", ball_family_checked_in_walk)
-        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
+        monkeypatch.setattr(dendrogram, "Dendrogram", refused)
         realizable = []
         walk = explorer._Subtrees.walk
 
@@ -1023,16 +1033,14 @@ class TestTheoremSuite:
         assert report.instances == 6
 
     def test_suite_hint_is_realizability(self, monkeypatch):
-        from ultratree import explorer
-
         hints = []
-        real_suite = explorer.check_theorem_suite
+        real_suite = suite.check_theorem_suite
 
         def recording_suite(space, is_ut_hint=False):
             hints.append((space, is_ut_hint))
             return real_suite(space, is_ut_hint)
 
-        monkeypatch.setattr(explorer, "check_theorem_suite", recording_suite)
+        monkeypatch.setattr(suite, "check_theorem_suite", recording_suite)
         assert check_suite_enumerated(6, jobs=1).verdict == "PASS"
         assert len(hints) == 90
         assert [hint for _, hint in hints] == [is_ut(space) is not None for space, _ in hints]
@@ -1043,7 +1051,7 @@ class TestTheoremSuite:
         # other failing class is named by no key
         classes = list(enumerate_dendrograms(5))
         failing = [dendrogram_to_space(classes[pos]) for pos in (7, 3)]
-        real_suite = explorer.check_theorem_suite
+        real_suite = suite.check_theorem_suite
 
         def suite_failing_two_classes(space, is_ut_hint=False):
             report = real_suite(space, is_ut_hint)
@@ -1055,8 +1063,8 @@ class TestTheoremSuite:
         def refused(*args, **kwargs):
             raise AssertionError("the suite built a Dendrogram")
 
-        monkeypatch.setattr(explorer, "check_theorem_suite", suite_failing_two_classes)
-        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
+        monkeypatch.setattr(suite, "check_theorem_suite", suite_failing_two_classes)
+        monkeypatch.setattr(dendrogram, "Dendrogram", refused)
         report = check_suite_enumerated(5, jobs=1)
         assert report.verdict == "FAIL"
         assert report.results["theorem-suite"]["failing_classes"] == 2
@@ -1070,7 +1078,7 @@ class TestTheoremSuite:
         def refused(*args, **kwargs):
             raise AssertionError("the suite built a Dendrogram")
 
-        monkeypatch.setattr(hierarchy, "Dendrogram", refused)
+        monkeypatch.setattr(dendrogram, "Dendrogram", refused)
         report = check_suite_enumerated(6)
         assert report.verdict == "PASS"
         assert report.instances == 90
@@ -1079,7 +1087,7 @@ class TestTheoremSuite:
     def test_search_evidence_does_not_fail_a_row(self, monkeypatch):
         # a counterexample to the closed-ball search is evidence, not a
         # failing check: the class still passes
-        real_suite = explorer.check_theorem_suite
+        real_suite = suite.check_theorem_suite
         flagged = []
 
         def suite_with_a_counterexample(space, is_ut_hint=False):
@@ -1089,7 +1097,7 @@ class TestTheoremSuite:
                 flagged.append(space)
             return report
 
-        monkeypatch.setattr(explorer, "check_theorem_suite", suite_with_a_counterexample)
+        monkeypatch.setattr(suite, "check_theorem_suite", suite_with_a_counterexample)
         report = check_suite_enumerated(5)
         assert len(flagged) == 10
         assert report.verdict == "PASS"
@@ -1128,7 +1136,7 @@ class TestWitnessesFromTheTable:
     def test_no_campaign_calls_dendrogram_to_space(self, monkeypatch, name):
         # every witness is realized off the subtree table, and it is the
         # class its label names
-        real_suite = explorer.check_theorem_suite
+        real_suite = suite.check_theorem_suite
 
         def failing_suite(space, is_ut_hint=False):
             report = real_suite(space, is_ut_hint)
@@ -1140,7 +1148,7 @@ class TestWitnessesFromTheTable:
             raise AssertionError("a campaign called dendrogram_to_space")
 
         # the suite and closed-balls fail every class, so that each has a witness
-        monkeypatch.setattr(explorer, "check_theorem_suite", failing_suite)
+        monkeypatch.setattr(suite, "check_theorem_suite", failing_suite)
         monkeypatch.setattr(explorer, "_sphere_family", lambda space: set())
         monkeypatch.setattr(explorer, "dendrogram_to_space", refused)
         run, n = self.CAMPAIGNS[name]

@@ -28,6 +28,7 @@ from ultratree import (
     distance_matrix,
     dp_metric,
     enumerate_dendrograms,
+    dendrogram,
     hierarchy,
     is_ut,
     random_labeled_tree,
@@ -44,7 +45,7 @@ from ultratree.errors import (
     NotSymmetric,
     StrongTriangleViolation,
 )
-from ultratree.hierarchy import _canonical_form
+from ultratree.dendrogram import _canonical_form
 from ultratree.formats import matrix_csv_string, parse_matrix_csv, tree_json_string
 from ultratree.rationals import format_rational
 
@@ -188,8 +189,8 @@ class TestOnePrimPass:
         if tree_space:
             space = distance_matrix(random_labeled_tree(12, [0, 1, 2, 3, 3], seed=4))
         else:  # a class with no realizing tree: two pairs at two scales
-            pair = hierarchy.Dendrogram(1, (hierarchy.Dendrogram(0), hierarchy.Dendrogram(0)))
-            space = dendrogram_to_space(hierarchy.Dendrogram(2, (pair, pair)))
+            pair = dendrogram.Dendrogram(1, (dendrogram.Dendrogram(0), dendrogram.Dendrogram(0)))
+            space = dendrogram_to_space(dendrogram.Dendrogram(2, (pair, pair)))
         path = tmp_path / "m.csv"
         path.write_text(matrix_csv_string(permuted(space, 1)), encoding="utf-8")
         calls = []

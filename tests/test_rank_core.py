@@ -47,8 +47,8 @@ from ultratree.errors import (
     StrongTriangleViolation,
     UltratreeError,
 )
-from ultratree.hierarchy import _canonical_form, _merge_order
-from ultratree.metric import FiniteUltrametricSpace, _ranks_from_gaps
+from ultratree.dendrogram import _canonical_form
+from ultratree.metric import FiniteUltrametricSpace, _merge_order, _ranks_from_gaps
 from ultratree.tree import LabeledTree
 
 F = Fraction

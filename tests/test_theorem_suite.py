@@ -1,6 +1,6 @@
 """The theorem suite on the rank matrix against the name-keyed oracle.
 
-``explorer.check_theorem_suite`` reads ``space.ranks`` through the index
+``suite.check_theorem_suite`` reads ``space.ranks`` through the index
 cores ``rankrows._ball_sets``, ``_sphere_sets`` and ``_sphere_center``;
 ``oracles.theorem_suite`` asks the public API once per ball and once per
 point. Their reports must agree entry for entry, witnesses included: on
@@ -27,7 +27,7 @@ from ultratree import (
     restrict,
     sample_space,
 )
-from ultratree import explorer, hierarchy, rankrows
+from ultratree import dendrogram, explorer, hierarchy, metric, rankrows, suite
 from ultratree.metric import FiniteUltrametricSpace
 from ultratree.rankrows import _ball_sets, _sphere_center
 
@@ -170,11 +170,12 @@ def test_suite_makes_no_name_keyed_or_dendrogram_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the suite called the name-keyed API")
 
-    # the defining modules: a name patched where it is only forwarded
-    # (``metric.ball``) would not reach the suite
-    for module in (hierarchy, rankrows, explorer):
+    # where each name is bound: one patched where it is only forwarded
+    # (``metric.ball``) would not reach the suite, and would keep the patch
+    # after the test as a name bound in the forwarding module
+    for module in (dendrogram, explorer, hierarchy, metric, rankrows, suite):
         for name in NAME_KEYED:
-            if hasattr(module, name):
+            if name in vars(module):
                 monkeypatch.setattr(module, name, refuse)
     for space, reports in zip(spaces, expected):
         assert [

@@ -2,13 +2,16 @@
 
 ``perfbench/spans.py`` wraps each function listed in ``GROUPS`` by its
 dotted name, so renaming one (``_center_size``, ``_sphere_family``,
-``PathMaxIndex.__init__``, ...) would break ``perfbench/run.py --trace 1``. The package's public names
-are pinned too, no module of the package keeps a name it imports but
-never uses, and no module-level function, constant or class goes unused.
+``PathMaxIndex.__init__``, ...) would break ``perfbench/run.py --trace 1``,
+and so would a module that no operation of a workload loads. The
+package's public names are pinned too, no module of the package keeps a
+name it imports but never uses, and no module-level function, constant
+or class goes unused.
 """
 
 import ast
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,8 @@ import ultratree.explorer  # noqa: F401
 import ultratree.formats  # noqa: F401
 import ultratree.tree  # noqa: F401
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PACKAGE = sorted(Path(ultratree.__file__).resolve().parent.glob("*.py"))
 
@@ -52,18 +56,18 @@ def test_counted_and_generator_names_are_traced():
 # nor rename one of these names.
 PUBLIC_NAMES = [
     "Ball", "CampaignReport", "Dendrogram", "DiametricalGraph", "DistanceSet",
-    "FiniteUltrametricSpace", "LabeledTree", "MultipartiteDecomposition",
-    "PadicNorm", "PathMaxIndex", "SphereCertificate", "StarCertificate",
-    "UltratreeError", "WeakSimilarityWitness", "ball", "ball_subtree",
-    "canonical_labeling", "capacity", "center_of_distances", "check_closed_balls",
-    "check_con3", "check_hol", "check_theorem_suite", "dendrogram_to_space",
-    "diameter", "diametrical_graph", "distance_matrix", "distance_set",
-    "dp_metric", "dplus", "enumerate_balls", "enumerate_centered_spheres",
-    "enumerate_dendrograms", "errors", "explorer", "formats", "hierarchy", "is_centered_sphere",
-    "is_equidistant", "is_nondegenerate", "is_ut", "label_distance", "merge_parts",
-    "metric", "multipartite_parts", "padic", "padic_distance", "padic_valuation",
+    "FiniteUltrametricSpace", "LabeledTree", "MultipartiteDecomposition", "PadicNorm",
+    "PathMaxIndex", "SphereCertificate", "StarCertificate", "UltratreeError",
+    "WeakSimilarityWitness", "ball", "ball_subtree", "canonical_labeling", "capacity",
+    "center_of_distances", "check_closed_balls", "check_con3", "check_hol",
+    "check_theorem_suite", "dendrogram", "dendrogram_to_space", "diameter",
+    "diametrical_graph", "distance_matrix", "distance_set", "dp_metric", "dplus",
+    "enumerate_balls", "enumerate_centered_spheres", "enumerate_dendrograms", "errors",
+    "explorer", "formats", "hierarchy", "is_centered_sphere", "is_equidistant",
+    "is_nondegenerate", "is_ut", "label_distance", "merge_parts", "mergeorder", "metric",
+    "multipartite_parts", "padic", "padic_distance", "padic_valuation",
     "pointwise_distance_set", "random_labeled_tree", "rankrows", "rationals", "restrict",
-    "sample_space", "space_to_dendrogram", "spanning_star", "tree",
+    "sample_space", "space_to_dendrogram", "spanning_star", "suite", "tree", "treemetric",
     "validate_tree", "validate_ultrametric", "weak_similarity",
 ]
 
@@ -85,45 +89,167 @@ def test_every_export_is_defined_where_it_is_mapped():
     assert misplaced == []
 
 
-def test_every_moved_public_name_still_imports_from_metric():
-    # the names split off into `hierarchy` and `rankrows` resolve through
-    # `metric` too, as the harness's dotted names (`metric.enumerate_balls`) need
+def assert_forwarded(source: str, split_off: tuple, unexported: set) -> None:
+    """Every public name defined in the ``split_off`` modules (those of
+    ``_EXPORTS`` and ``unexported``) imports from ``source`` too, as the
+    same object."""
     moved = {
         name: module
-        for module in ("hierarchy", "rankrows")
+        for module in split_off
         for name, value in vars(importlib.import_module(f"ultratree.{module}")).items()
         if not name.startswith("_") and getattr(value, "__module__", None) == f"ultratree.{module}"
     }
-    assert set(moved) == set(ultratree._EXPORTS["hierarchy"] + ultratree._EXPORTS["rankrows"]) | {
-        "all_subsets_centered_spheres"
-    }
+    exported = {name for module in split_off for name in ultratree._EXPORTS[module]}
+    assert set(moved) == exported | unexported
     for name, module in moved.items():
         namespace: dict = {}
-        exec(f"from ultratree.metric import {name}", namespace)
+        exec(f"from ultratree.{source} import {name}", namespace)
         assert namespace[name] is getattr(importlib.import_module(f"ultratree.{module}"), name)
 
 
-def test_metric_alone_loads_neither_split_module():
-    # `from .metric import X` asks `metric` for `__path__` first: a forwarder
-    # that imported on every unknown name would load both modules here
-    script = (
-        "import sys\n"
-        "import ultratree.metric\n"
-        "from ultratree.metric import FiniteUltrametricSpace, _rank_entries\n"
-        "print(' '.join(sorted(sys.modules)))\n"
+def test_every_moved_public_name_still_imports_from_metric():
+    # the names split off into `hierarchy`, `dendrogram`, `mergeorder` and
+    # `rankrows` resolve through `metric` too, as the harness's dotted names
+    # (`metric.enumerate_balls`, `metric.weak_similarity`) need
+    assert_forwarded(
+        "metric",
+        ("dendrogram", "hierarchy", "mergeorder", "rankrows"),
+        {"all_subsets_centered_spheres"},
     )
+
+
+def test_every_moved_public_name_still_imports_from_tree():
+    # as `tree.validate_tree` and `tree.PathMaxIndex.__init__` need
+    assert_forwarded("tree", ("treemetric",), {"degenerate_edge"})
+
+
+def test_every_moved_public_name_still_imports_from_explorer():
+    # as `explorer.check_theorem_suite` needs; the private `_parallel_map`
+    # and `_suite_row` are forwarded for the harness too (see above)
+    assert_forwarded("explorer", ("suite",), {"check_suite_enumerated"})
+
+
+def loaded_by_script(script: str) -> list[str]:
+    """The modules a fresh interpreter has loaded after ``script``."""
     src = str(Path(ultratree.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", script],
+        [sys.executable, "-B", "-c", script + "\nprint(' '.join(sorted(sys.modules)))\n"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": src, "PATH": ""},
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    return proc.stdout.split()
+
+
+def test_metric_alone_loads_neither_split_module():
+    # `from .metric import X` asks `metric` for `__path__` first: a forwarder
+    # that imported on every unknown name would load every split module here
+    loaded = loaded_by_script(
+        "import sys\n"
+        "import ultratree.metric\n"
+        "from ultratree.metric import FiniteUltrametricSpace, _rank_entries"
+    )
     assert "ultratree.metric" in loaded
-    assert "ultratree.hierarchy" not in loaded and "ultratree.rankrows" not in loaded
+    split = {"ultratree.dendrogram", "ultratree.hierarchy", "ultratree.mergeorder", "ultratree.rankrows"}
+    assert split.isdisjoint(loaded)
+
+
+def test_tree_alone_loads_no_tree_metric():
+    # what `is-ut` needs of the tree layer
+    loaded = loaded_by_script(
+        "import sys\n"
+        "import ultratree.tree\n"
+        "from ultratree.tree import LabeledTree, is_ut"
+    )
+    assert "ultratree.tree" in loaded
+    assert "ultratree.treemetric" not in loaded
+
+
+def test_explorer_alone_loads_neither_the_suite_nor_the_dendrogram_nor_the_tree():
+    # what `con3`, `hol` and `closed-balls` need of the campaigns
+    loaded = loaded_by_script(
+        "import sys\n"
+        "import ultratree.explorer\n"
+        "from ultratree.explorer import CampaignReport, _Subtrees, check_con3"
+    )
+    assert "ultratree.explorer" in loaded
+    absent = {"ultratree.dendrogram", "ultratree.suite", "ultratree.tree", "ultratree.treemetric"}
+    assert absent.isdisjoint(loaded)
+
+
+# Run in a fresh interpreter with bytecode off: one workload's seeded
+# inputs written by CLI processes, as the benchmark's set-up does, then
+# every --jobs 1 operation through ``cli.main`` in this process, as the
+# traced pass does, and then every traced name resolved. Only the modules
+# those operations loaded are in ``sys.modules`` then, where the test
+# process has imported every module.
+TRACED_PASS = """
+import contextlib, importlib.util, io, subprocess, sys, tempfile
+from pathlib import Path
+
+bench, workload = Path(sys.argv[1]), sys.argv[2]
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # `workloads` imports `checks` by this name
+    spec.loader.exec_module(module)
+    return module
+
+
+load("checks")
+workloads, spans = load("workloads"), load("spans")
+import ultratree
+import ultratree.cli
+
+
+def cli(argv, stdout_path):
+    proc = subprocess.run([sys.executable, "-B", "-m", "ultratree.cli", *argv],
+                          capture_output=True, text=True, check=True)
+    if stdout_path:
+        Path(stdout_path).write_text(proc.stdout, encoding="utf-8")
+
+
+generate, operations = workloads.WORKLOADS[workload]
+with tempfile.TemporaryDirectory() as workdir:
+    ctx = workloads.Context(Path(workdir), 7, workloads.TINY, cli)
+    generate(ctx)
+    for op in operations(ctx):
+        if op.jobs == 1:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = ultratree.cli.main(list(op.argv))
+            assert op.check(code, out.getvalue()) is None, op.argv
+unresolved = []
+for name in spans.GROUPS:
+    try:
+        spans._resolve(ultratree, name)
+    except (KeyError, AttributeError) as exc:
+        unresolved.append(f"{name}: {exc!r}")
+print(unresolved)
+"""
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_names_resolve_after_a_workloads_own_operations(workload):
+    # `spans.instrument` finds a traced module in `sys.modules` only if an
+    # operation of the workload loaded it: were `is-ut`, the only
+    # class-campaigns operation that loads `tree`, to stop loading it,
+    # every `tree.*` name would raise KeyError in the traced pass
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_PASS, str(ROOT / "perfbench"), workload],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1", "PATH": ""},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_public_name_imports():

@@ -28,7 +28,7 @@ from ultratree.errors import (
     UnknownVertex,
 )
 from ultratree.rationals import exact_rational
-from ultratree.tree import degenerate_edge
+from ultratree.treemetric import degenerate_edge
 
 from conftest import PATH_MATRIX
 
@@ -173,7 +173,7 @@ class TestValidateTree:
             validate_tree(["a", "a"], [("a", "q")], {"zz": None, "a": 0.5})
 
     def test_each_distinct_label_is_converted_once_and_shared(self, monkeypatch):
-        import ultratree.tree as tree_module
+        import ultratree.treemetric as tree_module
 
         values = []
 
@@ -208,7 +208,7 @@ class TestLibraryTreesSkipValidation:
 
     @pytest.fixture
     def no_validation(self, monkeypatch):
-        import ultratree.tree as tree_module
+        import ultratree.treemetric as tree_module
 
         def refuse(*args, **kwargs):
             raise AssertionError("validate_tree was called")

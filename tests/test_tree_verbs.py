@@ -31,10 +31,12 @@ from ultratree import (
     diametrical_graph,
     distance_matrix,
     formats,
+    mergeorder,
     metric,
     multipartite_parts,
     random_labeled_tree,
     tree,
+    treemetric,
     validate_tree,
 )
 from ultratree.cli import main
@@ -62,7 +64,7 @@ def labeled(labels, edges) -> tree.LabeledTree:
 
 def prufer_tree(labels, seq) -> tree.LabeledTree:
     n = len(labels)
-    edges = [(0, 1)] if n == 2 else tree._prufer_to_edges(seq, n) if n > 2 else []
+    edges = [(0, 1)] if n == 2 else treemetric._prufer_to_edges(seq, n) if n > 2 else []
     return labeled(labels, edges)
 
 
@@ -83,7 +85,7 @@ def assert_tree_matches_matrix(t: tree.LabeledTree, workdir: Path) -> None:
     naming the edge, for every verb."""
     json_path = workdir / "t.json"
     json_path.write_text(formats.tree_json_string(t), encoding="utf-8")
-    bad = tree.degenerate_edge(t)
+    bad = treemetric.degenerate_edge(t)
     if bad is not None:
         for verb, *rest in VERBS:
             got = run([verb, str(json_path), *rest], workdir)
@@ -114,14 +116,14 @@ class TestAgainstTheMatrix:
         for seq in itertools.product(range(4), repeat=2):
             for labels in itertools.product(range(4), repeat=4):
                 t = prufer_tree(labels, seq)
-                if tree.degenerate_edge(t) is not None:
+                if treemetric.degenerate_edge(t) is not None:
                     with pytest.raises(DegenerateLabeling):
-                        tree._gap_form(t)
+                        treemetric._gap_form(t)
                     continue
                 space = distance_matrix(t)
-                order, gaps, values = tree._gap_form(t)
-                assert metric._center_from_gaps(gaps, values) == center_of_distances(space)
-                assert metric._diametrical_parts(order, gaps, values) == index_parts(space)
+                order, gaps, values = treemetric._gap_form(t)
+                assert mergeorder._center_from_gaps(gaps, values) == center_of_distances(space)
+                assert mergeorder._diametrical_parts(order, gaps, values) == index_parts(space)
                 assert values[-1] == diameter(space)
 
     @pytest.mark.parametrize(
@@ -174,7 +176,9 @@ class TestNoMatrix:
 
             return wrapper
 
-        monkeypatch.setattr(tree, "distance_matrix", counting("distance_matrix", tree.distance_matrix))
+        monkeypatch.setattr(
+            treemetric, "distance_matrix", counting("distance_matrix", treemetric.distance_matrix)
+        )
         monkeypatch.setattr(
             metric, "_ranks_from_gaps", counting("_ranks_from_gaps", metric._ranks_from_gaps)
         )
