@@ -273,12 +273,16 @@ def _best_classes(n: int, gain: Callable, table: _Subtrees, fence: int = FOLD_FE
     return count, best, table.walk([0], start, 1, memo)
 
 
+def _zero_gain(fresh: bool, new: list) -> int:
+    return 0
+
+
 def _enumerate_ids(n: int, table: _Subtrees, fence: int = ENUMERATION_FENCE) -> Iterator[tuple]:
     """Stream the root of every n-point class exactly once, as its node
     tuple (level, child id, ...); the children are interned in ``table``.
     It is the walk of :func:`_best_classes` under a gain of zero, which
     every class attains."""
-    for _, root in _best_classes(n, lambda fresh, new: 0, table, fence)[2]:
+    for _, root in _best_classes(n, _zero_gain, table, fence)[2]:
         yield root
 
 

@@ -1,5 +1,7 @@
 """The theorem suite: every structural invariant on one space, and over
-every n-point class, with a process pool for ``--jobs``.
+every n-point class. For ``--jobs`` the classes are split by their walk
+position into shares, one per pool worker; each worker walks the classes
+itself, so no class crosses a process.
 
 The suite reads each space through the rank-row analyses
 (:mod:`ultratree.rankrows`), never through its merge order or a class's
@@ -13,17 +15,19 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import islice
+from typing import Callable, Optional
 
 from .capacity import ENUMERATION_FENCE
 from .errors import NotCompleteMultipartite
+# module level: `check` loads explorer, so the tree-scale traced names `explorer.*` resolve
 from .explorer import (
     CampaignReport,
-    _enumerate_ids,
+    _best_classes,
     _space_of_merge_order,
     _Subtrees,
     _witness,
+    _zero_gain,
 )
 from .metric import ZERO, FiniteUltrametricSpace
 
@@ -165,45 +169,61 @@ def check_theorem_suite(
     )
 
 
-def _suite_row(item: tuple[tuple, list[int], bool]) -> tuple[tuple, Optional[str]]:
-    """The root and the first check the class fails, or None; the class is
-    its root tuple, merge-order levels and whether a labeled tree generates it."""
-    root, levels, realizable = item
+def _suite_row(levels: list[int], realizable: bool) -> Optional[str]:
+    """The first check a class fails, or None; the class is the levels of its
+    merge order and whether a labeled tree generates it."""
     results = check_theorem_suite(_space_of_merge_order(levels), is_ut_hint=realizable).results
-    return root, next((name for name, res in results.items() if res["verdict"] == "FAIL"), None)
+    return next((name for name, res in results.items() if res["verdict"] == "FAIL"), None)
+
+
+def _suite_share(n: int, share: int, shares: int) -> tuple[int, int, Optional[tuple]]:
+    """Run the suite on the n-point classes whose walk position is ``share``
+    mod ``shares``: the classes checked, the classes failing, and the first
+    failure as its position and witness, or None.
+
+    The share walks every class with its own table (the walk is about 1 %
+    of the suite's time at n = 10) and checks its classes as the walk
+    yields them, each as the levels of its merge order read off the table
+    (see :class:`_Subtrees`); the witness is read off the same table, and
+    no class is built as a ``Dendrogram``.
+    """
+    table = _Subtrees()
+    checked = failing = 0
+    first = None
+    walk = _best_classes(n, _zero_gain, table, ENUMERATION_FENCE)[2]
+    for position, root in islice(walk, share, None, shares):
+        checked += 1
+        fail = _suite_row(table.levels(root), table.fold_leafy(root))
+        if fail:
+            failing += 1
+            if first is None:
+                first = position, _witness(table.key(root), table.space(root), f"failed {fail}")
+    return checked, failing, first
 
 
 def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
     """Run the theorem suite over every class of cardinality n.
 
-    Each class goes to the suite as the walk yields it, as the levels of its
-    merge order read off the enumerator's table (see :class:`_Subtrees`),
-    with its root tuple to name a failure; the first failing class, the
-    witness, is read off the same table, and no class is built as a
-    ``Dendrogram``.
+    The classes are split into shares by their walk position, one share
+    per worker (see :func:`_parallel_map`); the counts add up and the
+    witness is the failure at the least position, the walk's first failing
+    class, so the report does not depend on ``jobs``. The class count is
+    folded here, which raises the enumeration fence before any worker starts.
     """
-    table = _Subtrees()
-    roots = _enumerate_ids(n, table, ENUMERATION_FENCE)
-    classes = ((r, table.levels(r), table.fold_leafy(r)) for r in roots)
-    instances = 0
-    failures = []
-    for root, fail in _parallel_map(_suite_row, classes, jobs):
-        instances += 1
-        if fail:
-            failures.append((root, fail))
-    witnesses = [
-        _witness(table.key(root), table.space(root), f"failed {fail}")
-        for root, fail in failures[:1]
-    ]
+    classes = _best_classes(n, _zero_gain, _Subtrees(), ENUMERATION_FENCE)[0]
+    tallies = _parallel_map(partial(_suite_share, n), classes, jobs)
+    instances = sum(checked for checked, _, _ in tallies)
+    failing = sum(failed for _, failed, _ in tallies)
+    witnesses = [min(first for _, _, first in tallies if first)[1]] if failing else []
     return CampaignReport(
         check="suite",
         n=n,
         instances=instances,
-        verdict="PASS" if not failures else "FAIL",
+        verdict="PASS" if not failing else "FAIL",
         results={
             "theorem-suite": {
-                "verdict": "PASS" if not failures else "FAIL",
-                "failing_classes": len(failures),
+                "verdict": "PASS" if not failing else "FAIL",
+                "failing_classes": failing,
             }
         },
         witnesses=witnesses,
@@ -212,62 +232,27 @@ def check_suite_enumerated(n: int, jobs: int = 1) -> CampaignReport:
 
 # --- the pool -----------------------------------------------------------------------
 
-_POOL_CHUNK = 64  # items a worker takes at a time
-_POOL_AHEAD = 4  # chunks per worker that may be drawn and not yet folded
-
-
-def _parallel_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
-    """Order-preserving map that takes each item only when it needs it: in
-    this thread as the fold asks, or with jobs > 1 in the pool's feeder
-    thread as the workers ask, the results still in item order (hence every
-    output byte unchanged). The first items are taken here, before a pool
-    starts, so an error the stream raises at once is raised here; a pool,
-    which forks its workers up front, gets no more than CPUs or items.
-
-    The feeder takes a permit before it draws an item, and the fold gives
-    one back for each result it takes, so however slow the fold, no more
-    than ``_POOL_AHEAD`` chunks per worker are drawn and not yet folded:
-    the pool holds that many results at most. A fold that stops early
-    (closed, or raising a worker's error) stops the feeder too, which the
-    pool's exit waits for.
-    """
-    items = iter(items)
-    head = list(islice(items, min(jobs, os.cpu_count() or 1)))
-    if len(head) <= 1:
-        yield from map(fn, chain(head, items))
-        return
-    import threading
+def _parallel_map(fn: Callable, items: int, jobs: int) -> list:
+    """``fn(share, shares)`` for each share of ``items`` items, in share
+    order: one share per worker, min(jobs, CPUs, items) of them. One share
+    runs in this process; more run in a pool of one worker per share, and
+    each worker is sent nothing but its share's number."""
+    shares = min(jobs, os.cpu_count() or 1, items)
+    if shares <= 1:
+        return [fn(0, 1)]
     from multiprocessing import Pool
 
-    permits = threading.Semaphore(_POOL_AHEAD * _POOL_CHUNK * len(head))
-    stopped = threading.Event()
-    end = object()
-
-    def feed() -> Iterator:
-        source = chain(head, items)
-        while permits.acquire() and not stopped.is_set():
-            item = next(source, end)
-            if item is end:
-                return
-            yield item
-
-    with Pool(len(head)) as pool:
-        try:
-            for result in pool.imap(partial(_call_in_worker, fn), feed(), _POOL_CHUNK):
-                permits.release()
-                yield result
-        finally:
-            stopped.set()
-            permits.release()  # wakes a feeder that waits for a permit
+    with Pool(shares) as pool:
+        return pool.starmap(partial(_call_in_worker, fn), [(share, shares) for share in range(shares)])
 
 
-def _call_in_worker(fn: Callable, item):
-    """``fn(item)`` in a pool worker. An error that does not survive a
+def _call_in_worker(fn: Callable, *args):
+    """``fn(*args)`` in a pool worker. An error that does not survive a
     pickle round trip would kill the pool's result thread in the parent,
-    and ``imap`` would wait for ever; it is raised as a RuntimeError that
-    names its type and message instead."""
+    and ``starmap`` would wait for ever; it is raised as a RuntimeError
+    that names its type and message instead."""
     try:
-        return fn(item)
+        return fn(*args)
     except Exception as exc:
         import pickle
 
@@ -276,5 +261,3 @@ def _call_in_worker(fn: Callable, item):
         except Exception:
             raise RuntimeError(f"{type(exc).__qualname__}: {exc}") from None
         raise
-
-

@@ -680,8 +680,8 @@ class TestImports:
     # to 1 707, as it now loads both halves of three of the split modules.
     STATEMENT_CAPS = {
         "is-ut {csv}": 898,
-        "check {csv}": 1521,
-        "check {json}": 1717,
+        "check {csv}": 1511,
+        "check {json}": 1707,
         "center {csv}": 905,
         "diametrical {csv}": 905,
         "spheres {csv}": 1122,
@@ -689,7 +689,7 @@ class TestImports:
         "dplus --sample 0,1,2": 838,
         "enumerate --n 5 --check con3": 1020,
         "enumerate --n 5 --check hol": 864,
-        "enumerate --n 5 --check suite": 1268,
+        "enumerate --n 5 --check suite": 1259,
         "enumerate --n 5 --check closed-balls": 1148,
         "validate {json}": 1034,
         "distances {json}": 1034,

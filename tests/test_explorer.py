@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 import json
@@ -6,7 +5,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -243,10 +241,14 @@ class TwoValueError(Exception):
         super().__init__(f"{what} {n} refused")
 
 
-def refuse_three(item):
-    if item == 3:
-        raise TwoValueError("item", item)
-    return item
+def refuse_three(share, shares):
+    if share == 3:
+        raise TwoValueError("item", share)
+    return share
+
+
+def fence_the_second_share(share, shares):
+    require_within("test items", 5 + share, default=5)
 
 
 class TestEnumeration:
@@ -625,7 +627,8 @@ class TestCon3Campaign:
     )
     def test_pool_size_is_bounded(self, monkeypatch, jobs, cpus, items, workers):
         # a stand-in pool that records its size and maps in process, so no
-        # worker is ever started whatever size is asked for
+        # worker is ever started whatever size is asked for; one share runs
+        # in this process, with no pool
         import multiprocessing
 
         started = []
@@ -640,14 +643,14 @@ class TestCon3Campaign:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, fn, items, chunksize):
-                assert chunksize == suite._POOL_CHUNK
-                return map(fn, items)
+            def starmap(self, fn, args):
+                return list(itertools.starmap(fn, args))
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(suite.os, "cpu_count", lambda: cpus)
-        mapped = suite._parallel_map(abs, range(-items, 0), jobs)
-        assert list(mapped) == list(range(items, 0, -1))
+        mapped = suite._parallel_map(lambda share, shares: (share, shares), items, jobs)
+        shares = workers or 1
+        assert mapped == [(share, shares) for share in range(shares)]
         assert started == ([] if workers is None else [workers])
 
     def test_worker_error_is_raised_in_the_parent(self, monkeypatch):
@@ -658,12 +661,11 @@ class TestCon3Campaign:
             raise AssertionError("the pool hung on the worker's error")
 
         monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
-        fenced = functools.partial(require_within, "test items", default=5)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
             with pytest.raises(TooLarge) as err:
-                list(suite._parallel_map(fenced, range(10), 2))
+                suite._parallel_map(fence_the_second_share, 10, 2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -671,54 +673,24 @@ class TestCon3Campaign:
         assert str(err.value) == "test items: n=6 exceeds the capacity fence 5"
 
     def test_worker_error_the_parent_cannot_unpickle_is_raised_by_name(self, monkeypatch):
-        # unpickling it would kill the pool's result thread, and imap would
-        # wait for ever; an alarm ends the wait
+        # unpickling it would kill the pool's result thread, and starmap
+        # would wait for ever; an alarm ends the wait
         def hung(signum, frame):
             raise AssertionError("the pool hung on the worker's error")
 
-        monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 4)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
             with pytest.raises(RuntimeError) as err:
-                list(suite._parallel_map(refuse_three, range(10), 2))
+                suite._parallel_map(refuse_three, 10, 4)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert str(err.value) == "TwoValueError: item 3 refused"
 
-    def test_pool_takes_the_items_as_it_maps_them(self, monkeypatch):
-        # a fold that pauses lets the pool draw no more than its bound of
-        # items ahead of it: each result the pool holds is one item drawn
-        # and not yet folded. Closing the fold early ends the pool, whose
-        # feeder may wait for a permit; an alarm ends a wait that does not
-        def hung(signum, frame):
-            raise AssertionError("the pool's exit waited for its feeder")
-
-        monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
-        total = 1_000_000
-        pulled = []
-
-        def items():
-            for item in range(total):
-                pulled.append(item)
-                yield item
-
-        bound = suite._POOL_AHEAD * suite._POOL_CHUNK * 2
-        mapped = suite._parallel_map(abs, items(), 2)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            assert next(mapped) == 0
-            time.sleep(0.5)  # a slow fold
-            assert 2 <= len(pulled) <= bound + 1  # one permit back per result folded
-            assert next(mapped) == 1
-            mapped.close()  # ends the pool and its workers
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
     def test_stream_error_is_raised_before_any_worker_starts(self, monkeypatch):
+        # the class count is folded in this process, under the fence
         import multiprocessing
 
         def no_pool(*args, **kwargs):
@@ -727,21 +699,40 @@ class TestCon3Campaign:
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
         with pytest.raises(TooLarge):
-            next(suite._parallel_map(abs, _enumerate_ids(11, _Subtrees()), 2))
-        with pytest.raises(TooLarge):
             check_suite_enumerated(11, jobs=2)
 
-    def test_one_process_maps_each_item_as_it_is_yielded(self):
-        yielded = []
+    def test_witness_across_shares_is_the_walks_first_failing_class(self, monkeypatch):
+        # classes 3 and 6 fail, one in each of two shares; the witness is
+        # class 3's though the share holding class 6 comes first. The
+        # workers are forked, so the planted suite reaches them
+        classes = list(enumerate_dendrograms(5))
+        failing = [dendrogram_to_space(classes[pos]) for pos in (3, 6)]
+        real_suite = suite.check_theorem_suite
 
-        def items():
-            for item in range(3):
-                yielded.append(item)
-                yield item
+        def suite_failing_two_classes(space, is_ut_hint=False):
+            report = real_suite(space, is_ut_hint)
+            if space in failing:
+                report.verdict = "FAIL"
+                report.results["planted"] = {"verdict": "FAIL"}
+            return report
 
-        mapped = suite._parallel_map(lambda item: (item, len(yielded)), items(), 1)
-        assert yielded == []
-        assert list(mapped) == [(0, 1), (1, 2), (2, 3)]
+        monkeypatch.setattr(suite, "check_theorem_suite", suite_failing_two_classes)
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+        report = check_suite_enumerated(5, jobs=2)
+        assert report.verdict == "FAIL"
+        assert report.instances == 20
+        assert report.results["theorem-suite"]["failing_classes"] == 2
+        [witness] = report.witnesses
+        assert witness["label"] == classes[3].key()
+        assert witness["matrix_csv"] == matrix_csv_string(failing[0])
+        assert report == check_suite_enumerated(5, jobs=1)
+
+    def test_more_shares_than_cores_give_the_one_process_report(self, monkeypatch):
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: 4)
+        alone = check_suite_enumerated(6, jobs=1)
+        for jobs in (2, 3, 4):
+            report = check_suite_enumerated(6, jobs=jobs)
+            assert vars(report) == vars(alone)
 
 
 # A child's ru_maxrss starts from the peak of the process it was forked
@@ -773,8 +764,9 @@ def peak_rss_kib(args: list) -> int:
     reason="minutes-long campaigns; set ULTRATREE_SLOW_TESTS=1 to run",
 )
 class TestSuiteMemory:
-    """The suite streams its 165 874 classes at n = 10, in one process or
-    through the pool: it peaks within 10 MB of one process that walks the
+    """The suite checks its 165 874 classes at n = 10 as its walk yields
+    them, in one process or in one share per pool worker, each walking the
+    classes itself: it peaks within 10 MB of one process that walks the
     same classes to the end and checks none. Listing the classes for the
     pool, as the suite once did, peaked about 40 MB above it."""
 
