@@ -1,16 +1,16 @@
 """The capacity fences of class enumeration, the one exponential-cost operation.
 
-Each fence has a built-in ceiling. ``con3`` and ``hol`` fold over forest
-states, under a second at n = 11; ``closed-balls`` walks the realizable
-classes only, about 6 s and 20 MB at n = 11. The theorem suite checks
-each class's whole space, about nine times the work at each step of n,
-and :func:`~ultratree.explorer.enumerate_dendrograms` builds every class
-as a ``Dendrogram``; both stop at n = 10. At n = 12 a child's level can
-reach 10, whose key ``"(10:"`` sorts before ``"(9:"`` while the walk
-orders levels by number, so no fence goes past 11. The environment
-variable ``ULTRATREE_MAX_N`` may lower a fence (never raise it), so
-batch runs can cap work globally. Its value is written in the ASCII
-digits 0-9 only.
+Each fence has a built-in ceiling, set by time alone. ``con3`` and
+``hol`` fold over forest states, under a second at n = 11;
+``closed-balls`` walks the realizable classes only, about 6 s and 20 MB
+at n = 11. The theorem suite checks each class's whole space, about nine
+times the work at each step of n, and
+:func:`~ultratree.explorer.enumerate_dendrograms` builds every class as a
+``Dendrogram``; both stop at n = 10. A witness's label is the canonical
+key at any n, since the walk and the canonical dendrogram order children
+alike. The environment variable ``ULTRATREE_MAX_N`` may lower a fence
+(never raise it), so batch runs can cap work globally. Its value is
+written in the ASCII digits 0-9 only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .rationals import parse_integer
 ENV_VAR = "ULTRATREE_MAX_N"
 
 ENUMERATION_FENCE = 10     # weak-similarity class enumeration: the suite, enumerate_dendrograms
-FOLD_FENCE = 11            # walking only the fold's best classes: con3, hol, closed-balls
+FOLD_FENCE = 11            # the fold campaigns: con3, hol, closed-balls (whose time sets it)
 
 
 def fence_limit(default: int) -> int:

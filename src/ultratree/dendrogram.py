@@ -1,10 +1,13 @@
 """The canonical dendrogram of a space, and weak similarity built on it.
 
 A space's canonical dendrogram splits every ball at its diameter, each
-node at the global rank of its diameter, with the children sorted by
-canonical key (:func:`_canonical_form`, from the diameter splits of
-:func:`~ultratree.hierarchy._split_table`). Two spaces are weakly similar
-exactly when their canonical dendrograms are equal, and the witness pairs
+node at the global rank of its diameter, with the children in the walk's
+order: by level number, then by their own children, the single point
+after every ball. Its one form is the enumerator's subtree table
+(:class:`~ultratree.explorer._Subtrees`): :func:`_canonical_form` interns
+the diameter splits of :func:`~ultratree.hierarchy._split_table` into a
+fresh table, which builds a ``Dendrogram`` only when asked. Two spaces are
+weakly similar exactly when their tables are equal, and the witness pairs
 their canonical leaf orders. Every dendrogram's own merge order is one
 depth-first walk (:func:`~ultratree.metric._merge_order`).
 
@@ -16,10 +19,12 @@ labels off the enumerator's table.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from operator import methodcaller
 from typing import Optional
 
 from .errors import TooSmall
+from .explorer import _Subtrees
 from .hierarchy import _split_table
 from .metric import FiniteUltrametricSpace, _merge_order, _Record
 
@@ -27,7 +32,8 @@ from .metric import FiniteUltrametricSpace, _merge_order, _Record
 class Dendrogram(_Record):
     """A rooted leveled hierarchy: leaves at level 0, internal nodes at
     strictly decreasing positive levels, every internal node with at
-    least two children. Children are kept sorted by canonical key."""
+    least two children, kept in the order given. A canonical dendrogram
+    gives them in the walk's order (:func:`_canonical_form`)."""
 
     __slots__ = ("level", "children", "__dict__")
     level: int
@@ -82,19 +88,16 @@ class Dendrogram(_Record):
         return self.__dict__["_key"]
 
     def is_canonical(self) -> bool:
-        """Levels used are exactly 1..root level and children are sorted."""
-        if self.levels_used() != frozenset(range(1, self.level + 1)):
+        """The dendrogram is the canonical form of its own merge order, read
+        off that merge order with no matrix. It uses exactly the levels
+        1..root level, and its canonical leaf order is the order its leaves
+        come in: a node whose children are out of the walk's order would
+        have them moved."""
+        gaps = _merge_order(self)[1]
+        if set(gaps) != set(range(1, self.level + 1)):
             return False
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            keys = [c.key() for c in node.children]
-            if keys != sorted(keys):
-                return False
-            stack.extend(node.children)
-        return True
+        leaves = _canonical_form((range(len(gaps) + 1), gaps, range(self.level + 1)))[1]
+        return leaves == sorted(leaves)
 
 
 def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
@@ -105,25 +108,42 @@ def space_to_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     """
     if not space.n:
         raise TooSmall("space_to_dendrogram needs at least 1 point")
-    return _canonical_form(space)[0]
+    table = _canonical_form(space._gap_form)[0]
+    return table.dendrogram(table.nodes[-1])
 
 
-def _canonical_form(space: FiniteUltrametricSpace) -> tuple[Dendrogram, list[int]]:
-    """The canonical dendrogram plus the point indices in canonical leaf order.
+def _canonical_form(gap_form: tuple) -> tuple[_Subtrees, list[int]]:
+    """The canonical dendrogram of a merge order ``(order, gaps, values)``
+    as a fresh table, and the points in canonical leaf order.
 
-    Each node sorts its children by canonical key (AHU canonization), and
-    the leaf order lists the children's leaves in that same order, so the
-    i-th leaves of two weakly similar spaces correspond. The splits are
-    those of :func:`_split_table`, so chains of any depth work.
+    The balls of :func:`_split_table` are interned level by level, lowest
+    first, and within a level in the walk's order: by their children's
+    ids, the single point after every ball. So the ids follow canonical
+    order, each node's children sort by id (the leaf last) and the root is
+    interned last: two merge orders give equal ``nodes`` exactly when
+    their spaces are weakly similar. The leaf order lists the children's
+    leaves in that same order, so the i-th leaves of two weakly similar
+    spaces correspond. Nothing recurses, so chains of any depth work.
     """
-    levels, children = _split_table(space)
-    built = [Dendrogram(0)] * space.n  # the single points
-    for level, blocks in zip(levels[space.n :], children[space.n :]):  # blocks come first
-        blocks.sort(key=lambda c: built[c].key())
-        built.append(Dendrogram(level, tuple(map(built.__getitem__, blocks))))
-    root = len(levels) - 1
-    leaves, _ = _merge_order(root, lambda pos: (levels[pos], children[pos]))
-    return built[root], leaves
+    levels, children = _split_table(gap_form)
+    table = _Subtrees()
+    ids = [0] * len(levels)  # by ball position; every single point is the leaf
+    place = [len(levels)] * len(levels)  # ids as sort keys: the leaf after every ball
+    balls = sorted(range(len(gap_form[0]), len(levels)), key=levels.__getitem__)
+    for _, group in groupby(balls, levels.__getitem__):
+        group = list(group)
+        for ball in group:
+            children[ball].sort(key=place.__getitem__)
+        for ball in sorted(group, key=lambda ball: [*map(place.__getitem__, children[ball])]):
+            ids[ball] = place[ball] = table.intern(
+                (levels[ball], *map(ids.__getitem__, children[ball]))
+            )
+    # an empty merge order has no root and no leaves; its table is the leaf
+    # alone, as a single point's is, so weak similarity compares sizes first
+    leaves = (
+        _merge_order(len(levels) - 1, lambda pos: (levels[pos], children[pos]))[0] if levels else []
+    )
+    return table, leaves
 
 
 class WeakSimilarityWitness(_Record):
@@ -159,13 +179,10 @@ def weak_similarity(
     """
     if first.n != second.n or len(first.values) != len(second.values):
         return None
-    order_a: list[int] = []
-    order_b: list[int] = []
-    if first.n:  # the empty space has no dendrogram, and is similar to itself
-        dendro_a, order_a = _canonical_form(first)
-        dendro_b, order_b = _canonical_form(second)
-        if dendro_a.key() != dendro_b.key():
-            return None
+    table_a, order_a = _canonical_form(first._gap_form)
+    table_b, order_b = _canonical_form(second._gap_form)
+    if table_a.nodes != table_b.nodes:
+        return None
     image = dict(zip(order_a, order_b))
     bijection = tuple(
         (first.points[i], second.points[image[i]]) for i in range(first.n)

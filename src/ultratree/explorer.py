@@ -127,11 +127,12 @@ class _Subtrees:
     """The enumerator's interned subtrees, one entry per int id.
 
     Id 0 is the leaf. ``nodes[i]`` is (level, child id, ...), children in
-    canonical order: the order of the key strings of
-    :meth:`Dendrogram.key` under the enumeration fences, where every
-    child's level is one digit. In that order a node sorts by level, then
-    by its children's keys, and the leaf after every node. The walk keeps
+    canonical order, the walk's: a node sorts by level number, then by its
+    children in that order, and the leaf after every node. The walk keeps
     its forests in that order as it builds them and stores no sort key.
+    :func:`~ultratree.dendrogram._canonical_form` interns a space's balls
+    into a fresh table in the same order, so that there the ids follow it
+    too and the table is the space's canonical dendrogram.
 
     Only proper subtrees are interned, each once by :meth:`intern`. A
     class root covers every leaf, so it is no other node's child: the
@@ -148,7 +149,7 @@ class _Subtrees:
         self.nodes: list = [(0,)]
         self.leafy: list = [True]
         self.ids: dict = {}  # node tuple -> id
-        self.built: dict = {}  # id -> Dendrogram, for the ids asked for
+        self.built: list = []  # id -> Dendrogram, for the ids built so far
 
     def intern(self, node: tuple[int, ...]) -> int:
         nid = self.ids.get(node)
@@ -196,17 +197,15 @@ class _Subtrees:
         return "(%d:%s)" % (level, ",".join(self.key(self.nodes[c]) for c in children))
 
     def dendrogram(self, node: tuple[int, ...]) -> Dendrogram:
-        """The subtree as a ``Dendrogram``; each interned id is built once."""
+        """The subtree as a ``Dendrogram``. A node is interned after its
+        children, so the ids not built yet are built in id order, each once,
+        without recursion."""
         from .dendrogram import Dendrogram
 
-        level, *children = node
-        return Dendrogram(level, tuple(map(self._subtree, children)))
-
-    def _subtree(self, nid: int) -> Dendrogram:
-        dendro = self.built.get(nid)
-        if dendro is None:
-            dendro = self.built[nid] = self.dendrogram(self.nodes[nid])
-        return dendro
+        built = self.built
+        for level, *children in [*self.nodes[len(built):], node]:
+            built.append(Dendrogram(level, tuple(map(built.__getitem__, children))))
+        return built.pop()  # the node itself, which may be a root
 
     def levels(self, node: tuple[int, ...]) -> list[int]:
         """The levels between neighbours in the subtree's merge order (see

@@ -146,8 +146,10 @@ def _check_strong_triangle(names: tuple[str, ...], ranks) -> tuple[list[int], li
     return inside, gaps
 
 
-def _split_table(space: FiniteUltrametricSpace) -> tuple[list[int], list]:
-    """Split the space recursively at its diameters, read off its merge order.
+def _split_table(gap_form: tuple) -> tuple[list[int], list]:
+    """Split a space recursively at its diameters, read off its merge order
+    ``(order, gaps, values)`` as ``space._gap_form`` holds it; no matrix is
+    needed, so a dendrogram's own merge order serves as well.
 
     Returns two lists indexed by ball position: the single points first,
     each at its own index, then every ball after its blocks and the whole
@@ -157,10 +159,10 @@ def _split_table(space: FiniteUltrametricSpace) -> tuple[list[int], list]:
     between its largest gaps: one stack of the balls still open to the
     right finds them.
     """
-    order, gaps, values = space._gap_form
-    least = list(range(space.n))  # each ball's least point
-    levels = [0] * space.n
-    children: list = [()] * space.n
+    order, gaps, values = gap_form
+    least = list(range(len(order)))  # each ball's least point
+    levels = [0] * len(order)
+    children: list = [()] * len(order)
     spine: list[tuple[int, list[int]]] = []  # open balls, diameters descending: (diameter, blocks)
     # ``last`` is the ball that ends at the point; a last gap above every
     # rank closes every ball after the last point

@@ -120,7 +120,7 @@ def is_ut(space: FiniteUltrametricSpace) -> Optional[LabeledTree]:
 
     if not space.n:
         raise TooSmall("is_ut needs at least 1 point")
-    levels, children = _split_table(space)
+    levels, children = _split_table(space._gap_form)
     labels = [ZERO] * space.n
     edges: list[tuple[int, int]] = []
     hubs = list(range(space.n))  # a single point is its own hub

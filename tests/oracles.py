@@ -25,7 +25,9 @@ distance on Fraction differences that the int valuations replaced.
 diameter splits top-down with a stack and a split of its own, before it
 read the table the canonical form is built from; ``canonical_form`` is
 the canonical dendrogram and leaf order on those same splits, before
-both were read off the merge order. ``_leaf_runs`` numbers
+both were read off the merge order, its children sorted by
+``walk_order_key``, the walk's order, which shares no code with the
+enumerator's table. ``_leaf_runs`` numbers
 a dendrogram's leaves frame by frame, as ``dendrogram_to_space`` did before
 one depth-first walk of the merge order served every dendrogram reader.
 The oracles import no private name of the package. The last section is the
@@ -561,6 +563,16 @@ def _struct_key(t, cache: dict) -> str:
     return k
 
 
+def walk_order_key(t, cache: dict) -> tuple:
+    """The sort key of the enumerator's walk for a subtree given as nested
+    tuples (leaf 0): a node sorts by level number, then by its children in
+    this same order, and the leaf after every node."""
+    k = cache.get(t)
+    if k is None:
+        k = cache[t] = (1,) if t == 0 else (0, t[0], tuple(walk_order_key(c, cache) for c in t[1:]))
+    return k
+
+
 def _sub_multisets(items: tuple, min_size: int = 0) -> list[tuple]:
     """All sub-multisets of a sorted tuple, as sorted tuples."""
     groups: list[list] = []
@@ -937,19 +949,21 @@ def _diameter_split(space, idxs: list[int]) -> tuple[Fraction, list[list[int]]]:
 def canonical_form(space) -> tuple[str, list[int]]:
     """The canonical dendrogram's key and the point indices in canonical
     leaf order, by recursive diameter splits of the matrix: a ball's blocks
-    in order of their smallest index, then stably sorted by key."""
+    in order of their smallest index, then stably sorted in the walk's
+    order (:func:`walk_order_key`)."""
     rank = {v: r for r, v in enumerate(distance_set(space))}
+    cache: dict = {}
 
-    def build(idxs: list[int]) -> tuple[Dendrogram, list[int]]:
+    def build(idxs: list[int]) -> tuple[object, list[int]]:
         if len(idxs) == 1:
-            return Dendrogram(0), idxs
+            return 0, idxs
         diam, groups = _diameter_split(space, idxs)
-        subs = sorted(map(build, groups), key=lambda sub: sub[0].key())
+        subs = sorted(map(build, groups), key=lambda sub: walk_order_key(sub[0], cache))
         leaves = [i for _, order in subs for i in order]
-        return Dendrogram(rank[diam], tuple(d for d, _ in subs)), leaves
+        return (rank[diam], *(t for t, _ in subs)), leaves
 
-    dendro, leaves = build(list(range(space.n)))
-    return dendro.key(), leaves
+    tree, leaves = build(list(range(space.n)))
+    return _struct_key(tree, {}), leaves
 
 
 def is_ut_split_walk(space) -> Optional[LabeledTree]:

@@ -38,7 +38,7 @@ from ultratree import (
 )
 from ultratree.capacity import require_within
 from ultratree.errors import EmptyPool, FewerThanTwoBlocks, TooLarge, TooSmall
-from ultratree.formats import matrix_csv_string, tree_json_string
+from ultratree.formats import matrix_csv_string, parse_matrix_csv, tree_json_string
 from ultratree.explorer import _Subtrees, _all_subsets_spheres, _enumerate_ids
 from ultratree.suite import check_suite_enumerated
 
@@ -432,7 +432,8 @@ class TestCampaignFold:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_children_are_in_canonical_key_order(self, n):
         # the walk builds forests in order instead of sorting them; every
-        # node's children come out in the order of their key strings
+        # node's children come out in the walk's order: by level number,
+        # then by their own children, the leaf last
         table = _Subtrees()
         for _ in _enumerate_ids(n, table):
             pass
@@ -440,8 +441,16 @@ class TestCampaignFold:
         cache: dict = {}
         for level, *children in table.nodes[1:]:
             nested.append((level, *map(nested.__getitem__, children)))
-            keys = [oracles._struct_key(nested[c], cache) for c in children]
+            keys = [oracles.walk_order_key(nested[c], cache) for c in children]
             assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_table_keys_survive_the_canonical_form(self, n):
+        # the walk's table and the canonical form of the space it realizes
+        # give every class one key: both order children by level number
+        table = _Subtrees()
+        for root in _enumerate_ids(n, table):
+            assert table.key(root) == space_to_dendrogram(table.space(root)).key()
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_walk_matches_the_sorting_walk(self, n):
@@ -1150,6 +1159,22 @@ class TestWitnessesFromTheTable:
         for witness in report.witnesses:
             key = witness["label"].partition(":")[2] if name == "closed-balls" else witness["label"]
             assert witness["matrix_csv"] == matrix_csv_string(dendrogram_to_space(classes[key]))
+
+    @staticmethod
+    def assert_labels_name_their_csvs(report):
+        assert report.witnesses
+        for witness in report.witnesses:
+            space = parse_matrix_csv(witness["matrix_csv"])
+            assert witness["label"] == space_to_dendrogram(space).key()
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_con3_label_is_the_canonical_key_of_its_csv(self, n):
+        # the label is read off the walk's table, the key off the CSV's
+        # merge order: one child order serves both, up to the fold fence
+        self.assert_labels_name_their_csvs(check_con3(n))
+
+    def test_hol_label_is_the_canonical_key_of_its_csv(self):
+        self.assert_labels_name_their_csvs(check_hol(3))
 
 
 class TestIsUt:

@@ -216,22 +216,24 @@ class TestHardExit:
         assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
-# Nothing in the package may depend on string hashing: each of these runs
-# in a child process under two hash seeds and must print its golden bytes.
-HASH_SEED_CASES = ["center-tree", "check-padic", "is-ut-matrix", "enumerate-suite-6"]
-
-
+# Nothing in the package may depend on string hashing: every case runs in
+# a child process under two hash seeds and must write its golden bytes.
+# `enumerate-hol-3` is the one case whose path goes through weak_similarity.
 @pytest.mark.parametrize("seed", ["0", "12345"])
-def test_output_independent_of_hash_seed(seed):
+def test_output_independent_of_hash_seed(seed, tmp_path):
     env = {**ENV, "PYTHONHASHSEED": seed}
-    for name in HASH_SEED_CASES:
-        argv, expected = CASES[name]
+    dot_path = tmp_path / "g.dot"
+    for name, (argv, expected) in CASES.items():
         proc = subprocess.run(
-            [sys.executable, "-B", "-m", "ultratree.cli", *argv],
+            [sys.executable, "-B", "-m", "ultratree.cli",
+             *(arg.replace("{dot}", str(dot_path)) for arg in argv)],
             capture_output=True, env=env, timeout=60,
         )
-        assert (proc.returncode, proc.stderr) == (expected, b"")
-        assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
+        assert (proc.returncode, proc.stderr) == (expected, b""), name
+        assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes(), name
+        dot_file = GOLDEN / f"{name}.dot"
+        if dot_file.exists():
+            assert dot_path.read_bytes() == dot_file.read_bytes(), name
 
 
 def test_con3_on_ten_points_within_40_mb():

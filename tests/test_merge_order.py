@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ultratree import (
+    Dendrogram,
     FiniteUltrametricSpace,
     dendrogram_to_space,
     distance_matrix,
@@ -36,7 +37,10 @@ from ultratree import (
     sample_space,
     space_to_dendrogram,
     validate_ultrametric,
+    weak_similarity,
 )
+from test_rank_core import relabeled
+from test_weak_similarity import assert_agrees_with_search, assert_witness
 from ultratree.cli import main
 from ultratree.errors import (
     DuplicatePoint,
@@ -46,6 +50,7 @@ from ultratree.errors import (
     StrongTriangleViolation,
 )
 from ultratree.dendrogram import _canonical_form
+from ultratree.explorer import _space_of_merge_order
 from ultratree.formats import matrix_csv_string, parse_matrix_csv, tree_json_string
 from ultratree.rationals import format_rational
 
@@ -129,14 +134,83 @@ def assert_is_ut_matches_split_walk(space, seed) -> None:
     assert (got and tree_json_string(got)) == (expected and tree_json_string(expected))
     if got is not None:
         assert distance_matrix(got).ranks == parsed.ranks
-    dendro, leaves = _canonical_form(parsed)
-    assert (dendro.key(), leaves) == oracles.canonical_form(parsed)
+    table, leaves = _canonical_form(parsed._gap_form)
+    assert (table.key(table.nodes[-1]), leaves) == oracles.canonical_form(parsed)
 
 
 @given(st.integers(1, 16), label_pools, st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_is_ut_on_permuted_tree_csvs(n, pool, seed):
     assert_is_ut_matches_split_walk(distance_matrix(random_labeled_tree(n, pool, seed=seed)), seed)
+
+
+# --- the canonical form past level 9 ----------------------------------------------------
+# Children follow level numbers, not key strings, where "(10:" sorts before "(9:".
+
+wide_pools = st.lists(st.integers(1, 60), min_size=11, max_size=30, unique=True)
+
+
+@given(st.integers(1, 40), wide_pools, st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_canonical_form_with_eleven_to_thirty_levels(n, pool, seed, from_tree):
+    # a tree metric, or a merge order of any class, with its gaps drawn from
+    # the pool; either way through validation, in a shuffled point order
+    if from_tree:
+        drawn = distance_matrix(random_labeled_tree(n, pool, seed=seed))
+    else:
+        drawn = _space_of_merge_order(random.Random(seed).choices(pool, k=n - 1))
+    space = permuted(drawn, seed)
+    table, leaves = _canonical_form(space._gap_form)
+    key = table.key(table.nodes[-1])
+    assert (key, leaves) == oracles.canonical_form(space)
+    dendro = space_to_dendrogram(space)
+    assert dendro.key() == key
+    assert dendro.is_canonical()
+    copy = relabeled(space, seed)
+    assert_witness(space, copy, weak_similarity(space, copy))
+    if n <= 16:
+        assert assert_agrees_with_search(space, copy) is not None
+        other = permuted(_space_of_merge_order(random.Random(~seed).choices(pool, k=n - 1)), seed)
+        assert_agrees_with_search(space, other)
+
+
+def chain_key(top: int) -> str:
+    """The key of the chain whose node at each level 1..top has a leaf child."""
+    key = "L"
+    for level in range(1, top + 1):
+        key = f"({level}:{key},L)"
+    return key
+
+
+# merge orders whose root has children at levels 9 and 10: the first class
+# of any kind where the orders differ (12 points), and the first realizable
+# one (13 points)
+SIBLINGS_ACROSS_TEN = {
+    "twelve": ([*range(1, 10), 11, 10], f"(11:{chain_key(9)},(10:L,L))"),
+    "thirteen": ([*range(1, 10), 11, 10, 11], f"(11:{chain_key(9)},(10:L,L),L)"),
+}
+
+
+@pytest.mark.parametrize("name", list(SIBLINGS_ACROSS_TEN))
+def test_sibling_levels_across_ten_follow_level_numbers(name):
+    gaps, expected = SIBLINGS_ACROSS_TEN[name]
+    space = _space_of_merge_order(gaps)
+    assert (is_ut(space) is not None) == (name == "thirteen")
+    table = _canonical_form(space._gap_form)[0]
+    root = table.nodes[-1]
+    assert table.key(root) == space_to_dendrogram(table.space(root)).key() == expected
+    for seed in range(3):
+        assert space_to_dendrogram(permuted(space, seed)).key() == expected
+    dendro = space_to_dendrogram(space)
+    assert dendro.is_canonical()
+    # the same class with the level-10 child first, as key strings sort: no
+    # longer canonical, and weakly similar to the canonical one
+    nine, ten, *rest = dendro.children
+    swapped = Dendrogram(dendro.level, (ten, nine, *rest))
+    assert not swapped.is_canonical()
+    moved = dendrogram_to_space(swapped)
+    assert space_to_dendrogram(moved) == dendro
+    assert_witness(space, moved, weak_similarity(space, moved))
 
 
 def test_is_ut_on_every_permuted_class_up_to_six_points():

@@ -385,7 +385,7 @@ def test_canonical_leaf_order_is_a_merge_order(n, pool, seed):
     # every ball is one run of the canonical leaf order, and every distance
     # is the largest distance of two neighbours between its points
     space = distance_matrix(random_labeled_tree(n, pool, seed=seed))
-    _, order = _canonical_form(space)
+    _, order = _canonical_form(space._gap_form)
     assert sorted(order) == list(range(n))
     place = {space.points[i]: k for k, i in enumerate(order)}
     for kind in ("open", "closed"):
