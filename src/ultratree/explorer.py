@@ -150,6 +150,7 @@ class _Subtrees:
         self.leafy: list = [True]
         self.ids: dict = {}  # node tuple -> id
         self.built: list = []  # id -> Dendrogram, for the ids built so far
+        self.keys: list = []  # id -> Dendrogram.key(), for the ids keyed so far
 
     def intern(self, node: tuple[int, ...]) -> int:
         nid = self.ids.get(node)
@@ -190,11 +191,15 @@ class _Subtrees:
             yield from self.walk(forest, after, level + 1, memo, first + before)
 
     def key(self, node: tuple[int, ...]) -> str:
-        """The subtree's :meth:`Dendrogram.key`, read off the table."""
-        level, *children = node
-        if not children:
-            return "L"
-        return "(%d:%s)" % (level, ",".join(self.key(self.nodes[c]) for c in children))
+        """The subtree's :meth:`Dendrogram.key`, read off the table. As in
+        :meth:`dendrogram`, the ids not keyed yet are keyed in id order,
+        each once, without recursion."""
+        keys = self.keys
+        for level, *children in [*self.nodes[len(keys):], node]:
+            keys.append(
+                "(%d:%s)" % (level, ",".join(map(keys.__getitem__, children))) if children else "L"
+            )
+        return keys.pop()  # the node itself, which may be a root
 
     def dendrogram(self, node: tuple[int, ...]) -> Dendrogram:
         """The subtree as a ``Dendrogram``. A node is interned after its

@@ -5,11 +5,12 @@ A merge order lists the points so that every distance is the largest gap
 between them (see :mod:`ultratree.metric`). The ``center`` and
 ``diametrical`` verbs read their answers off it here, in the same way for
 a tree JSON (Kruskal's order, no matrix) and a matrix CSV (the order its
-validation lists). The records these answers take, a distance set, a
-multipartite decomposition and a star, are defined here too, and the
-rank-row analyses (:mod:`ultratree.rankrows`) report in them. No
-campaign but the theorem suite and the closed-ball search loads this
-module, and neither does ``is-ut``.
+validation lists). A distance w is in the center exactly when the closed
+balls of diameter w cover the space. The records these answers take, a
+distance set, a multipartite decomposition and a star, are defined here
+too, and the rank-row analyses (:mod:`ultratree.rankrows`) report in
+them. No campaign but the theorem suite and the closed-ball search loads
+this module, and neither does ``is-ut``.
 """
 
 from __future__ import annotations
@@ -60,35 +61,27 @@ class DistanceSet(_Record):
 def _center_from_gaps(gaps: Sequence[int], values: tuple[Fraction, ...]) -> DistanceSet:
     """The center of distances of a space, read off its merge order.
 
-    The points within distance w of a point p are the run of the merge
-    order between the nearest gaps above w around p, and p realizes w
-    exactly when that run holds a gap equal to w. So w is in the center
-    unless some run, with largest inner gap L (0 for one point) and smaller
-    bounding gap P, has L < w < P: a single point, or a gap's run up to its
-    nearest larger gaps, which one stack over the gaps finds in O(n).
+    A closed ball of diameter w is a run of the merge order whose largest
+    inner gap is w and whose bounding gaps are larger. A point realizes w
+    exactly when its closed ball of radius w has diameter w, and balls of
+    one diameter are disjoint, so w is in the center exactly when the
+    balls of diameter w hold all n points. One stack of the balls still
+    open to the right finds them, as :func:`~ultratree.hierarchy._split_table`
+    finds the diameter splits.
     """
-    top = len(values) - 1
-    # a difference array: its prefix sum at w counts the runs ruling out
-    # w; a sentinel gap above the top closes both ends of the order
-    cover = [0] * (top + 2)
-    bounds = [top + 1, *gaps, top + 1]
-    cover[1] += 1  # the single points, below the farthest nearest neighbour
-    cover[max(map(min, bounds, bounds[1:]))] -= 1
-    stack: list[int] = []  # strictly decreasing: the gaps still open to the right
-    for g in bounds[1:]:
-        while stack and stack[-1] < g:
-            low = stack.pop()
-            cover[low + 1] += 1
-            cover[min(g, stack[-1]) if stack else g] -= 1
-        if not stack or stack[-1] > g:  # an equal gap belongs to the same run
-            stack.append(g)
-    center = [values[0]]  # 0
-    excluded = 0
-    for w in range(1, top + 1):
-        excluded += cover[w]
-        if not excluded:
-            center.append(values[w])
-    return DistanceSet(tuple(center))
+    n = len(gaps) + 1
+    held = [n] + [0] * len(values)  # points in the balls of each diameter (0: single points)
+    spine: list[tuple[int, int]] = []  # open balls, diameters descending: (diameter, first)
+    # a gap closes the smaller balls at the point before it; a last gap
+    # above every rank closes every ball after the last point
+    for last, g in enumerate([*gaps, len(values)]):
+        first = last
+        while spine and spine[-1][0] < g:
+            w, first = spine.pop()
+            held[w] += last + 1 - first
+        if not spine or spine[-1][0] > g:  # an equal gap continues the ball
+            spine.append((g, first))
+    return DistanceSet(tuple(v for v, h in zip(values, held) if h == n))
 
 
 def _diametrical_parts(

@@ -570,6 +570,24 @@ class TestCon3Campaign:
     def test_report_matches_the_walk(self, n):
         assert check_con3(n) == oracles.check_con3(n)
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_bound_is_attained_and_the_witness_reads_back(self, n):
+        # the fold counts the levels whose new nodes cover every leaf; the
+        # `center` verb reads the diameters whose balls cover every point
+        # off the witness's merge order, and the rank rows intersect: the
+        # witness's CSV gives the fold's maximum all three ways
+        from ultratree import center_of_distances
+        from ultratree.mergeorder import _center_from_gaps
+
+        report = check_con3(n)
+        res = report.results["center-size-bound"]
+        assert res["max_center_size"] == res["bound"] == 1 + (n.bit_length() - 1)
+        assert res["bound_attained"]
+        space = parse_matrix_csv(report.witnesses[0]["matrix_csv"])
+        _, gaps, values = space._gap_form
+        assert len(_center_from_gaps(gaps, values)) == res["max_center_size"]
+        assert len(center_of_distances(space)) == res["max_center_size"]
+
     def test_witness_at_four_is_perfect_binary(self):
         report = check_con3(4)
         assert report.witnesses[0]["label"] == "(2:(1:L,L),(1:L,L))"

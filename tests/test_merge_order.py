@@ -52,6 +52,7 @@ from ultratree.errors import (
 from ultratree.dendrogram import _canonical_form
 from ultratree.explorer import _space_of_merge_order
 from ultratree.formats import matrix_csv_string, parse_matrix_csv, tree_json_string
+from ultratree.mergeorder import _center_from_gaps
 from ultratree.rationals import format_rational
 
 F = Fraction
@@ -182,6 +183,14 @@ def chain_key(top: int) -> str:
     return key
 
 
+def test_deep_chain_table_keys_without_recursion():
+    # the 1 500-point chain's table is deeper than the recursion limit
+    space = _space_of_merge_order(list(range(1, 1500)))
+    table = _canonical_form(space._gap_form)[0]
+    key = table.key(table.nodes[-1])
+    assert key == space_to_dendrogram(space).key() == chain_key(1499)
+
+
 # merge orders whose root has children at levels 9 and 10: the first class
 # of any kind where the orders differ (12 points), and the first realizable
 # one (13 points)
@@ -220,6 +229,32 @@ def test_is_ut_on_every_permuted_class_up_to_six_points():
 
 
 # --- the CLI readers against the matrix oracles ----------------------------------------
+
+def assert_center_matches_oracle(space) -> None:
+    _, gaps, values = space._gap_form
+    assert _center_from_gaps(gaps, values).values == oracles.center_of_distances(space)
+
+
+def test_center_on_every_class_up_to_eight_points():
+    # each class in the walk's merge order, then through a CSV in Prim's
+    for n in range(1, 9):
+        for pos, dendro in enumerate(enumerate_dendrograms(n)):
+            space = dendrogram_to_space(dendro)
+            assert_center_matches_oracle(space)
+            assert_center_matches_oracle(parse_matrix_csv(matrix_csv_string(permuted(space, pos))))
+
+
+few_labels = st.sets(st.integers(1, 5), min_size=1, max_size=3)
+
+
+@given(st.integers(1, 60), few_labels, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_center_on_trees_with_few_labels(n, labels, seed):
+    # few labels make many equal gaps, and so balls of one diameter side by side
+    space = distance_matrix(random_labeled_tree(n, sorted(labels), seed=seed))
+    assert_center_matches_oracle(space)
+    assert_center_matches_oracle(parse_matrix_csv(matrix_csv_string(permuted(space, seed))))
+
 
 @given(st.integers(1, 14), label_pools, st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=60, deadline=None)
